@@ -7,11 +7,11 @@ handful of SPEC CPU2006 benchmarks over both with a :class:`Study`, and
 prints the per-benchmark and average performance improvement — the headline
 result of the paper.
 
-Migration note (1.0 -> 1.1):
+Migration note (2.0 removed the 1.x factory functions):
 
 * ``darkgates_system(tdp)``  ->  ``get_spec("darkgates", tdp_w=tdp).build()``
 * ``baseline_system(tdp)``   ->  ``get_spec("baseline", tdp_w=tdp).build()``
-* ``engine.run_cpu_workload(w)`` (and friends)  ->  ``engine.run(w)``
+* ``darkgates_c7_limited_system(tdp)``  ->  ``get_spec("darkgates+c7", tdp_w=tdp).build()``
 * hand-rolled sweep loops    ->  ``Study(specs, workloads).run()``
 
 New in 1.2: transient droop scenarios are a first-class workload class —

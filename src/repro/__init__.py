@@ -52,22 +52,21 @@ Quickstart — declare systems, run workloads, sweep grids::
     ).run()
     print(answer.as_table())
 
-Migrating from the 1.0 API:
+Migrating to 2.0 — the 1.x compatibility shims are gone:
 
 =====================================================  ==================================================================
-Old call                                               New call
+Removed in 2.0                                         Use instead
 =====================================================  ==================================================================
 ``darkgates_system(tdp_w)``                            ``get_spec("darkgates", tdp_w=tdp_w).build()``
 ``baseline_system(tdp_w)``                             ``get_spec("baseline", tdp_w=tdp_w).build()``
 ``darkgates_c7_limited_system(tdp_w)``                 ``get_spec("darkgates+c7", tdp_w=tdp_w).build()``
-``engine.run_cpu_workload(w)``                         ``engine.run(w)`` (per-class methods remain available)
-``engine.run_graphics_workload(w)``                    ``engine.run(w)``
-``engine.run_energy_scenario(s)``                      ``engine.run(s)``
-hand-rolled sweep loops                                ``Study(specs, workloads).run()`` / ``Study.over_tdp_levels(...)``
+``Study.over_dynamics(specs, scenarios, tdps)``        ``Study.over_dynamics(specs, scenarios, tdp_levels_w=tdps)``
+``Study.over_transients(specs, traces, steps)``        ``Study.over_transients(specs, traces, time_steps_s=steps)``
+``Study.over_population(..., count, tdps)``            ``Study.over_population(..., count, tdp_levels_w=tdps)``
 =====================================================  ==================================================================
 
-The deprecated factories still work and emit :class:`DeprecationWarning`;
-:class:`SystemComparison` is unchanged.
+Payloads written by 1.x keep loading: every ``to_dict``/``from_dict`` goes
+through one schema-versioned codec (:mod:`repro.common.codec`).
 """
 
 from repro.analysis.optimize import (
@@ -85,12 +84,7 @@ from repro.analysis.study import (
     StudyResult,
     SweepRequest,
 )
-from repro.core.darkgates import (
-    SystemComparison,
-    baseline_system,
-    darkgates_c7_limited_system,
-    darkgates_system,
-)
+from repro.core.darkgates import SystemComparison
 from repro.core.overhead import darkgates_overheads
 
 # Importing the fleet package also registers the named fleet profiles in
@@ -155,7 +149,7 @@ from repro.workloads.spec import (
     spec_cpu2006_suite,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "SystemSpec",
@@ -175,9 +169,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "SystemComparison",
-    "baseline_system",
-    "darkgates_c7_limited_system",
-    "darkgates_system",
     "darkgates_overheads",
     "Pcode",
     "SimulationEngine",

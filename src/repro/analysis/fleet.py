@@ -21,7 +21,6 @@ result types it returns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -36,6 +35,7 @@ from typing import (
 
 from repro.analysis.reporting import format_table
 from repro.analysis.study import Executor, Study, StudyTask, SweepRequest
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, resolve_spec
 from repro.fleet.profiles import FleetProfile, ScenarioGenerator, fleet_profile
@@ -45,40 +45,20 @@ from repro.fleet.qos import (
     QosReport,
     aggregate_reports,
 )
-from repro.sim.metrics import RESULT_SCHEMA_VERSION, check_payload_schema
 from repro.workloads.dynamics import DynamicScenario
 
 
 @dataclass(frozen=True)
-class FleetCell:
+class FleetCell(Codec):
     """The pooled QoS of one (spec variant, fleet profile) grid cell."""
 
     spec: SystemSpec
     profile_name: str
     qos: EnsembleQos
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this cell."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "spec": self.spec.to_dict(),
-            "profile_name": self.profile_name,
-            "qos": self.qos.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FleetCell":
-        """Rebuild a cell from a :meth:`to_dict` payload."""
-        check_payload_schema(data, "fleet cell")
-        return cls(
-            spec=SystemSpec.from_dict(data["spec"]),
-            profile_name=data["profile_name"],
-            qos=EnsembleQos.from_dict(data["qos"]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetStudyResult:
+class FleetStudyResult(Codec):
     """The completed grid of a fleet study, addressable by (spec, profile)."""
 
     name: str
@@ -144,35 +124,6 @@ class FleetStudyResult:
             ["system", "profile", "slo_violation", "throttled", "p99_proxy"],
             rows,
             title=self.name if title is None else title,
-        )
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialise this result to a JSON document."""
-        payload = {
-            "name": self.name,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "seed": self.seed,
-            "ensemble": self.ensemble,
-            "slo_frequency_hz": self.slo_frequency_hz,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-        return json.dumps(
-            payload, indent=indent, sort_keys=True, allow_nan=False
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FleetStudyResult":
-        """Rebuild a fleet result from :meth:`to_json` output."""
-        payload = json.loads(text)
-        check_payload_schema(payload, "fleet result")
-        return cls(
-            name=payload["name"],
-            seed=payload["seed"],
-            ensemble=payload["ensemble"],
-            slo_frequency_hz=payload["slo_frequency_hz"],
-            cells=tuple(FleetCell.from_dict(cell) for cell in payload["cells"]),
         )
 
 

@@ -33,10 +33,10 @@ run store next to the sweeps they condensed.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
+    ClassVar,
     Dict,
     List,
     Mapping,
@@ -54,10 +54,10 @@ from repro.analysis.study import (
     Study,
     SweepRequest,
 )
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.pmu.dvfs import CpuDemand
-from repro.sim.metrics import RESULT_SCHEMA_VERSION, check_payload_schema
 from repro.sim.operating_point import (
     frequency_ceiling_hz,
     sustained_operating_point,
@@ -105,7 +105,7 @@ PROBE_SUITE = "optimize"
 
 
 @dataclass(frozen=True)
-class Objective:
+class Objective(Codec):
     """What to optimize: a metric (or decision variable) and a direction."""
 
     metric: str
@@ -127,18 +127,9 @@ class Objective:
         """``min metric`` / ``max metric``."""
         return f"{self.sense} {self.metric}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this objective."""
-        return {"metric": self.metric, "sense": self.sense}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Objective":
-        """Rebuild an objective from a :meth:`to_dict` payload."""
-        return cls(metric=str(data["metric"]), sense=str(data["sense"]))
-
 
 @dataclass(frozen=True)
-class Constraint:
+class Constraint(Codec):
     """A declarative feasibility bound: ``metric <op> value``."""
 
     metric: str
@@ -165,19 +156,6 @@ class Constraint:
         """``metric >= value`` in human-readable form."""
         return f"{self.metric} {self.op} {self.value:g}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this constraint."""
-        return {"metric": self.metric, "op": self.op, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Constraint":
-        """Rebuild a constraint from a :meth:`to_dict` payload."""
-        return cls(
-            metric=str(data["metric"]),
-            op=str(data["op"]),
-            value=float(data["value"]),
-        )
-
 
 VariableGrids = Union[
     Mapping[str, Sequence[float]],
@@ -187,7 +165,7 @@ AspTable = Union[Mapping[str, float], Sequence[Tuple[str, float]]]
 
 
 @dataclass(frozen=True)
-class OptimizationSpec:
+class OptimizationSpec(Codec):
     """One declarative inverse query, ready to solve.
 
     Parameters
@@ -354,41 +332,12 @@ class OptimizationSpec:
             )
         return f"{self.name}: " + "; ".join(parts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this query."""
-        return {
-            "name": self.name,
-            "method": self.method,
-            "objectives": [objective.to_dict() for objective in self.objectives],
-            "constraints": [c.to_dict() for c in self.constraints],
-            "variables": [[name, list(grid)] for name, grid in self.variables],
-            "asp": [[name, value] for name, value in self.asp],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizationSpec":
-        """Rebuild a query from a :meth:`to_dict` payload."""
-        return cls(
-            name=str(data["name"]),
-            method=str(data["method"]),
-            objectives=tuple(
-                Objective.from_dict(entry) for entry in data["objectives"]
-            ),
-            constraints=tuple(
-                Constraint.from_dict(entry) for entry in data["constraints"]
-            ),
-            variables=tuple(
-                (name, tuple(grid)) for name, grid in data["variables"]
-            ),
-            asp=tuple((name, value) for name, value in data["asp"]),
-        )
-
 
 # -- results ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class OptimizationPoint:
+class OptimizationPoint(Codec):
     """One solved decision point: variable values and probed metrics."""
 
     variables: Tuple[Tuple[str, float], ...]
@@ -414,28 +363,9 @@ class OptimizationPoint:
             f"{[key for key, _ in self.metrics]}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this point."""
-        return {
-            "variables": [[name, value] for name, value in self.variables],
-            "metrics": [[name, value] for name, value in self.metrics],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizationPoint":
-        """Rebuild a point from a :meth:`to_dict` payload."""
-        return cls(
-            variables=tuple(
-                (str(name), float(value)) for name, value in data["variables"]
-            ),
-            metrics=tuple(
-                (str(name), float(value)) for name, value in data["metrics"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class OptimizationCell:
+class OptimizationCell(Codec):
     """The solution of one query for one base system spec."""
 
     spec: SystemSpec
@@ -447,34 +377,17 @@ class OptimizationCell:
         """The solution point (scalar queries) / first frontier point."""
         return self.points[0]
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this cell."""
-        return {
-            "spec": self.spec.to_dict(),
-            "points": [point.to_dict() for point in self.points],
-            "probes": self.probes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizationCell":
-        """Rebuild a cell from a :meth:`to_dict` payload."""
-        return cls(
-            spec=SystemSpec.from_dict(data["spec"]),
-            points=tuple(
-                OptimizationPoint.from_dict(entry) for entry in data["points"]
-            ),
-            probes=int(data["probes"]),
-        )
-
 
 @dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Codec):
     """A solved inverse query: one cell per base system spec.
 
     Serialises to JSON (:meth:`to_json` / :meth:`from_json` round-trip to
     an equal result) and lands in the run store when the study is backed
     by a :class:`~repro.store.cache.StoreCache`.
     """
+
+    kind: ClassVar[str] = "optimization"
 
     name: str
     spec: OptimizationSpec
@@ -510,43 +423,6 @@ class OptimizationResult:
             rows,
             title=self.spec.describe() if title is None else title,
         )
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this result."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "kind": "optimization",
-            "name": self.name,
-            "seed": self.seed,
-            "spec": self.spec.to_dict(),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizationResult":
-        """Rebuild a result from a :meth:`to_dict` payload."""
-        check_payload_schema(dict(data), "optimization result")
-        return cls(
-            name=str(data["name"]),
-            spec=OptimizationSpec.from_dict(data["spec"]),
-            seed=None if data["seed"] is None else int(data["seed"]),
-            cells=tuple(
-                OptimizationCell.from_dict(entry) for entry in data["cells"]
-            ),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """This result as canonical JSON."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, allow_nan=False, indent=indent
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OptimizationResult":
-        """Rebuild a result from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
 
 # -- probe tasks (module-level so process pools can pickle them) -----------------------

@@ -52,14 +52,10 @@ from typing import (
 )
 
 from repro.analysis.reporting import format_table
-from repro.common.deprecation import warn_deprecated
+from repro.common.codec import RESULT_SCHEMA_VERSION, check_schema
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
-from repro.sim.metrics import (
-    RESULT_SCHEMA_VERSION,
-    RunResult,
-    check_payload_schema,
-)
+from repro.sim.metrics import RunResult
 from repro.workloads.descriptors import Workload
 
 if TYPE_CHECKING:
@@ -355,36 +351,6 @@ class SweepRequest:
         )
 
 
-def _legacy_positionals(
-    entry_point: str,
-    legacy: Tuple[Any, ...],
-    names: Tuple[str, ...],
-    values: Tuple[Any, ...],
-) -> Tuple[Any, ...]:
-    """Deprecation shim: sweep options that used to be positional.
-
-    The unified sweep API takes only grid axes positionally; options are
-    keyword-only.  Positional use still works but warns through
-    :func:`repro.common.deprecation.warn_deprecated`.
-    """
-    if not legacy:
-        return values
-    if len(legacy) > len(names):
-        raise ConfigurationError(
-            f"{entry_point}() takes at most {len(names)} positional "
-            f"option(s) ({', '.join(names)}); got {len(legacy)}"
-        )
-    supplied = names[: len(legacy)]
-    warn_deprecated(
-        f"passing {', '.join(supplied)} to {entry_point}() positionally",
-        f"the keyword form ({', '.join(name + '=...' for name in supplied)})",
-        stacklevel=4,
-    )
-    out = list(values)
-    out[: len(legacy)] = legacy
-    return tuple(out)
-
-
 # -- results ---------------------------------------------------------------------------
 
 
@@ -529,7 +495,7 @@ class StudyResult:
         stored as.
         """
         payload = json.loads(text)
-        check_payload_schema(payload, "study result")
+        check_schema(payload, "study result")
         cells = []
         for entry in payload["cells"]:
             spec = (
@@ -807,7 +773,7 @@ class Study:
         cls,
         specs: Sequence[Union[SystemSpec, str]],
         traces: Sequence["LoadTrace"],
-        *legacy: Any,
+        *,
         time_steps_s: Iterable[float] = (0.5e-9,),
         suite: str = "transients",
         **kwargs: Any,
@@ -823,12 +789,6 @@ class Study:
         """
         from repro.pdn.transients import TransientScenario
 
-        time_steps_s, suite = _legacy_positionals(
-            "Study.over_transients",
-            legacy,
-            ("time_steps_s", "suite"),
-            (time_steps_s, suite),
-        )
         request, _ = SweepRequest.from_kwargs("Study.over_transients", kwargs)
         scenarios = [
             TransientScenario.from_trace(trace, time_step_s=time_step)
@@ -842,7 +802,7 @@ class Study:
         cls,
         specs: Sequence[Union[SystemSpec, str]],
         scenarios: Sequence["DynamicScenario"],
-        *legacy: Any,
+        *,
         tdp_levels_w: Optional[Iterable[float]] = None,
         suite: str = "dynamics",
         **kwargs: Any,
@@ -864,12 +824,6 @@ class Study:
         thermal / DVFS / C-state step as one set of numpy operations
         instead of one Python loop per cell.
         """
-        tdp_levels_w, suite = _legacy_positionals(
-            "Study.over_dynamics",
-            legacy,
-            ("tdp_levels_w", "suite"),
-            (tdp_levels_w, suite),
-        )
         request, _ = SweepRequest.from_kwargs(
             "Study.over_dynamics", kwargs, defaults={"executor": "batched"}
         )
@@ -887,7 +841,7 @@ class Study:
         scenarios: Sequence["DynamicScenario"],
         variations: "VariationModel",
         count: int,
-        *legacy: Any,
+        *,
         tdp_levels_w: Optional[Iterable[float]] = None,
         **kwargs: Any,
     ) -> "PopulationStudy":
@@ -914,9 +868,6 @@ class Study:
         """
         from repro.variation.population import PopulationStudy
 
-        (tdp_levels_w,) = _legacy_positionals(
-            "Study.over_population", legacy, ("tdp_levels_w",), (tdp_levels_w,)
-        )
         request, extras = SweepRequest.from_kwargs(
             "Study.over_population",
             kwargs,

@@ -15,18 +15,9 @@ paper evaluates and exposes the comparison API a user actually wants:
   Figs. 7-10.
 * :mod:`repro.core.overhead` — the implementation-cost accounting of
   Section 5.
-
-The legacy factory trio (:func:`darkgates_system`, :func:`baseline_system`,
-:func:`darkgates_c7_limited_system`) remains as deprecated shims over the
-spec registry.
 """
 
-from repro.core.darkgates import (
-    SystemComparison,
-    baseline_system,
-    darkgates_c7_limited_system,
-    darkgates_system,
-)
+from repro.core.darkgates import SystemComparison
 from repro.core.overhead import ImplementationOverheads, darkgates_overheads
 from repro.core.spec import (
     SKU_BUILDERS,
@@ -47,9 +38,6 @@ __all__ = [
     "register_spec",
     "resolve_spec",
     "spec_names",
-    "baseline_system",
-    "darkgates_c7_limited_system",
-    "darkgates_system",
     "ImplementationOverheads",
     "darkgates_overheads",
 ]

@@ -1,12 +1,9 @@
-"""DarkGates system construction and baseline comparison.
+"""DarkGates-versus-baseline comparison.
 
 This module is the top of the stack: it compares the exact system
-configurations the paper evaluates.  The configurations themselves are
-declared in :mod:`repro.core.spec` — ``get_spec("darkgates")``,
-``get_spec("baseline")``, and ``get_spec("darkgates+c7")`` — and the legacy
-factory trio (:func:`darkgates_system`, :func:`baseline_system`,
-:func:`darkgates_c7_limited_system`) remains as thin deprecated shims over
-those specs.
+configurations the paper evaluates, which are declared in
+:mod:`repro.core.spec` — ``get_spec("darkgates")``,
+``get_spec("baseline")`` and ``get_spec("darkgates+c7")``.
 
 Three configurations appear in the evaluation:
 
@@ -26,61 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import ConfigurationError
 from repro.core.spec import get_spec
-from repro.pmu.pcode import Pcode
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import CpuRunResult, EnergyRunResult, GraphicsRunResult
 from repro.workloads.descriptors import CpuWorkload, EnergyScenario, GraphicsWorkload
-
-
-def darkgates_system(
-    tdp_w: float = 91.0, apply_reliability_guardband: bool = True
-) -> Pcode:
-    """Build the DarkGates desktop system at one TDP configuration.
-
-    .. deprecated:: 1.1
-       Use ``get_spec("darkgates").variant(tdp_w=...).build()`` instead.
-    """
-    warn_deprecated(
-        "darkgates_system()",
-        'get_spec("darkgates").variant(tdp_w=...).build()',
-    )
-    return get_spec(
-        "darkgates",
-        tdp_w=tdp_w,
-        apply_reliability_guardband=apply_reliability_guardband,
-    ).build()
-
-
-def darkgates_c7_limited_system(tdp_w: float = 91.0) -> Pcode:
-    """DarkGates hardware whose deepest package C-state is limited to C7.
-
-    This is the Fig. 10 reference configuration ("DarkGates+C7"): it shows
-    why the third DarkGates technique (package C8 for desktops) is required.
-
-    .. deprecated:: 1.1
-       Use ``get_spec("darkgates+c7").variant(tdp_w=...).build()`` instead.
-    """
-    warn_deprecated(
-        "darkgates_c7_limited_system()",
-        'get_spec("darkgates+c7").variant(tdp_w=...).build()',
-    )
-    return get_spec("darkgates+c7", tdp_w=tdp_w).build()
-
-
-def baseline_system(tdp_w: float = 91.0) -> Pcode:
-    """Build the baseline (power-gates enabled, package C7) system.
-
-    .. deprecated:: 1.1
-       Use ``get_spec("baseline").variant(tdp_w=...).build()`` instead.
-    """
-    warn_deprecated(
-        "baseline_system()",
-        'get_spec("baseline").variant(tdp_w=...).build()',
-    )
-    return get_spec("baseline", tdp_w=tdp_w).build()
 
 
 @dataclass(frozen=True)

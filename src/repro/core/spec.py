@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.common.validation import ensure_positive
 from repro.pdn.guardband import GuardbandModel, OffsetGuardbandModel
@@ -47,7 +48,7 @@ SKU_BUILDERS: Dict[str, Callable[[float], Processor]] = {
 
 
 @dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(Codec):
     """Declarative description of one evaluated system configuration.
 
     Parameters
@@ -96,10 +97,6 @@ class SystemSpec:
                 f"unknown sku {self.sku!r}; known: {sorted(SKU_BUILDERS)}"
             )
         ensure_positive(self.tdp_w, "tdp_w")
-        if isinstance(self.die_variation, Mapping):
-            object.__setattr__(
-                self, "die_variation", DieVariation.from_dict(self.die_variation)
-            )
         if isinstance(self.power_delivery, str):
             try:
                 mode = PowerDeliveryMode(self.power_delivery)
@@ -176,39 +173,6 @@ class SystemSpec:
             guardband_model=guardband_model,
             die_variation=self.die_variation,
         )
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this spec."""
-        return {
-            "name": self.name,
-            "sku": self.sku,
-            "segment": self.segment,
-            "tdp_w": self.tdp_w,
-            "power_delivery": self.power_delivery.value,
-            "deepest_package_cstate": self.deepest_package_cstate,
-            "apply_reliability_guardband": self.apply_reliability_guardband,
-            "guardband_offset_v": self.guardband_offset_v,
-            "die_variation": (
-                self.die_variation.to_dict()
-                if self.die_variation is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SystemSpec":
-        """Rebuild a spec from a :meth:`to_dict` payload."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SystemSpec field(s) {sorted(unknown)} in payload"
-            )
-        if "name" not in data:
-            raise ConfigurationError("SystemSpec payload is missing 'name'")
-        return cls(**dict(data))
 
 
 @lru_cache(maxsize=None)

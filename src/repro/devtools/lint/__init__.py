@@ -3,8 +3,8 @@
 An AST-based analyzer that machine-checks the invariants the run store's
 bit-identical-replay promise rests on: seed discipline, wall-clock and
 entropy hygiene, canonical JSON, canonicalizable fingerprint dataclasses,
-the ``ReproError`` contract, deprecation discipline, schema versioning,
-and the import-layering contract declared in pyproject.toml.
+the ``ReproError`` contract, and the import-layering contract declared in
+pyproject.toml.
 
 Run it as ``python -m repro lint [paths]``; see ``--list-rules`` for the
 catalog and ``--explain RPRnnn`` for any rule's full rationale.  Findings

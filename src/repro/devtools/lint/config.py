@@ -41,12 +41,6 @@ class LintConfig:
     fingerprint_roots:
         Dataclass names whose reachable frozen dataclasses must have
         canonicalizable fields (RPR004).
-    deprecated_factories:
-        Names of the deprecated factory shims internal modules must not
-        import (RPR006).
-    factory_allowlist:
-        Modules allowed to import the shims: the shim module itself and
-        the public re-export facades.
     exclude:
         Directory names skipped when a directory argument is expanded
         (fixture corpora of deliberately-bad snippets).  Files named
@@ -56,8 +50,6 @@ class LintConfig:
     package: str = "repro"
     layers: Tuple[Tuple[str, ...], ...] = ()
     fingerprint_roots: Tuple[str, ...] = ()
-    deprecated_factories: Tuple[str, ...] = ()
-    factory_allowlist: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
 
     def layer_of(self, subpackage: str) -> Optional[int]:
@@ -184,12 +176,6 @@ def load_config(pyproject: Union[str, Path]) -> LintConfig:
         layers=layers,
         fingerprint_roots=_string_tuple(
             table.get("fingerprint-roots", []), "fingerprint-roots"
-        ),
-        deprecated_factories=_string_tuple(
-            table.get("deprecated-factories", []), "deprecated-factories"
-        ),
-        factory_allowlist=_string_tuple(
-            table.get("factory-allowlist", []), "factory-allowlist"
         ),
         exclude=_string_tuple(table.get("exclude", []), "exclude"),
     )

@@ -24,6 +24,12 @@ from repro.common.errors import ConfigurationError
 LIBRARY = frozenset({"library"})
 EVERYWHERE = frozenset({"library", "tests"})
 
+#: Codes of retired rules, reserved so they never mean anything else:
+#: RPR006 policed the deprecated factory shims and RPR007 hand-written
+#: ``to_dict`` methods; the shims are gone and the shared codec stamps
+#: ``schema_version`` on every payload.
+RETIRED_CODES = ("RPR006", "RPR007")
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -144,34 +150,6 @@ RPR005 flags `raise` statements whose exception is a builtin
 abstractness marker, not an error signal) is always allowed; protocol
 obligations such as `KeyError` from a `MutableMapping.__getitem__` must be
 suppressed with a rationale naming the protocol.
-""",
-        ),
-        _rule(
-            "RPR006",
-            "deprecation-discipline",
-            "internal modules may not import the deprecated factory shims",
-            """
-The factory trio (`darkgates_system`, `baseline_system`,
-`darkgates_c7_limited_system`) survives only as warning shims over
-`get_spec(...).variant(...).build()`.  An internal module importing a shim
-would either warn on every library call or — worse — motivate someone to
-remove the warning.  RPR006 flags imports of the configured deprecated
-names anywhere except the shim module itself and the public re-export
-facades listed in the `factory-allowlist` pyproject key.
-""",
-        ),
-        _rule(
-            "RPR007",
-            "schema-discipline",
-            "result/manifest to_dict payloads must emit schema_version",
-            """
-Persisted payloads are validated on read against the schema version they
-were written with; a `to_dict` that omits `schema_version` produces
-artifacts that a future reader cannot safely reject.  RPR007 fires on any
-`to_dict` method of a class whose name ends in `Result` or `Manifest`
-that never mentions a `"schema_version"` key (abstract `to_dict`s that
-only raise `NotImplementedError` are exempt — their overriders are
-checked instead).
 """,
         ),
         _rule(

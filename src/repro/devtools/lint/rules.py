@@ -1,4 +1,4 @@
-"""The AST rule implementations (RPR001-RPR007).
+"""The AST rule implementations (RPR001-RPR005).
 
 Per-file rules run in a single :class:`ast.NodeVisitor` pass over each
 source file; :func:`check_canonical_fields` (RPR004) is a project-level
@@ -143,7 +143,7 @@ class FileChecker(ast.NodeVisitor):
                 Finding(node.lineno, node.col_offset, code, message)
             )
 
-    # -- RPR001 / RPR006: imports ------------------------------------------------------
+    # -- RPR001: imports ----------------------------------------------------------------
 
     def _check_import_name(self, node: ast.AST, name: str) -> None:
         if name == "random" or name.startswith("random."):
@@ -162,17 +162,6 @@ class FileChecker(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is not None and node.level == 0:
             self._check_import_name(node, node.module)
-        allowed = self.module in self.config.factory_allowlist
-        if not allowed:
-            for alias in node.names:
-                if alias.name in self.config.deprecated_factories:
-                    self._report(
-                        node,
-                        "RPR006",
-                        f"import of deprecated factory shim "
-                        f"{alias.name!r}; build through "
-                        "get_spec(...).variant(...).build() instead",
-                    )
         self.generic_visit(node)
 
     # -- RPR001 / RPR002 / RPR003: calls -----------------------------------------------
@@ -290,63 +279,6 @@ class FileChecker(ast.NodeVisitor):
                 "from repro.common.errors.ReproError",
             )
         self.generic_visit(node)
-
-    # -- RPR007: schema discipline -----------------------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if node.name.endswith(("Result", "Manifest")):
-            for statement in node.body:
-                if (
-                    isinstance(statement, ast.FunctionDef)
-                    and statement.name == "to_dict"
-                ):
-                    self._check_to_dict(node, statement)
-        self.generic_visit(node)
-
-    def _check_to_dict(self, cls: ast.ClassDef, fn: ast.FunctionDef) -> None:
-        class_name = cls.name
-        mentions_schema = any(
-            isinstance(inner, ast.Constant) and inner.value == "schema_version"
-            for inner in ast.walk(fn)
-        )
-        if mentions_schema:
-            return
-        # asdict(self) emits every field, so a schema_version *field*
-        # satisfies the rule too.
-        has_schema_field = any(
-            isinstance(statement, ast.AnnAssign)
-            and isinstance(statement.target, ast.Name)
-            and statement.target.id == "schema_version"
-            for statement in cls.body
-        )
-        calls_asdict = any(
-            isinstance(inner, ast.Call)
-            and dotted_name(inner.func) in ("asdict", "dataclasses.asdict")
-            for inner in ast.walk(fn)
-        )
-        if has_schema_field and calls_asdict:
-            return
-        only_abstract = all(
-            isinstance(statement, (ast.Raise, ast.Expr, ast.Pass))
-            for statement in fn.body
-        ) and any(
-            isinstance(statement, ast.Raise)
-            and dotted_name(
-                statement.exc.func
-                if isinstance(statement.exc, ast.Call)
-                else (statement.exc or ast.Name(id="", ctx=ast.Load()))
-            )
-            == "NotImplementedError"
-            for statement in fn.body
-        )
-        if only_abstract:
-            return
-        self._report(
-            fn,
-            "RPR007",
-            f"{class_name}.to_dict() payload never emits 'schema_version'; "
-            "persisted result payloads must be schema-versioned",
-        )
 
 
 def check_file(

@@ -16,24 +16,20 @@ summary-only accumulator can promise.
 
 :class:`EnsembleQos` pools member reports of one seeded scenario ensemble
 (weighted by active steps, worst-case p99), the aggregation surfaced by
-``Study.over_fleet``.  All report payloads are JSON schema-versioned via
-the shared :data:`~repro.sim.metrics.RESULT_SCHEMA_VERSION`.
+``Study.over_fleet``.  Both report types serialise through the shared
+codec (:mod:`repro.common.codec`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.common.validation import ensure_positive
-from repro.sim.metrics import (
-    RESULT_SCHEMA_VERSION,
-    THROTTLE_FACTORS,
-    DynamicRunResult,
-    check_payload_schema,
-)
+from repro.sim.metrics import THROTTLE_FACTORS, DynamicRunResult
 
 #: Default frequency SLO: the floor below which an active step counts as a
 #: violation.  2.0 GHz sits between the paper's TDP-limited sustained
@@ -56,7 +52,7 @@ def _percentile(samples: Sequence[float], fraction: float) -> float:
 
 
 @dataclass(frozen=True)
-class QosReport:
+class QosReport(Codec):
     """QoS verdict of one dynamic run against a frequency SLO.
 
     Parameters
@@ -79,6 +75,8 @@ class QosReport:
     mean_frequency_hz:
         Mean active-step frequency.
     """
+
+    kind: ClassVar[str] = "qos"
 
     name: str
     slo_frequency_hz: float
@@ -113,36 +111,6 @@ class QosReport:
         accumulator.add_result(result)
         return accumulator.report(
             name or result.scenario_name, slo_frequency_hz
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe, schema-versioned payload of this report."""
-        return {
-            "kind": "qos",
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "name": self.name,
-            "slo_frequency_hz": self.slo_frequency_hz,
-            "active_steps": self.active_steps,
-            "violation_rate": self.violation_rate,
-            "throttle_residency": dict(self.throttle_residency),
-            "throttled_fraction": self.throttled_fraction,
-            "p99_latency_proxy": self.p99_latency_proxy,
-            "mean_frequency_hz": self.mean_frequency_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "QosReport":
-        """Rebuild a report from a :meth:`to_dict` payload."""
-        check_payload_schema(data, "QoS report")
-        return cls(
-            name=data["name"],
-            slo_frequency_hz=data["slo_frequency_hz"],
-            active_steps=data["active_steps"],
-            violation_rate=data["violation_rate"],
-            throttle_residency=dict(data["throttle_residency"]),
-            throttled_fraction=data["throttled_fraction"],
-            p99_latency_proxy=data["p99_latency_proxy"],
-            mean_frequency_hz=data["mean_frequency_hz"],
         )
 
 
@@ -233,13 +201,15 @@ class QosAccumulator:
 
 
 @dataclass(frozen=True)
-class EnsembleQos:
+class EnsembleQos(Codec):
     """Pooled QoS of one seeded scenario ensemble.
 
     Rates and residencies are pooled exactly (weighted by each member's
     active steps); the p99 proxy is the **worst member's** p99 — the
     conservative fleet-tail read, since member samples are not retained.
     """
+
+    kind: ClassVar[str] = "ensemble_qos"
 
     name: str
     slo_frequency_hz: float
@@ -255,42 +225,6 @@ class EnsembleQos:
     def __post_init__(self) -> None:
         if self.members < 1:
             raise ConfigurationError("an ensemble needs at least one member")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe, schema-versioned payload of this ensemble."""
-        return {
-            "kind": "ensemble_qos",
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "name": self.name,
-            "slo_frequency_hz": self.slo_frequency_hz,
-            "members": self.members,
-            "active_steps": self.active_steps,
-            "violation_rate": self.violation_rate,
-            "worst_violation_rate": self.worst_violation_rate,
-            "throttle_residency": dict(self.throttle_residency),
-            "throttled_fraction": self.throttled_fraction,
-            "p99_latency_proxy": self.p99_latency_proxy,
-            "reports": [report.to_dict() for report in self.reports],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EnsembleQos":
-        """Rebuild an ensemble from a :meth:`to_dict` payload."""
-        check_payload_schema(data, "ensemble QoS")
-        return cls(
-            name=data["name"],
-            slo_frequency_hz=data["slo_frequency_hz"],
-            members=data["members"],
-            active_steps=data["active_steps"],
-            violation_rate=data["violation_rate"],
-            worst_violation_rate=data["worst_violation_rate"],
-            throttle_residency=dict(data["throttle_residency"]),
-            throttled_fraction=data["throttled_fraction"],
-            p99_latency_proxy=data["p99_latency_proxy"],
-            reports=tuple(
-                QosReport.from_dict(report) for report in data["reports"]
-            ),
-        )
 
 
 def aggregate_reports(

@@ -4,25 +4,21 @@ Every workload class has its own result dataclass, but all of them derive
 from :class:`RunResult` so that callers of the polymorphic
 :meth:`~repro.sim.engine.SimulationEngine.run` can treat them uniformly:
 each result exposes a ``kind`` tag, a headline ``primary_metric``, and JSON
-round-tripping via :meth:`RunResult.to_dict` / :meth:`RunResult.from_dict`.
+round-tripping through the shared codec (:mod:`repro.common.codec`);
+``RunResult.from_dict`` picks the concrete class from the payload's
+``kind``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Tuple, Type
+from typing import Any, ClassVar, Dict, List, Tuple
 
+from repro.common.codec import RESULT_SCHEMA_VERSION as RESULT_SCHEMA_VERSION
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.pmu.dvfs import LimitingFactor, OperatingPoint
 from repro.pmu.pbm import GraphicsOperatingPoint
-
-#: Version of every result payload schema (``to_dict``/``to_json``).  Bump
-#: when a payload gains/renames fields; readers reject payloads written by
-#: a *newer* schema instead of silently misparsing them.  The run store
-#: stamps this into its artifacts so stale stored results are detectable.
-#: Version 2 added the embedded ``summary`` block (throttle residency by
-#: limiting factor, QoS headline metrics) to dynamic-run payloads.
-RESULT_SCHEMA_VERSION = 2
 
 #: Limiting factors that count as *throttling* for residency accounting:
 #: the sustained power budget and the thermal loop.  Vmax/Iccmax/grid
@@ -33,96 +29,22 @@ THROTTLE_FACTORS: Tuple[str, ...] = (
 )
 
 
-def check_payload_schema(data: Dict[str, Any], what: str) -> None:
-    """Reject payloads written by a schema newer than this library.
-
-    Payloads without a ``schema_version`` field (pre-store artifacts) are
-    accepted as version 1.
-    """
-    version = data.get("schema_version", RESULT_SCHEMA_VERSION)
-    if not isinstance(version, int) or version > RESULT_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"{what} payload has schema version {version!r}, newer than "
-            f"this library understands (<= {RESULT_SCHEMA_VERSION})"
-        )
-
-
-class RunResult:
+class RunResult(Codec):
     """Base class of every engine result.
 
     Concrete results are frozen dataclasses; this base adds the polymorphic
     surface shared by all of them.  ``to_dict`` produces a JSON-safe payload
-    tagged with the result ``kind``; ``from_dict`` reverses it, returning an
-    instance equal to the original.
+    tagged with the result ``kind``; ``RunResult.from_dict`` reverses it,
+    returning an instance equal to the original.
     """
 
-    #: Workload-class tag ("cpu", "graphics", "energy").
+    #: Workload-class tag ("cpu", "graphics", "energy", ...).
     kind: ClassVar[str] = ""
 
     @property
     def primary_metric(self) -> float:
         """The headline number the paper reports for this workload class."""
         raise NotImplementedError
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this result."""
-        raise NotImplementedError
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "RunResult":
-        """Rebuild a concrete result from a :meth:`to_dict` payload."""
-        check_payload_schema(data, "run result")
-        kind = data.get("kind")
-        try:
-            result_type = _RESULT_TYPES[kind]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown run-result kind {kind!r}; "
-                f"expected one of {sorted(_RESULT_TYPES)}"
-            ) from None
-        return result_type._from_payload(data)
-
-
-def _operating_point_to_dict(point: OperatingPoint) -> Dict[str, Any]:
-    return {
-        "frequency_hz": point.frequency_hz,
-        "voltage_v": point.voltage_v,
-        "package_power_w": point.package_power_w,
-        "cores_power_w": point.cores_power_w,
-        "idle_cores_power_w": point.idle_cores_power_w,
-        "uncore_power_w": point.uncore_power_w,
-        "limiting_factor": point.limiting_factor.value,
-        "junction_temperature_c": point.junction_temperature_c,
-    }
-
-
-def _operating_point_from_dict(data: Dict[str, Any]) -> OperatingPoint:
-    return OperatingPoint(
-        frequency_hz=data["frequency_hz"],
-        voltage_v=data["voltage_v"],
-        package_power_w=data["package_power_w"],
-        cores_power_w=data["cores_power_w"],
-        idle_cores_power_w=data["idle_cores_power_w"],
-        uncore_power_w=data["uncore_power_w"],
-        limiting_factor=LimitingFactor(data["limiting_factor"]),
-        junction_temperature_c=data["junction_temperature_c"],
-    )
-
-
-def _graphics_point_to_dict(point: GraphicsOperatingPoint) -> Dict[str, Any]:
-    return {
-        "graphics_frequency_hz": point.graphics_frequency_hz,
-        "graphics_power_w": point.graphics_power_w,
-        "graphics_budget_w": point.graphics_budget_w,
-        "cpu_power_w": point.cpu_power_w,
-        "idle_cores_power_w": point.idle_cores_power_w,
-        "uncore_power_w": point.uncore_power_w,
-        "package_power_w": point.package_power_w,
-    }
-
-
-def _graphics_point_from_dict(data: Dict[str, Any]) -> GraphicsOperatingPoint:
-    return GraphicsOperatingPoint(**data)
 
 
 @dataclass(frozen=True)
@@ -154,23 +76,6 @@ class CpuRunResult(RunResult):
         """Fractional performance improvement over a baseline run."""
         return self.relative_performance / baseline.relative_performance - 1.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "workload_name": self.workload_name,
-            "operating_point": _operating_point_to_dict(self.operating_point),
-            "relative_performance": self.relative_performance,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict[str, Any]) -> "CpuRunResult":
-        return cls(
-            workload_name=data["workload_name"],
-            operating_point=_operating_point_from_dict(data["operating_point"]),
-            relative_performance=data["relative_performance"],
-        )
-
 
 @dataclass(frozen=True)
 class GraphicsRunResult(RunResult):
@@ -195,23 +100,6 @@ class GraphicsRunResult(RunResult):
     def degradation_from(self, baseline: "GraphicsRunResult") -> float:
         """Fractional FPS degradation relative to a baseline run (>= 0)."""
         return max(0.0, 1.0 - self.relative_fps / baseline.relative_fps)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "workload_name": self.workload_name,
-            "operating_point": _graphics_point_to_dict(self.operating_point),
-            "relative_fps": self.relative_fps,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict[str, Any]) -> "GraphicsRunResult":
-        return cls(
-            workload_name=data["workload_name"],
-            operating_point=_graphics_point_from_dict(data["operating_point"]),
-            relative_fps=data["relative_fps"],
-        )
 
 
 @dataclass(frozen=True)
@@ -264,30 +152,6 @@ class EnergyRunResult(RunResult):
             return 0.0
         return 1.0 - self.average_power_w / reference.average_power_w
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "scenario_name": self.scenario_name,
-            "phases": [
-                {
-                    "phase_name": phase.phase_name,
-                    "fraction": phase.fraction,
-                    "power_w": phase.power_w,
-                }
-                for phase in self.phases
-            ],
-            "average_power_limit_w": self.average_power_limit_w,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict[str, Any]) -> "EnergyRunResult":
-        return cls(
-            scenario_name=data["scenario_name"],
-            phases=tuple(PhaseEnergy(**phase) for phase in data["phases"]),
-            average_power_limit_w=data["average_power_limit_w"],
-        )
-
 
 @dataclass(frozen=True)
 class TransientRunResult(RunResult):
@@ -331,27 +195,6 @@ class TransientRunResult(RunResult):
             return 0.0
         return self.worst_droop_v / baseline.worst_droop_v - 1.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "scenario_name": self.scenario_name,
-            "nominal_voltage_v": self.nominal_voltage_v,
-            "worst_droop_v": self.worst_droop_v,
-            "settled_drop_v": self.settled_drop_v,
-            "transient_overshoot_v": self.transient_overshoot_v,
-            "minimum_voltage_v": self.minimum_voltage_v,
-            "time_step_s": self.time_step_s,
-            "duration_s": self.duration_s,
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict[str, Any]) -> "TransientRunResult":
-        payload = dict(data)
-        payload.pop("kind", None)
-        payload.pop("schema_version", None)
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class DynamicRunResult(RunResult):
@@ -364,6 +207,10 @@ class DynamicRunResult(RunResult):
     """
 
     kind: ClassVar[str] = "dynamic"
+
+    #: The summary block rides in every payload so stored runs answer QoS
+    #: queries without re-walking the traces; decoding rebuilds it from them.
+    derived_keys: ClassVar[Tuple[str, ...]] = ("summary",)
 
     scenario_name: str
     time_step_s: float
@@ -520,50 +367,3 @@ class DynamicRunResult(RunResult):
             "throttled_fraction": self.throttled_fraction,
             "final_limiting_factor": self.final_limiting_factor,
         }
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "scenario_name": self.scenario_name,
-            "time_step_s": self.time_step_s,
-            "pl1_w": self.pl1_w,
-            "pl2_w": self.pl2_w,
-            "times_s": list(self.times_s),
-            "frequencies_hz": list(self.frequencies_hz),
-            "package_powers_w": list(self.package_powers_w),
-            "temperatures_c": list(self.temperatures_c),
-            "average_powers_w": list(self.average_powers_w),
-            "limiting_factors": list(self.limiting_factors),
-            "package_cstates": list(self.package_cstates),
-            "summary": self.summary(),
-        }
-
-    @classmethod
-    def _from_payload(cls, data: Dict[str, Any]) -> "DynamicRunResult":
-        # The embedded summary block is derived, not stored state: rebuild
-        # from the traces so round-trips stay exact even across versions.
-        return cls(
-            scenario_name=data["scenario_name"],
-            time_step_s=data["time_step_s"],
-            pl1_w=data["pl1_w"],
-            pl2_w=data["pl2_w"],
-            times_s=tuple(data["times_s"]),
-            frequencies_hz=tuple(data["frequencies_hz"]),
-            package_powers_w=tuple(data["package_powers_w"]),
-            temperatures_c=tuple(data["temperatures_c"]),
-            average_powers_w=tuple(data["average_powers_w"]),
-            limiting_factors=tuple(data["limiting_factors"]),
-            package_cstates=tuple(data["package_cstates"]),
-        )
-
-
-_RESULT_TYPES: Dict[str, Type[RunResult]] = {
-    CpuRunResult.kind: CpuRunResult,
-    GraphicsRunResult.kind: GraphicsRunResult,
-    EnergyRunResult.kind: EnergyRunResult,
-    TransientRunResult.kind: TransientRunResult,
-    DynamicRunResult.kind: DynamicRunResult,
-}

@@ -24,11 +24,13 @@ import os
 import shutil
 import uuid
 import warnings
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Type, Union
 
-from repro.common.errors import StoreError
-from repro.sim.metrics import RESULT_SCHEMA_VERSION, RunResult
+from repro.common.codec import RESULT_SCHEMA_VERSION, Codec
+from repro.common.errors import ConfigurationError, StoreError
+from repro.sim.metrics import RunResult
 from repro.store.manifest import RunManifest
 
 #: Environment variable overriding the default store location.
@@ -48,6 +50,12 @@ class StoreCorruptionWarning(UserWarning):
 def resolve_store_root(root: Union[str, Path, None] = None) -> Path:
     """The store root: explicit path > ``REPRO_STORE_DIR`` > ``~/.repro_store``."""
     if root is not None:
+        if not isinstance(root, (str, os.PathLike)):
+            raise ConfigurationError(
+                f"a store root must be a path (str or os.PathLike), got "
+                f"{type(root).__name__}; to share an existing RunStore, pass "
+                "it as store=... (StoreCache(store=run_store))"
+            )
         return Path(root).expanduser()
     env = os.environ.get(STORE_DIR_ENV)
     if env:
@@ -58,42 +66,51 @@ def resolve_store_root(root: Union[str, Path, None] = None) -> Path:
 # -- value codec -----------------------------------------------------------------------
 
 
-def encode_value(value: Any) -> Dict[str, Any]:
-    """Encode a study-task result into a JSON-safe store payload.
+@lru_cache(maxsize=None)
+def _codec_classes() -> Dict[str, Type[Codec]]:
+    """Store codec tag -> the codec class its payloads decode through.
 
-    Engine results (every :class:`~repro.sim.metrics.RunResult` kind)
-    serialise through their ``to_dict``; population cells and binning
-    results through theirs; anything else must already be a faithful JSON
-    value (tuples are rejected — they would silently come back as lists).
+    A value is stored under the first tag whose class it is an instance
+    of.  The result modules are imported on first use so that importing
+    the store does not import every one of them.
     """
+    from repro.analysis.optimize import OptimizationResult
     from repro.variation.population import (
         PopulationCellResult,
         PopulationResult,
         SpecBinningResult,
     )
-    from repro.analysis.optimize import OptimizationResult
     from repro.variation.streaming import (
         StreamingBinningResult,
         StreamingCellResult,
         StreamingCellShard,
     )
 
-    if isinstance(value, RunResult):
-        payload: Dict[str, Any] = {"codec": "run_result", "value": value.to_dict()}
-    elif isinstance(value, OptimizationResult):
-        payload = {"codec": "optimization", "value": value.to_dict()}
-    elif isinstance(value, PopulationCellResult):
-        payload = {"codec": "population_cell", "value": value.to_dict()}
-    elif isinstance(value, SpecBinningResult):
-        payload = {"codec": "spec_binning", "value": value.to_dict()}
-    elif isinstance(value, StreamingCellShard):
-        payload = {"codec": "streaming_shard", "value": value.to_dict()}
-    elif isinstance(value, StreamingCellResult):
-        payload = {"codec": "streaming_cell", "value": value.to_dict()}
-    elif isinstance(value, StreamingBinningResult):
-        payload = {"codec": "streaming_binning", "value": value.to_dict()}
-    elif isinstance(value, PopulationResult):
-        payload = {"codec": "population", "value": json.loads(value.to_json())}
+    return {
+        "run_result": RunResult,
+        "optimization": OptimizationResult,
+        "population_cell": PopulationCellResult,
+        "spec_binning": SpecBinningResult,
+        "streaming_shard": StreamingCellShard,
+        "streaming_cell": StreamingCellResult,
+        "streaming_binning": StreamingBinningResult,
+        "population": PopulationResult,
+    }
+
+
+def encode_value(value: Any) -> Dict[str, Any]:
+    """Encode a study-task result into a JSON-safe store payload.
+
+    Codec values (every :class:`~repro.sim.metrics.RunResult` kind,
+    population and streaming cells, binnings and shards, whole population
+    and optimization results) are tagged with their store codec; anything
+    else must already be a faithful JSON value (tuples are rejected — they
+    would silently come back as lists).
+    """
+    for codec, cls in _codec_classes().items():
+        if isinstance(value, cls):
+            payload: Dict[str, Any] = {"codec": codec, "value": value.to_dict()}
+            break
     else:
         try:
             faithful = (
@@ -114,18 +131,6 @@ def encode_value(value: Any) -> Dict[str, Any]:
 
 def decode_value(payload: Dict[str, Any]) -> Any:
     """Decode a store payload back into the value :func:`encode_value` saw."""
-    from repro.analysis.optimize import OptimizationResult
-    from repro.variation.population import (
-        PopulationCellResult,
-        PopulationResult,
-        SpecBinningResult,
-    )
-    from repro.variation.streaming import (
-        StreamingBinningResult,
-        StreamingCellResult,
-        StreamingCellShard,
-    )
-
     version = payload.get("schema_version", RESULT_SCHEMA_VERSION)
     if not isinstance(version, int) or version > RESULT_SCHEMA_VERSION:
         raise StoreError(
@@ -134,27 +139,12 @@ def decode_value(payload: Dict[str, Any]) -> Any:
         )
     codec = payload.get("codec")
     value = payload.get("value")
-    if codec == "run_result":
-        return RunResult.from_dict(value)
-    if codec == "optimization":
-        return OptimizationResult.from_dict(value)
-    if codec == "population_cell":
-        return PopulationCellResult.from_dict(value)
-    if codec == "spec_binning":
-        return SpecBinningResult.from_dict(value)
-    if codec == "streaming_shard":
-        return StreamingCellShard.from_dict(value)
-    if codec == "streaming_cell":
-        return StreamingCellResult.from_dict(value)
-    if codec == "streaming_binning":
-        return StreamingBinningResult.from_dict(value)
-    if codec == "population":
-        return PopulationResult.from_json(
-            json.dumps(value, sort_keys=True, allow_nan=False)
-        )
     if codec == "json":
         return value
-    raise StoreError(f"unknown store codec {codec!r}")
+    cls = _codec_classes().get(codec) if isinstance(codec, str) else None
+    if cls is None:
+        raise StoreError(f"unknown store codec {codec!r}")
+    return cls.from_dict(value)
 
 
 # -- the store -------------------------------------------------------------------------

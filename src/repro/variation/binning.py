@@ -23,10 +23,11 @@ it is one of the paper's evaluated parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.pmu.dvfs import CpuDemand, die_voltage_offsets
 from repro.pmu.pcode import Pcode
@@ -113,7 +114,7 @@ def die_metrics(
 
 
 @dataclass(frozen=True)
-class SkuBin:
+class SkuBin(Codec):
     """One binning rule: cutoffs a die must clear to sell as this part.
 
     Parameters
@@ -159,24 +160,9 @@ class SkuBin:
             & (metrics.vmin_v <= self.max_vmin_v)
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this bin."""
-        return {
-            "name": self.name,
-            "sku": self.sku,
-            "min_fmax_hz": self.min_fmax_hz,
-            "max_leakage_w": self.max_leakage_w,
-            "max_vmin_v": self.max_vmin_v,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SkuBin":
-        """Rebuild a bin from a :meth:`to_dict` payload."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class BinReport:
+class BinReport(Codec):
     """Yield and per-bin quantile summary of one binned population.
 
     ``counts`` / ``yield_fractions`` cover every bin plus ``"scrap"``;
@@ -189,36 +175,9 @@ class BinReport:
     yield_fractions: Dict[str, float]
     metric_quantiles: Dict[str, Dict[str, Tuple[float, float, float]]]
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this report."""
-        return {
-            "bin_names": list(self.bin_names),
-            "counts": dict(self.counts),
-            "yield_fractions": dict(self.yield_fractions),
-            "metric_quantiles": {
-                name: {metric: list(q) for metric, q in metrics.items()}
-                for name, metrics in self.metric_quantiles.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BinReport":
-        """Rebuild a report from a :meth:`to_dict` payload."""
-        return cls(
-            bin_names=tuple(data["bin_names"]),
-            counts={name: int(count) for name, count in data["counts"].items()},
-            yield_fractions=dict(data["yield_fractions"]),
-            metric_quantiles={
-                name: {
-                    metric: tuple(q) for metric, q in metrics.items()
-                }
-                for name, metrics in data["metric_quantiles"].items()
-            },
-        )
-
 
 @dataclass(frozen=True)
-class BinningPolicy:
+class BinningPolicy(Codec):
     """An ordered list of SKU bins; first match wins, leftovers are scrap."""
 
     bins: Tuple[SkuBin, ...]
@@ -280,19 +239,6 @@ class BinningPolicy:
             counts=counts,
             yield_fractions=fractions,
             metric_quantiles=quantiles,
-        )
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this policy."""
-        return {"bins": [sku_bin.to_dict() for sku_bin in self.bins]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BinningPolicy":
-        """Rebuild a policy from a :meth:`to_dict` payload."""
-        return cls(
-            bins=tuple(SkuBin.from_dict(entry) for entry in data["bins"])
         )
 
 

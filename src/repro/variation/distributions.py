@@ -19,10 +19,11 @@ therefore fixes every sampled die bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.common.validation import ensure_non_negative
 
@@ -49,7 +50,7 @@ DISTRIBUTIONS: Tuple[str, ...] = ("normal", "lognormal", "truncated_normal")
 
 
 @dataclass(frozen=True)
-class ParameterVariation:
+class ParameterVariation(Codec):
     """How one silicon knob varies die to die.
 
     Parameters
@@ -113,22 +114,6 @@ class ParameterVariation:
             values = np.clip(values, self.lower, self.upper)
         return values
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this variation."""
-        return {
-            "parameter": self.parameter,
-            "distribution": self.distribution,
-            "center": self.center,
-            "sigma": self.sigma,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ParameterVariation":
-        """Rebuild a variation from a :meth:`to_dict` payload."""
-        return cls(**dict(data))
-
 
 def cholesky_factor(matrix: Sequence[Sequence[float]]) -> np.ndarray:
     """Lower-triangular Cholesky factor of a validated correlation matrix.
@@ -156,7 +141,7 @@ def cholesky_factor(matrix: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VariationModel:
+class VariationModel(Codec):
     """A set of parameter variations, optionally correlated.
 
     Parameters
@@ -221,34 +206,6 @@ class VariationModel:
             variation.parameter: variation.transform(normals[:, column])
             for column, variation in enumerate(self.variations)
         }
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this model."""
-        return {
-            "variations": [variation.to_dict() for variation in self.variations],
-            "correlation": (
-                [list(row) for row in self.correlation]
-                if self.correlation is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "VariationModel":
-        """Rebuild a model from a :meth:`to_dict` payload."""
-        correlation = data.get("correlation")
-        return cls(
-            variations=tuple(
-                ParameterVariation.from_dict(entry) for entry in data["variations"]
-            ),
-            correlation=(
-                tuple(tuple(row) for row in correlation)
-                if correlation is not None
-                else None
-            ),
-        )
 
 
 def skylake_process_variation() -> VariationModel:

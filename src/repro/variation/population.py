@@ -30,13 +30,11 @@ exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     MutableMapping,
     Optional,
     Sequence,
@@ -53,15 +51,12 @@ from repro.analysis.study import (
     StudyTask,
     SweepRequest,
 )
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.pmu.dvfs import LimitingFactor
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import (
-    RESULT_SCHEMA_VERSION,
-    DynamicRunResult,
-    check_payload_schema,
-)
+from repro.sim.metrics import DynamicRunResult
 from repro.variation.binning import (
     SCRAP_BIN,
     BinningPolicy,
@@ -232,7 +227,7 @@ def _cell_from_run_results(
 
 
 @dataclass(frozen=True)
-class PopulationCellResult:
+class PopulationCellResult(Codec):
     """Population summary of one (spec variant, scenario) grid cell.
 
     Percentile traces are per-step quantiles across the dice; the per-die
@@ -271,69 +266,9 @@ class PopulationCellResult:
         )
         return tuple(float(v) / 1e9 for v in values)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this cell."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "spec": self.spec.to_dict(),
-            "scenario_name": self.scenario_name,
-            "time_step_s": self.time_step_s,
-            "pl1_w": self.pl1_w,
-            "pl2_w": self.pl2_w,
-            "times_s": list(self.times_s),
-            "frequency_percentiles_hz": {
-                key: list(trace)
-                for key, trace in self.frequency_percentiles_hz.items()
-            },
-            "power_percentiles_w": {
-                key: list(trace) for key, trace in self.power_percentiles_w.items()
-            },
-            "temperature_percentiles_c": {
-                key: list(trace)
-                for key, trace in self.temperature_percentiles_c.items()
-            },
-            "limiting_histogram": dict(self.limiting_histogram),
-            "sustained_frequency_hz": list(self.sustained_frequency_hz),
-            "average_power_w": list(self.average_power_w),
-            "peak_temperature_c": list(self.peak_temperature_c),
-            "final_limiting": list(self.final_limiting),
-            "package_cstates": list(self.package_cstates),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PopulationCellResult":
-        """Rebuild a cell from a :meth:`to_dict` payload."""
-        check_payload_schema(dict(data), "population cell")
-        return cls(
-            spec=SystemSpec.from_dict(data["spec"]),
-            scenario_name=data["scenario_name"],
-            time_step_s=data["time_step_s"],
-            pl1_w=data["pl1_w"],
-            pl2_w=data["pl2_w"],
-            times_s=tuple(data["times_s"]),
-            frequency_percentiles_hz={
-                key: tuple(trace)
-                for key, trace in data["frequency_percentiles_hz"].items()
-            },
-            power_percentiles_w={
-                key: tuple(trace)
-                for key, trace in data["power_percentiles_w"].items()
-            },
-            temperature_percentiles_c={
-                key: tuple(trace)
-                for key, trace in data["temperature_percentiles_c"].items()
-            },
-            limiting_histogram=dict(data["limiting_histogram"]),
-            sustained_frequency_hz=tuple(data["sustained_frequency_hz"]),
-            average_power_w=tuple(data["average_power_w"]),
-            peak_temperature_c=tuple(data["peak_temperature_c"]),
-            final_limiting=tuple(data["final_limiting"]),
-            package_cstates=tuple(data["package_cstates"]),
-        )
-
 
 @dataclass(frozen=True)
-class SpecBinningResult:
+class SpecBinningResult(Codec):
     """SKU binning of the population measured on one base spec's design."""
 
     spec_name: str
@@ -345,28 +280,9 @@ class SpecBinningResult:
         """Yield fraction per bin — the interface shared with streaming."""
         return dict(self.report.yield_fractions)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this binning."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "spec_name": self.spec_name,
-            "assignments": list(self.assignments),
-            "report": self.report.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SpecBinningResult":
-        """Rebuild a binning result from a :meth:`to_dict` payload."""
-        check_payload_schema(dict(data), "spec binning")
-        return cls(
-            spec_name=data["spec_name"],
-            assignments=tuple(int(a) for a in data["assignments"]),
-            report=BinReport.from_dict(data["report"]),
-        )
-
 
 @dataclass(frozen=True)
-class PopulationResult:
+class PopulationResult(Codec):
     """The completed grid of a population study.
 
     Everything needed to replay the run rides along: the variation model,
@@ -461,59 +377,6 @@ class PopulationResult:
                 values = np.percentile(sustained[members], list(quantiles))
                 out[bin_name] = tuple(float(v) / 1e9 for v in values)
         return out
-
-    # -- serialisation -----------------------------------------------------------------
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialise this result to a JSON document."""
-        payload = {
-            "name": self.name,
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "seed": self.seed,
-            "count": self.count,
-            "method": self.method,
-            "shard_size": self.shard_size,
-            "variations": self.variations.to_dict(),
-            "binning_policy": self.binning_policy.to_dict(),
-            "cells": [cell.to_dict() for cell in self.cells],
-            "binning": [binning.to_dict() for binning in self.binning],
-        }
-        return json.dumps(
-            payload, indent=indent, sort_keys=True, allow_nan=False
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PopulationResult":
-        """Rebuild a population result from :meth:`to_json` output."""
-        payload = json.loads(text)
-        check_payload_schema(payload, "population result")
-
-        def load_cell(
-            entry: Mapping[str, Any]
-        ) -> Union[PopulationCellResult, StreamingCellResult]:
-            if entry.get("kind") == "streaming_cell":
-                return StreamingCellResult.from_dict(entry)
-            return PopulationCellResult.from_dict(entry)
-
-        def load_binning(
-            entry: Mapping[str, Any]
-        ) -> Union[SpecBinningResult, StreamingBinningResult]:
-            if entry.get("kind") == "streaming_binning":
-                return StreamingBinningResult.from_dict(entry)
-            return SpecBinningResult.from_dict(entry)
-
-        shard_size = payload.get("shard_size")
-        return cls(
-            name=payload["name"],
-            seed=payload["seed"],
-            count=payload["count"],
-            method=payload["method"],
-            variations=VariationModel.from_dict(payload["variations"]),
-            binning_policy=BinningPolicy.from_dict(payload["binning_policy"]),
-            cells=tuple(load_cell(cell) for cell in payload["cells"]),
-            binning=tuple(load_binning(entry) for entry in payload["binning"]),
-            shard_size=None if shard_size is None else int(shard_size),
-        )
 
 
 # -- the study runner ------------------------------------------------------------------

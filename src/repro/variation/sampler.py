@@ -30,11 +30,12 @@ population.  This is the foundation of the streaming population engine
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.common.validation import ensure_positive
 from repro.variation.distributions import (
@@ -50,7 +51,7 @@ SAMPLE_BLOCK_DICE = 1024
 
 
 @dataclass(frozen=True)
-class DieVariation:
+class DieVariation(Codec):
     """The silicon knobs of one sampled die, relative to the nominal part.
 
     Parameters
@@ -96,21 +97,6 @@ class DieVariation:
             getattr(self, name) == nominal
             for name, nominal in NOMINAL_PARAMETERS.items()
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this die."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DieVariation":
-        """Rebuild a die variation from a :meth:`to_dict` payload."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown DieVariation field(s) {sorted(unknown)} in payload"
-            )
-        return cls(**dict(data))
 
 
 #: The nominal die: every knob at its reference value.

@@ -43,15 +43,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
+from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine
 from repro.pmu.dvfs import LIMITING_FACTOR_ORDER, LimitingFactor
 from repro.pmu.pcode import Pcode
-from repro.sim.metrics import RESULT_SCHEMA_VERSION, check_payload_schema
 from repro.variation.binning import SCRAP_BIN, BinningPolicy, die_metrics
 from repro.variation.distributions import VariationModel
 from repro.variation.sampler import DiePopulation, DiePopulationSampler
@@ -168,7 +169,7 @@ def weighted_percentile(
 
 
 @dataclass(frozen=True)
-class HistogramSpec:
+class HistogramSpec(Codec):
     """A fixed-range uniform histogram grid.
 
     The range is derived deterministically from the nominal system and the
@@ -201,15 +202,6 @@ class HistogramSpec:
             (np.asarray(values, dtype=float) - self.lo) / self.width
         )
         return np.clip(raw, 0, self.bins - 1).astype(np.int64)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this grid."""
-        return {"lo": self.lo, "hi": self.hi, "bins": self.bins}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HistogramSpec":
-        """Rebuild a grid from a :meth:`to_dict` payload."""
-        return cls(lo=data["lo"], hi=data["hi"], bins=int(data["bins"]))
 
 
 def _histogram_quantiles(
@@ -254,7 +246,7 @@ def _histogram_quantiles(
 
 
 @dataclass(frozen=True)
-class ScalarSummary:
+class ScalarSummary(Codec):
     """Finalized distribution summary of one per-die scalar metric.
 
     ``minimum``/``maximum``/``mean``/``count`` are exact (the mean reduces
@@ -274,34 +266,9 @@ class ScalarSummary:
         """The (p5, p50, p95) triple."""
         return (self.p5, self.p50, self.p95)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this summary."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "p5": self.p5,
-            "p50": self.p50,
-            "p95": self.p95,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScalarSummary":
-        """Rebuild a summary from a :meth:`to_dict` payload."""
-        return cls(
-            count=int(data["count"]),
-            mean=data["mean"],
-            minimum=data["minimum"],
-            maximum=data["maximum"],
-            p5=data["p5"],
-            p50=data["p50"],
-            p95=data["p95"],
-        )
-
 
 @dataclass(eq=False)
-class ScalarAccumulator:
+class ScalarAccumulator(Codec):
     """Streaming distribution of one scalar per die (histogram + exact bits).
 
     Exact: count, min, max, and the mean (per-shard ``(count, sum)``
@@ -311,7 +278,7 @@ class ScalarAccumulator:
     """
 
     spec: HistogramSpec
-    counts: np.ndarray
+    counts: NDArray[np.int64]
     minimum: float
     maximum: float
     shard_sums: Dict[int, Tuple[int, float]] = field(default_factory=dict)
@@ -393,35 +360,9 @@ class ScalarAccumulator:
             p95=p95,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this accumulator."""
-        return {
-            "spec": self.spec.to_dict(),
-            "counts": [int(c) for c in self.counts.tolist()],
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "shard_sums": {
-                str(shard): [n, s] for shard, (n, s) in sorted(self.shard_sums.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScalarAccumulator":
-        """Rebuild an accumulator from a :meth:`to_dict` payload."""
-        return cls(
-            spec=HistogramSpec.from_dict(data["spec"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-            minimum=data["minimum"],
-            maximum=data["maximum"],
-            shard_sums={
-                int(shard): (int(n), float(s))
-                for shard, (n, s) in data["shard_sums"].items()
-            },
-        )
-
 
 @dataclass(eq=False)
-class TraceValueCounts:
+class TraceValueCounts(Codec):
     """Exact per-step value counts over a shared discrete value grid.
 
     Per-step frequencies live on the candidate table's common grid, so the
@@ -431,8 +372,8 @@ class TraceValueCounts:
     :func:`weighted_percentile`.
     """
 
-    values: np.ndarray  # (V,) sorted ascending
-    counts: np.ndarray  # (steps, V) int64
+    values: NDArray[np.float64]  # (V,) sorted ascending
+    counts: NDArray[np.int64]  # (steps, V)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "TraceValueCounts":
@@ -477,30 +418,15 @@ class TraceValueCounts:
             for column, key in enumerate(_PERCENTILE_KEYS)
         }
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this accumulator."""
-        return {
-            "values": [float(v) for v in self.values.tolist()],
-            "counts": [[int(c) for c in row] for row in self.counts.tolist()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceValueCounts":
-        """Rebuild an accumulator from a :meth:`to_dict` payload."""
-        return cls(
-            values=np.asarray(data["values"], dtype=float),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-        )
-
 
 @dataclass(eq=False)
-class TraceHistogram:
+class TraceHistogram(Codec):
     """Per-step histograms of one continuous trace over a fixed grid."""
 
     spec: HistogramSpec
-    counts: np.ndarray  # (steps, bins) int64
-    minima: np.ndarray  # (steps,) exact per-step minimum
-    maxima: np.ndarray  # (steps,) exact per-step maximum
+    counts: NDArray[np.int64]  # (steps, bins)
+    minima: NDArray[np.float64]  # (steps,) exact per-step minimum
+    maxima: NDArray[np.float64]  # (steps,) exact per-step maximum
 
     @classmethod
     def from_matrix(
@@ -556,32 +482,13 @@ class TraceHistogram:
             for column, key in enumerate(_PERCENTILE_KEYS)
         }
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this accumulator."""
-        return {
-            "spec": self.spec.to_dict(),
-            "counts": [[int(c) for c in row] for row in self.counts.tolist()],
-            "minima": [float(v) for v in self.minima.tolist()],
-            "maxima": [float(v) for v in self.maxima.tolist()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceHistogram":
-        """Rebuild an accumulator from a :meth:`to_dict` payload."""
-        return cls(
-            spec=HistogramSpec.from_dict(data["spec"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-            minima=np.asarray(data["minima"], dtype=float),
-            maxima=np.asarray(data["maxima"], dtype=float),
-        )
-
 
 @dataclass(eq=False)
-class TraceCounts:
+class TraceCounts(Codec):
     """Exact per-step counts over a fixed name alphabet (limiting factors)."""
 
     names: Tuple[str, ...]
-    counts: np.ndarray  # (steps, len(names)) int64
+    counts: NDArray[np.int64]  # (steps, len(names))
 
     @classmethod
     def from_codes(
@@ -608,27 +515,12 @@ class TraceCounts:
             )
         return TraceCounts(names=self.names, counts=self.counts + other.counts)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this accumulator."""
-        return {
-            "names": list(self.names),
-            "counts": [[int(c) for c in row] for row in self.counts.tolist()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceCounts":
-        """Rebuild an accumulator from a :meth:`to_dict` payload."""
-        return cls(
-            names=tuple(data["names"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-        )
-
 
 # -- the finalized streaming results ---------------------------------------------------
 
 
 @dataclass(frozen=True)
-class StreamingBinningResult:
+class StreamingBinningResult(Codec):
     """Exact SKU binning of a streamed population (counts, no assignments).
 
     The per-die assignment tuple of the in-memory
@@ -637,6 +529,8 @@ class StreamingBinningResult:
     fractions equal the in-memory report's fractions bit for bit (same
     integers, same division).
     """
+
+    kind: ClassVar[str] = "streaming_binning"
 
     spec_name: str
     counts: Dict[str, int]
@@ -647,29 +541,9 @@ class StreamingBinningResult:
         """Exact yield fraction per bin (including scrap)."""
         return {name: c / self.count for name, c in self.counts.items()}
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this binning."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "kind": "streaming_binning",
-            "spec_name": self.spec_name,
-            "counts": dict(self.counts),
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamingBinningResult":
-        """Rebuild a binning result from a :meth:`to_dict` payload."""
-        check_payload_schema(dict(data), "streaming binning")
-        return cls(
-            spec_name=data["spec_name"],
-            counts={name: int(c) for name, c in data["counts"].items()},
-            count=int(data["count"]),
-        )
-
 
 @dataclass(frozen=True)
-class StreamingCellResult:
+class StreamingCellResult(Codec):
     """Streaming summary of one (spec variant, scenario) grid cell.
 
     The same percentile-trace shape as the in-memory
@@ -687,6 +561,8 @@ class StreamingCellResult:
     engine (``run_population(..., shard_size=N)``), which runs below the
     spec layer; study cells always carry their owning spec.
     """
+
+    kind: ClassVar[str] = "streaming_cell"
 
     spec: Optional[SystemSpec]
     scenario_name: str
@@ -751,97 +627,12 @@ class StreamingCellResult:
             )
         return tuple(available[q] for q in quantiles)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload describing this cell."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "kind": "streaming_cell",
-            "spec": None if self.spec is None else self.spec.to_dict(),
-            "scenario_name": self.scenario_name,
-            "time_step_s": self.time_step_s,
-            "pl1_w": self.pl1_w,
-            "pl2_w": self.pl2_w,
-            "count": self.count,
-            "shard_size": self.shard_size,
-            "times_s": list(self.times_s),
-            "frequency_percentiles_hz": {
-                key: list(trace)
-                for key, trace in self.frequency_percentiles_hz.items()
-            },
-            "power_percentiles_w": {
-                key: list(trace) for key, trace in self.power_percentiles_w.items()
-            },
-            "temperature_percentiles_c": {
-                key: list(trace)
-                for key, trace in self.temperature_percentiles_c.items()
-            },
-            "limiting_histogram": dict(self.limiting_histogram),
-            "final_limiting_counts": dict(self.final_limiting_counts),
-            "sustained_summary": self.sustained_summary.to_dict(),
-            "average_power_summary": self.average_power_summary.to_dict(),
-            "peak_temperature_summary": self.peak_temperature_summary.to_dict(),
-            "sustained_by_bin": {
-                name: summary.to_dict()
-                for name, summary in self.sustained_by_bin.items()
-            },
-            "package_cstates": list(self.package_cstates),
-            "quantile_error_bounds": dict(self.quantile_error_bounds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamingCellResult":
-        """Rebuild a cell from a :meth:`to_dict` payload."""
-        check_payload_schema(dict(data), "streaming cell")
-        return cls(
-            spec=(
-                None
-                if data["spec"] is None
-                else SystemSpec.from_dict(data["spec"])
-            ),
-            scenario_name=data["scenario_name"],
-            time_step_s=data["time_step_s"],
-            pl1_w=data["pl1_w"],
-            pl2_w=data["pl2_w"],
-            count=int(data["count"]),
-            shard_size=int(data["shard_size"]),
-            times_s=tuple(data["times_s"]),
-            frequency_percentiles_hz={
-                key: tuple(trace)
-                for key, trace in data["frequency_percentiles_hz"].items()
-            },
-            power_percentiles_w={
-                key: tuple(trace)
-                for key, trace in data["power_percentiles_w"].items()
-            },
-            temperature_percentiles_c={
-                key: tuple(trace)
-                for key, trace in data["temperature_percentiles_c"].items()
-            },
-            limiting_histogram=dict(data["limiting_histogram"]),
-            final_limiting_counts={
-                name: int(c) for name, c in data["final_limiting_counts"].items()
-            },
-            sustained_summary=ScalarSummary.from_dict(data["sustained_summary"]),
-            average_power_summary=ScalarSummary.from_dict(
-                data["average_power_summary"]
-            ),
-            peak_temperature_summary=ScalarSummary.from_dict(
-                data["peak_temperature_summary"]
-            ),
-            sustained_by_bin={
-                name: ScalarSummary.from_dict(summary)
-                for name, summary in data["sustained_by_bin"].items()
-            },
-            package_cstates=tuple(data["package_cstates"]),
-            quantile_error_bounds=dict(data["quantile_error_bounds"]),
-        )
-
 
 # -- the per-shard accumulator ---------------------------------------------------------
 
 
 @dataclass(eq=False)
-class StreamingCellShard:
+class StreamingCellShard(Codec):
     """One shard's (or a merged run of shards') cell accumulators.
 
     Produced by :func:`run_cell_shard` / :func:`condense_population_traces`,
@@ -856,8 +647,8 @@ class StreamingCellShard:
     pl1_w: float
     pl2_w: float
     count: int
-    times_s: np.ndarray
-    active_steps: np.ndarray  # (steps,) bool; structural, equal across shards
+    times_s: NDArray[np.float64]
+    active_steps: NDArray[np.bool_]  # (steps,) structural, equal across shards
     cstate_names: Tuple[str, ...]
     frequency: TraceValueCounts
     power: TraceHistogram
@@ -957,70 +748,6 @@ class StreamingCellShard:
                 "sustained_frequency_hz": self.sustained.spec.width,
                 "average_power_w": self.average_power.spec.width,
                 "peak_temperature_c": self.peak_temperature.spec.width,
-            },
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe payload (the store codec for shard task results)."""
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "spec": None if self.spec is None else self.spec.to_dict(),
-            "scenario_name": self.scenario_name,
-            "time_step_s": self.time_step_s,
-            "pl1_w": self.pl1_w,
-            "pl2_w": self.pl2_w,
-            "count": self.count,
-            "times_s": [float(t) for t in np.asarray(self.times_s).tolist()],
-            "active_steps": [bool(a) for a in self.active_steps.tolist()],
-            "cstate_names": list(self.cstate_names),
-            "frequency": self.frequency.to_dict(),
-            "power": self.power.to_dict(),
-            "temperature": self.temperature.to_dict(),
-            "limiting": self.limiting.to_dict(),
-            "final_limiting_counts": dict(self.final_limiting_counts),
-            "sustained": self.sustained.to_dict(),
-            "average_power": self.average_power.to_dict(),
-            "peak_temperature": self.peak_temperature.to_dict(),
-            "sustained_by_bin": {
-                name: accumulator.to_dict()
-                for name, accumulator in sorted(self.sustained_by_bin.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamingCellShard":
-        """Rebuild a shard accumulator from a :meth:`to_dict` payload."""
-        check_payload_schema(dict(data), "streaming cell shard")
-        return cls(
-            spec=(
-                None
-                if data["spec"] is None
-                else SystemSpec.from_dict(data["spec"])
-            ),
-            scenario_name=data["scenario_name"],
-            time_step_s=data["time_step_s"],
-            pl1_w=data["pl1_w"],
-            pl2_w=data["pl2_w"],
-            count=int(data["count"]),
-            times_s=np.asarray(data["times_s"], dtype=float),
-            active_steps=np.asarray(data["active_steps"], dtype=bool),
-            cstate_names=tuple(data["cstate_names"]),
-            frequency=TraceValueCounts.from_dict(data["frequency"]),
-            power=TraceHistogram.from_dict(data["power"]),
-            temperature=TraceHistogram.from_dict(data["temperature"]),
-            limiting=TraceCounts.from_dict(data["limiting"]),
-            final_limiting_counts={
-                name: int(c)
-                for name, c in data["final_limiting_counts"].items()
-            },
-            sustained=ScalarAccumulator.from_dict(data["sustained"]),
-            average_power=ScalarAccumulator.from_dict(data["average_power"]),
-            peak_temperature=ScalarAccumulator.from_dict(
-                data["peak_temperature"]
-            ),
-            sustained_by_bin={
-                name: ScalarAccumulator.from_dict(accumulator)
-                for name, accumulator in data["sustained_by_bin"].items()
             },
         )
 

@@ -29,7 +29,7 @@ from repro.devtools.lint.config import (
     load_config,
 )
 from repro.devtools.lint.diagnostics import REPORT_SCHEMA_VERSION
-from repro.devtools.lint.registry import RULES, get_rule
+from repro.devtools.lint.registry import RETIRED_CODES, RULES, get_rule
 from repro.devtools.lint.runner import gather_files
 from repro.devtools.lint.suppressions import scan_suppressions
 
@@ -38,12 +38,7 @@ FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 #: Contract used for fixture snippets: self-contained, independent of the
 #: repo's own pyproject so fixture expectations never drift with it.
-FIXTURE_CONFIG = LintConfig(
-    package="repro",
-    fingerprint_roots=("FixtureSpec",),
-    deprecated_factories=("darkgates_system",),
-    factory_allowlist=("repro.core.darkgates",),
-)
+FIXTURE_CONFIG = LintConfig(package="repro", fingerprint_roots=("FixtureSpec",))
 
 #: (fixture stem, rule code, findings expected on the bad fixture).
 RULE_CASES = (
@@ -52,8 +47,6 @@ RULE_CASES = (
     ("rpr003", "RPR003", 3),
     ("rpr004", "RPR004", 3),
     ("rpr005", "RPR005", 3),
-    ("rpr006", "RPR006", 1),
-    ("rpr007", "RPR007", 1),
 )
 
 
@@ -296,7 +289,8 @@ def test_discover_config_falls_back_to_default(tmp_path):
 
 
 def test_registry_codes_are_stable():
-    assert sorted(RULES) == [f"RPR{i:03d}" for i in range(10)]
+    assert not set(RULES) & set(RETIRED_CODES)
+    assert sorted((*RULES, *RETIRED_CODES)) == [f"RPR{i:03d}" for i in range(10)]
     for code, rule in RULES.items():
         assert rule.code == code
         assert rule.summary

@@ -8,11 +8,6 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core.darkgates import (
-    baseline_system,
-    darkgates_c7_limited_system,
-    darkgates_system,
-)
 from repro.core.spec import (
     SystemSpec,
     get_spec,
@@ -119,42 +114,13 @@ def test_spec_from_dict_rejects_unknown_fields():
         SystemSpec.from_dict(payload)
 
 
-# -- build parity with the deprecated factories --------------------------------------------------
+# -- building ------------------------------------------------------------------------------------
 
 
 def test_darkgates_spec_builds_bypassed_c8():
     pcode = get_spec("darkgates").build()
     assert pcode.bypass_mode
     assert pcode.deepest_package_cstate().value == "C8"
-
-
-def test_deprecated_factories_warn_and_match_specs():
-    with pytest.warns(DeprecationWarning):
-        legacy = darkgates_system(91.0)
-    assert legacy.describe() == get_spec("darkgates").build().describe()
-
-    with pytest.warns(DeprecationWarning):
-        legacy = baseline_system(91.0)
-    assert legacy.describe() == get_spec("baseline").build().describe()
-
-    with pytest.warns(DeprecationWarning):
-        legacy = darkgates_c7_limited_system(91.0)
-    assert legacy.describe() == get_spec("darkgates+c7").build().describe()
-
-
-def test_deprecated_factory_rejects_bad_tdp():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigurationError):
-            darkgates_system(-5.0)
-
-
-def test_factory_parity_run_results(darkgates_91w):
-    with pytest.warns(DeprecationWarning):
-        legacy = darkgates_system(91.0)
-    workload = spec_benchmark("416.gamess")
-    legacy_result = SimulationEngine(legacy).run(workload)
-    spec_result = SimulationEngine(darkgates_91w).run(workload)
-    assert legacy_result == spec_result
 
 
 def test_reliability_margin_disabled_variant():

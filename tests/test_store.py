@@ -166,6 +166,13 @@ def test_resolve_store_root_precedence(tmp_path, monkeypatch):
     assert resolve_store_root().name == ".repro_store"
 
 
+def test_store_root_must_be_a_path(tmp_path):
+    with pytest.raises(ConfigurationError, match="store="):
+        StoreCache(RunStore(tmp_path))
+    with pytest.raises(ConfigurationError, match="store="):
+        RunStore(42)
+
+
 def test_store_put_load_round_trip(tmp_path):
     store = RunStore(tmp_path)
     task = _task()
