@@ -100,9 +100,9 @@ def test_dynamics_batch_speedup(benchmark):
 
     reference = [simulator.simulator(pcode).run(s) for pcode, s in pairs]
     bin_exact = all(
-        r.frequencies_hz == b.frequencies_hz
-        and r.limiting_factors == b.limiting_factors
-        and r.package_cstates == b.package_cstates
+        np.array_equal(r.frequencies_hz, b.frequencies_hz)
+        and np.array_equal(r.limiting_codes, b.limiting_codes)
+        and np.array_equal(r.package_cstates, b.package_cstates)
         for r, b in zip(reference, batched)
     )
     max_dtemp_c = max(

@@ -15,7 +15,9 @@ name -> value, plus two tags:
 A class may also name *derived* payload keys (``derived_keys``): views
 computed by the same-named method on encode and skipped on decode, so a
 stored artifact answers queries without re-deriving them while the fields
-stay the only state.
+stay the only state.  A class whose layout changed defines
+``upgrade_payload(data, version)``, which turns an older payload into the
+current layout before decoding.
 
 Decoding is strict.  An unknown key, a missing required field, a value of
 the wrong shape and a newer schema version all raise
@@ -59,8 +61,10 @@ from repro.common.errors import ConfigurationError
 #: Version of every codec payload layout.  Bump when a payload gains or
 #: renames fields; readers reject payloads written by a *newer* version
 #: instead of silently misparsing them, and keep reading older ones.
-#: Version 2 added the derived ``summary`` block of dynamic-run payloads.
-RESULT_SCHEMA_VERSION = 2
+#: Version 2 added the derived ``summary`` block of dynamic-run payloads;
+#: version 3 made dynamic-run traces columnar (float and int8-code arrays,
+#: ``times_s`` derived from the time step).
+RESULT_SCHEMA_VERSION = 3
 
 #: Payload keys the codec owns; no planned class may use them as fields.
 TAG_KEYS = ("kind", "schema_version")
@@ -76,8 +80,8 @@ _KINDS: Dict[str, type] = {}
 _PLANS: Dict[type, "_Plan"] = {}
 
 
-def check_schema(data: Mapping[str, Any], what: str) -> None:
-    """Reject a payload written by a schema newer than this library."""
+def check_schema(data: Mapping[str, Any], what: str) -> int:
+    """The schema version of a payload; rejects one newer than this library."""
     version = data.get("schema_version", 1)
     if (
         not isinstance(version, int)
@@ -88,6 +92,7 @@ def check_schema(data: Mapping[str, Any], what: str) -> None:
             f"{what} payload has schema version {version!r}, newer than "
             f"this library understands (<= {RESULT_SCHEMA_VERSION})"
         )
+    return version
 
 
 # -- planning --------------------------------------------------------------------------
@@ -306,14 +311,19 @@ def _enum_converters(tp: Type[enum.Enum]) -> Tuple[Converter, Converter]:
 
 # -- encode / decode -------------------------------------------------------------------
 
+#: What a converter raises on a value of the wrong shape.
+_MALFORMED = (TypeError, ValueError, AttributeError, KeyError, OverflowError)
 
-def encode(obj: Any) -> Dict[str, Any]:
-    """The JSON-safe payload of one dataclass instance."""
+
+def encode(obj: Any, omit: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """The JSON-safe payload of one dataclass instance, less the *omit* fields."""
     plan = _plan(type(obj))
     payload: Dict[str, Any] = {"schema_version": RESULT_SCHEMA_VERSION}
     if plan.kind:
         payload["kind"] = plan.kind
     for name, enc, _ in plan.fields:
+        if name in omit:
+            continue
         value = getattr(obj, name)
         payload[name] = value if enc is None else enc(value)
     for key in plan.derived:
@@ -328,7 +338,7 @@ def decode(cls: Type[T], data: Any) -> T:
             f"{cls.__name__} payload must be a JSON object, got "
             f"{type(data).__name__}"
         )
-    check_schema(data, cls.__name__)
+    version = check_schema(data, cls.__name__)
     target: type = cls
     tag = data.get("kind")
     if tag is not None:
@@ -339,6 +349,14 @@ def decode(cls: Type[T], data: Any) -> T:
                 f"unknown {cls.__name__} kind {tag!r}; expected one of {kinds}"
             )
         target = tagged
+    upgrade = getattr(target, "upgrade_payload", None)
+    if upgrade is not None and version < RESULT_SCHEMA_VERSION:
+        try:
+            data = upgrade(data, version)
+        except _MALFORMED as error:
+            raise ConfigurationError(
+                f"malformed {target.__name__} schema-{version} payload: {error}"
+            ) from None
     plan = _plan(target)
     unknown = data.keys() - plan.known
     if unknown:
@@ -359,7 +377,7 @@ def decode(cls: Type[T], data: Any) -> T:
             if name in data:
                 value = data[name]
                 kwargs[name] = value if dec is None else dec(value)
-    except (TypeError, ValueError, AttributeError, KeyError) as error:
+    except _MALFORMED as error:
         raise ConfigurationError(
             f"malformed {target.__name__} payload field {name!r}: {error}"
         ) from None

@@ -26,10 +26,18 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.common.validation import ensure_positive
-from repro.sim.metrics import THROTTLE_FACTORS, DynamicRunResult
+from repro.sim.metrics import (
+    THROTTLE_FACTORS,
+    DynamicRunResult,
+    encode_limiting_factors,
+    sequential_sum,
+    throttle_shares,
+)
 
 #: Default frequency SLO: the floor below which an active step counts as a
 #: violation.  2.0 GHz sits between the paper's TDP-limited sustained
@@ -40,15 +48,14 @@ DEFAULT_SLO_FREQUENCY_HZ = 2.0e9
 LATENCY_PERCENTILE = 0.99
 
 
-def _percentile(samples: Sequence[float], fraction: float) -> float:
+def _percentile(samples: np.ndarray, fraction: float) -> float:
     """The exact ``ceil(fraction * n)``-th order statistic of *samples*.
 
     A plain order statistic (no interpolation) so the result depends only
     on the sample *set*, never on how it was accumulated.
     """
-    ordered = sorted(samples)
-    rank = min(len(ordered), max(1, math.ceil(fraction * len(ordered))))
-    return ordered[rank - 1]
+    rank = min(samples.size, max(1, math.ceil(fraction * samples.size)))
+    return float(np.partition(samples, rank - 1)[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -117,20 +124,21 @@ class QosReport(Codec):
 class QosAccumulator:
     """Mergeable accumulator of active-step QoS samples.
 
-    Keeps the raw per-step samples (frequency + limiting factor of every
-    active step), so any partition of a trace into chunks — and any merge
-    order — yields bit-identical reports.  Memory is bounded by the active
-    step count, which for fleet scenarios is a few thousand floats.
+    Keeps the raw per-step samples (frequency + limiting-factor code of
+    every active step, one array chunk per add), so any partition of a
+    trace into chunks — and any merge order — yields bit-identical reports.
+    Memory is bounded by the active step count, which for fleet scenarios
+    is a few thousand floats.
     """
 
     def __init__(self) -> None:
-        self._frequencies_hz: List[float] = []
-        self._limiting_factors: List[str] = []
+        self._frequencies_hz: List[np.ndarray] = []
+        self._limiting_codes: List[np.ndarray] = []
 
     @property
     def active_steps(self) -> int:
         """Active samples accumulated so far."""
-        return len(self._frequencies_hz)
+        return sum(chunk.size for chunk in self._frequencies_hz)
 
     def add_steps(
         self,
@@ -142,20 +150,25 @@ class QosAccumulator:
             raise ConfigurationError(
                 "frequencies_hz and limiting_factors must have equal length"
             )
-        for frequency, factor in zip(frequencies_hz, limiting_factors):
-            if frequency > 0.0:
-                self._frequencies_hz.append(float(frequency))
-                self._limiting_factors.append(str(factor))
-        return self
+        return self._add(
+            np.asarray(frequencies_hz, dtype=np.float64),
+            encode_limiting_factors(limiting_factors),
+        )
 
     def add_result(self, result: DynamicRunResult) -> "QosAccumulator":
         """Accumulate every active step of a dynamic run."""
-        return self.add_steps(result.frequencies_hz, result.limiting_factors)
+        return self._add(result.frequencies_hz, result.limiting_codes)
+
+    def _add(self, frequencies_hz: np.ndarray, codes: np.ndarray) -> "QosAccumulator":
+        active = frequencies_hz > 0.0
+        self._frequencies_hz.append(frequencies_hz[active])
+        self._limiting_codes.append(codes[active])
+        return self
 
     def merge(self, other: "QosAccumulator") -> "QosAccumulator":
         """Fold another accumulator's samples into this one."""
         self._frequencies_hz.extend(other._frequencies_hz)
-        self._limiting_factors.extend(other._limiting_factors)
+        self._limiting_codes.extend(other._limiting_codes)
         return self
 
     def report(
@@ -177,17 +190,9 @@ class QosAccumulator:
                 p99_latency_proxy=0.0,
                 mean_frequency_hz=0.0,
             )
-        violations = sum(
-            1 for f in self._frequencies_hz if f < slo_frequency_hz
-        )
-        throttle_counts = {factor: 0 for factor in THROTTLE_FACTORS}
-        for factor in self._limiting_factors:
-            if factor in throttle_counts:
-                throttle_counts[factor] += 1
-        residency = {
-            factor: count / n for factor, count in throttle_counts.items()
-        }
-        latencies = [slo_frequency_hz / f for f in self._frequencies_hz]
+        frequencies = np.concatenate(self._frequencies_hz)
+        violations = int(np.count_nonzero(frequencies < slo_frequency_hz))
+        residency = throttle_shares(np.concatenate(self._limiting_codes))
         return QosReport(
             name=name,
             slo_frequency_hz=slo_frequency_hz,
@@ -195,8 +200,10 @@ class QosAccumulator:
             violation_rate=violations / n,
             throttle_residency=residency,
             throttled_fraction=sum(residency.values()),
-            p99_latency_proxy=_percentile(latencies, LATENCY_PERCENTILE),
-            mean_frequency_hz=sum(self._frequencies_hz) / n,
+            p99_latency_proxy=_percentile(
+                slo_frequency_hz / frequencies, LATENCY_PERCENTILE
+            ),
+            mean_frequency_hz=sequential_sum(frequencies) / n,
         )
 
 

@@ -53,7 +53,7 @@ from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import BatchedTurboBudgetManager, TurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import BatchedThermalModel, TransientThermalModel
-from repro.sim.metrics import DynamicRunResult
+from repro.sim.metrics import DynamicRunResult, encode_cstates
 from repro.sim.operating_point import (
     SustainedPoint,
     resolve_sustained_bins,
@@ -91,17 +91,15 @@ class _TraceRecorder:
     """Accumulates the per-step traces of one run."""
 
     def __init__(self) -> None:
-        self.times_s: List[float] = []
         self.frequencies_hz: List[float] = []
         self.package_powers_w: List[float] = []
         self.temperatures_c: List[float] = []
         self.average_powers_w: List[float] = []
-        self.limiting_factors: List[str] = []
+        self.limiting_codes: List[int] = []
         self.package_cstates: List[str] = []
 
     def record(
         self,
-        time_s: float,
         frequency_hz: float,
         package_power_w: float,
         temperature_c: float,
@@ -109,12 +107,11 @@ class _TraceRecorder:
         limiting: LimitingFactor,
         cstate: str,
     ) -> None:
-        self.times_s.append(time_s)
         self.frequencies_hz.append(frequency_hz)
         self.package_powers_w.append(package_power_w)
         self.temperatures_c.append(temperature_c)
         self.average_powers_w.append(average_power_w)
-        self.limiting_factors.append(limiting.value)
+        self.limiting_codes.append(LIMITING_FACTOR_CODES[limiting])
         self.package_cstates.append(cstate)
 
 
@@ -161,7 +158,6 @@ class DynamicsSimulator:
         )
         burst_armed = scenario.initial_average_power_w < limits.pl1_w
         recorder = _TraceRecorder()
-        time_s = 0.0
         dt = scenario.time_step_s
         for phase, steps in zip(scenario.phases, phase_step_counts(scenario)):
             if phase.is_idle:
@@ -178,22 +174,22 @@ class DynamicsSimulator:
                     burst_armed = False
                 elif average <= limits.pl1_w * scenario.rebank_fraction:
                     burst_armed = True
-                time_s += dt
                 recorder.record(
-                    time_s, frequency, power, temperature, average, limiting, cstate
+                    frequency, power, temperature, average, limiting, cstate
                 )
+        cstate_codes, cstate_names = encode_cstates(recorder.package_cstates)
         return DynamicRunResult(
             scenario_name=scenario.name,
             time_step_s=dt,
             pl1_w=limits.pl1_w,
             pl2_w=limits.pl2_w,
-            times_s=tuple(recorder.times_s),
-            frequencies_hz=tuple(recorder.frequencies_hz),
-            package_powers_w=tuple(recorder.package_powers_w),
-            temperatures_c=tuple(recorder.temperatures_c),
-            average_powers_w=tuple(recorder.average_powers_w),
-            limiting_factors=tuple(recorder.limiting_factors),
-            package_cstates=tuple(recorder.package_cstates),
+            frequencies_hz=recorder.frequencies_hz,
+            package_powers_w=recorder.package_powers_w,
+            temperatures_c=recorder.temperatures_c,
+            average_powers_w=recorder.average_powers_w,
+            limiting_codes=recorder.limiting_codes,
+            cstate_codes=cstate_codes,
+            cstate_names=cstate_names,
         )
 
     # -- per-phase steppers ------------------------------------------------------------
@@ -501,7 +497,8 @@ class _RunPlan:
     sustained_bin: np.ndarray  # int
     sustained_code: np.ndarray  # limiting-factor code of the sustained point
     idle_power_w: np.ndarray  # float (0 for active steps)
-    cstate_code: np.ndarray  # trace code of the package state
+    cstate_codes: np.ndarray  # int8 package-state codes into cstate_names
+    cstate_names: Tuple[str, ...]
 
 
 class BatchedDynamicsSimulator:
@@ -555,15 +552,13 @@ class BatchedDynamicsSimulator:
             return []
         tables: List[CandidateTable] = []
         table_slots: Dict[int, int] = {}
-        cstate_codes: Dict[str, int] = {_C0_NAME: 0}
         plans = [
-            self._plan(pcode, scenario, tables, table_slots, cstate_codes)
+            self._plan(pcode, scenario, tables, table_slots)
             for pcode, scenario in runs
         ]
         traces = self._step_grid(plans, tables)
-        cstate_names = list(cstate_codes)
         return [
-            self._materialise(plan, traces, run_index, cstate_names)
+            self._materialise(plan, traces, run_index)
             for run_index, plan in enumerate(plans)
         ]
 
@@ -575,7 +570,6 @@ class BatchedDynamicsSimulator:
         scenario: DynamicScenario,
         tables: List[CandidateTable],
         table_slots: Dict[int, int],
-        cstate_codes: Dict[str, int],
     ) -> _RunPlan:
         simulator = self.simulator(pcode)
         processor = pcode.processor
@@ -594,7 +588,7 @@ class BatchedDynamicsSimulator:
         sustained_bins: List[int] = []
         sustained_codes: List[int] = []
         idle_powers: List[float] = []
-        cstates: List[int] = []
+        cstates: List[str] = []
         for phase in scenario.phases:
             if phase.is_idle:
                 state = simulator._resolve_idle_state(phase)
@@ -603,9 +597,7 @@ class BatchedDynamicsSimulator:
                 sustained_bins.append(0)
                 sustained_codes.append(_CODE_NONE)
                 idle_powers.append(pcode.cstate_model.power_w(state))
-                cstates.append(
-                    cstate_codes.setdefault(state.value, len(cstate_codes))
-                )
+                cstates.append(state.value)
             else:
                 demand = phase.demand()
                 table = pcode.dvfs_policy.candidate_table(demand)
@@ -619,8 +611,11 @@ class BatchedDynamicsSimulator:
                 sustained_bins.append(sustained.bin_index)
                 sustained_codes.append(LIMITING_FACTOR_CODES[sustained.limiting])
                 idle_powers.append(0.0)
-                cstates.append(cstate_codes[_C0_NAME])
+                cstates.append(_C0_NAME)
         counts = np.asarray(step_counts)
+        # Every phase has at least one step, so the per-phase vocabulary is
+        # the per-step one the reference stepper builds.
+        cstate_codes, cstate_names = encode_cstates(cstates)
         return _RunPlan(
             scenario=scenario,
             limits=limits,
@@ -637,7 +632,8 @@ class BatchedDynamicsSimulator:
             sustained_bin=np.repeat(np.asarray(sustained_bins), counts),
             sustained_code=np.repeat(np.asarray(sustained_codes), counts),
             idle_power_w=np.repeat(np.asarray(idle_powers, dtype=float), counts),
-            cstate_code=np.repeat(np.asarray(cstates), counts),
+            cstate_codes=np.repeat(cstate_codes, counts),
+            cstate_names=cstate_names,
         )
 
     @staticmethod
@@ -654,7 +650,6 @@ class BatchedDynamicsSimulator:
             "sustained_bin": stacked("sustained_bin", np.int64, 0),
             "sustained_code": stacked("sustained_code", np.int64, _CODE_NONE),
             "idle_power_w": stacked("idle_power_w", float, 0.0),
-            "cstate_code": stacked("cstate_code", np.int64, 0),
         }
 
     @staticmethod
@@ -709,8 +704,7 @@ class BatchedDynamicsSimulator:
             "power_w": np.zeros((total_steps, n_runs)),
             "temperature_c": np.zeros((total_steps, n_runs)),
             "average_w": np.zeros((total_steps, n_runs)),
-            "limiting": np.full((total_steps, n_runs), _CODE_NONE, dtype=np.int64),
-            "cstate": steps["cstate_code"].T.copy(),
+            "limiting": np.full((total_steps, n_runs), _CODE_NONE, dtype=np.int8),
         }
         bounds = self._segment_bounds(plans, total_steps)
         for t0, t1 in zip(bounds[:-1], bounds[1:]):
@@ -1008,33 +1002,19 @@ class BatchedDynamicsSimulator:
 
     @staticmethod
     def _materialise(
-        plan: _RunPlan,
-        traces: Dict[str, np.ndarray],
-        run_index: int,
-        cstate_names: Sequence[str],
+        plan: _RunPlan, traces: Dict[str, np.ndarray], run_index: int
     ) -> DynamicRunResult:
         n = plan.n_steps
-        dt = plan.scenario.time_step_s
-        # cumsum accumulates left to right, matching the reference loop's
-        # repeated `time_s += dt` bit for bit.
-        times = np.cumsum(np.full(n, dt))
-        limiting_names = np.array(
-            [factor.value for factor in LIMITING_FACTOR_ORDER], dtype=object
-        )
-        limiting_values = limiting_names[traces["limiting"][:n, run_index]].tolist()
-        cstates = np.array(list(cstate_names), dtype=object)[
-            traces["cstate"][:n, run_index]
-        ].tolist()
         return DynamicRunResult(
             scenario_name=plan.scenario.name,
-            time_step_s=dt,
+            time_step_s=plan.scenario.time_step_s,
             pl1_w=plan.limits.pl1_w,
             pl2_w=plan.limits.pl2_w,
-            times_s=tuple(times.tolist()),
-            frequencies_hz=tuple(traces["frequency_hz"][:n, run_index].tolist()),
-            package_powers_w=tuple(traces["power_w"][:n, run_index].tolist()),
-            temperatures_c=tuple(traces["temperature_c"][:n, run_index].tolist()),
-            average_powers_w=tuple(traces["average_w"][:n, run_index].tolist()),
-            limiting_factors=tuple(limiting_values),
-            package_cstates=tuple(cstates),
+            frequencies_hz=traces["frequency_hz"][:n, run_index],
+            package_powers_w=traces["power_w"][:n, run_index],
+            temperatures_c=traces["temperature_c"][:n, run_index],
+            average_powers_w=traces["average_w"][:n, run_index],
+            limiting_codes=traces["limiting"][:n, run_index],
+            cstate_codes=plan.cstate_codes,
+            cstate_names=plan.cstate_names,
         )

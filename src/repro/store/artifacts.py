@@ -4,13 +4,20 @@ Layout (root defaults to ``~/.repro_store``, overridable via the
 ``REPRO_STORE_DIR`` environment variable or an explicit path)::
 
     <root>/
+      runs/<run_id>/traces.npy       # dynamic runs only: per-step traces
       runs/<run_id>/result.json      # encoded result payload
       runs/<run_id>/manifest.json    # RunManifest; written last
       index.sqlite                   # cross-run index (see repro.store.index)
 
+A dynamic run keeps its per-step traces in ``traces.npy``: one structured
+numpy array with a named column per trace
+(:meth:`~repro.sim.metrics.DynamicRunResult.trace_table`), so its
+``result.json`` holds only the scalars, the C-state names and the summary.
+Every other value is one JSON file.
+
 Every file is written atomically (temp file in the target directory, then
-``os.replace``), and the manifest lands *after* the result: a run directory
-is complete exactly when it holds a valid manifest.  Two processes writing
+``os.replace``), in the order listed: a run directory is complete exactly
+when it holds a valid manifest.  Two processes writing
 the same run ID race harmlessly — both write identical content (the ID is
 content-addressed) and the last rename wins file-whole; readers never see a
 torn manifest.  Corrupted or truncated manifests are detected on read and
@@ -28,9 +35,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Type, Union
 
-from repro.common.codec import RESULT_SCHEMA_VERSION, Codec
+import numpy as np
+
+from repro.common.codec import RESULT_SCHEMA_VERSION, Codec, encode
 from repro.common.errors import ConfigurationError, StoreError
-from repro.sim.metrics import RunResult
+from repro.sim.metrics import TRACE_DTYPE, DynamicRunResult, RunResult
 from repro.store.manifest import RunManifest
 
 #: Environment variable overriding the default store location.
@@ -41,6 +50,11 @@ DEFAULT_STORE_DIRNAME = ".repro_store"
 
 RESULT_FILENAME = "result.json"
 MANIFEST_FILENAME = "manifest.json"
+TRACES_FILENAME = "traces.npy"
+
+#: Store-payload key of a run whose traces live in ``traces.npy``: the
+#: number of steps (rows) that file holds.
+TRACES_KEY = "traces"
 
 
 class StoreCorruptionWarning(UserWarning):
@@ -106,10 +120,19 @@ def encode_value(value: Any) -> Dict[str, Any]:
     and optimization results) are tagged with their store codec; anything
     else must already be a faithful JSON value (tuples are rejected — they
     would silently come back as lists).
+
+    A dynamic run's per-step traces stay out of the payload, which records
+    their step count under ``"traces"`` instead: they travel as its
+    :meth:`~repro.sim.metrics.DynamicRunResult.trace_table`.
     """
     for codec, cls in _codec_classes().items():
         if isinstance(value, cls):
-            payload: Dict[str, Any] = {"codec": codec, "value": value.to_dict()}
+            payload: Dict[str, Any] = {"codec": codec}
+            if isinstance(value, DynamicRunResult):
+                payload["value"] = encode(value, omit=value.trace_columns)
+                payload[TRACES_KEY] = value.steps
+            else:
+                payload["value"] = value.to_dict()
             break
     else:
         try:
@@ -129,8 +152,14 @@ def encode_value(value: Any) -> Dict[str, Any]:
     return payload
 
 
-def decode_value(payload: Dict[str, Any]) -> Any:
-    """Decode a store payload back into the value :func:`encode_value` saw."""
+def decode_value(payload: Dict[str, Any], traces: Optional[np.ndarray] = None) -> Any:
+    """Decode a store payload back into the value :func:`encode_value` saw.
+
+    *traces* is the trace table of a dynamic run's payload.  Payloads that
+    carry their traces inline (schema 1/2 artifacts) decode without one.
+    """
+    if not isinstance(payload, dict):
+        raise StoreError(f"a store payload must be a JSON object, got {payload!r:.40}")
     version = payload.get("schema_version", RESULT_SCHEMA_VERSION)
     if not isinstance(version, int) or version > RESULT_SCHEMA_VERSION:
         raise StoreError(
@@ -144,7 +173,21 @@ def decode_value(payload: Dict[str, Any]) -> Any:
     cls = _codec_classes().get(codec) if isinstance(codec, str) else None
     if cls is None:
         raise StoreError(f"unknown store codec {codec!r}")
-    return cls.from_dict(value)
+    if TRACES_KEY not in payload:
+        return cls.from_dict(value)
+    steps = payload[TRACES_KEY]
+    if not (
+        isinstance(traces, np.ndarray)
+        and traces.dtype == TRACE_DTYPE
+        and traces.shape == (steps,)
+    ):
+        raise StoreError(
+            f"payload expects a trace table of {steps!r} {TRACE_DTYPE} rows, "
+            f"got shape {getattr(traces, 'shape', None)} "
+            f"dtype {getattr(traces, 'dtype', None)}"
+        )
+    columns = {name: traces[name] for name in DynamicRunResult.trace_columns}
+    return cls.from_dict({**value, **columns} if isinstance(value, dict) else value)
 
 
 # -- the store -------------------------------------------------------------------------
@@ -179,22 +222,28 @@ class RunStore:
 
     # -- writing -----------------------------------------------------------------------
 
-    def _write_atomic(self, path: Path, text: str) -> None:
-        """Write *text* to *path* via a same-directory temp file + rename."""
+    def _write_atomic(self, path: Path, data: Union[str, np.ndarray]) -> None:
+        """Write *data* (text, or an array as ``.npy``) to *path* via a
+        same-directory temp file + rename."""
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
             f".{path.name}.{os.getpid()}."
             f"{uuid.uuid4().hex}.tmp"  # repro-lint: disable=RPR002 -- temp-file name uniqueness only; the name never reaches a result, manifest, or fingerprint
         )
         try:
-            tmp.write_text(text)
+            if isinstance(data, str):
+                tmp.write_text(data)
+            else:
+                with tmp.open("wb") as handle:
+                    np.save(handle, data, allow_pickle=False)
             os.replace(tmp, path)
         finally:
             if tmp.exists():
                 tmp.unlink()
 
     def put(self, manifest: RunManifest, value: Any) -> RunManifest:
-        """Persist one run: encoded *value* first, *manifest* last.
+        """Persist one run: a dynamic run's ``traces.npy`` first, then the
+        encoded *value*, *manifest* last.
 
         Returns the manifest as written.  Concurrent writers of the same
         run ID each complete their own atomic renames; because the ID is
@@ -203,6 +252,8 @@ class RunStore:
         """
         run_dir = self.run_dir(manifest.run_id)
         payload = encode_value(value)
+        if TRACES_KEY in payload:
+            self._write_atomic(run_dir / TRACES_FILENAME, value.trace_table())
         self._write_atomic(
             run_dir / RESULT_FILENAME,
             json.dumps(payload, sort_keys=True, allow_nan=False),
@@ -242,17 +293,33 @@ class RunStore:
         return manifest
 
     def load_value(self, run_id: str) -> Any:
-        """The decoded result value of one run."""
-        path = self.run_dir(run_id) / RESULT_FILENAME
+        """The decoded result value of one run.
+
+        Raises :class:`StoreError` when the run is missing, or when any of
+        its files is unreadable or does not decode.
+        """
+        run_dir = self.run_dir(run_id)
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads((run_dir / RESULT_FILENAME).read_text())
         except FileNotFoundError:
             raise StoreError(f"run {run_id!r} is not in the store") from None
         except (json.JSONDecodeError, OSError) as error:
             raise StoreError(
                 f"run {run_id!r} has a corrupted result payload: {error}"
             ) from None
-        return decode_value(payload)
+        traces = None
+        if isinstance(payload, dict) and TRACES_KEY in payload:
+            try:
+                traces = np.load(run_dir / TRACES_FILENAME, allow_pickle=False)
+            except (OSError, ValueError, EOFError) as error:
+                raise StoreError(
+                    f"run {run_id!r} has a missing or corrupted "
+                    f"{TRACES_FILENAME}: {error}"
+                ) from None
+        try:
+            return decode_value(payload, traces)
+        except (ConfigurationError, StoreError) as error:
+            raise StoreError(f"run {run_id!r} does not decode: {error}") from None
 
     def run_ids(self) -> List[str]:
         """IDs of every run directory currently on disk, sorted."""

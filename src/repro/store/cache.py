@@ -78,6 +78,7 @@ class StoreCache(MutableMapping[StudyTask, Any]):
         self._seed = seed
         self._tier = tier
         self._memory: Dict[StudyTask, Any] = {}
+        self._run_ids: Dict[StudyTask, str] = {}
         self._unpersisted = 0
 
     # -- introspection -----------------------------------------------------------------
@@ -98,10 +99,14 @@ class StoreCache(MutableMapping[StudyTask, Any]):
         return self._unpersisted
 
     def run_id(self, task: StudyTask) -> str:
-        """The content-addressed run ID this cache files *task* under."""
-        return run_id_for_task(
-            task, seed=self._seed, engine_version=ENGINE_VERSION
-        )
+        """The content-addressed run ID this cache files *task* under
+        (computed once per task: tasks are frozen)."""
+        run_id = self._run_ids.get(task)
+        if run_id is None:
+            run_id = self._run_ids[task] = run_id_for_task(
+                task, seed=self._seed, engine_version=ENGINE_VERSION
+            )
+        return run_id
 
     # -- mapping protocol --------------------------------------------------------------
 

@@ -77,14 +77,16 @@ def canonical_payload(value: Any) -> Any:
     )
 
 
+def _render(canonical: Any) -> str:
+    """The fixed JSON form of an already-canonical payload."""
+    return json.dumps(
+        canonical, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
 def canonical_json(value: Any) -> str:
     """The canonical JSON document of *value* (sorted keys, fixed form)."""
-    return json.dumps(
-        canonical_payload(value),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return _render(canonical_payload(value))
 
 
 def digest(value: Any) -> str:
@@ -93,7 +95,7 @@ def digest(value: Any) -> str:
 
 
 def task_fingerprint(task: StudyTask) -> Dict[str, Any]:
-    """The identity payload of one study task.
+    """The canonical identity payload of one study task.
 
     Engine tasks are identified by their spec and workload descriptors;
     callable tasks by their key, the function's qualified name, and the
@@ -108,7 +110,7 @@ def task_fingerprint(task: StudyTask) -> Dict[str, Any]:
     if isinstance(task, CallableTask):
         return {
             "task": "callable",
-            "key": task.key,
+            "key": canonical_payload(task.key),
             "fn": f"{task.fn.__module__}.{task.fn.__qualname__}",
             "args": canonical_payload(task.args),
         }
@@ -123,12 +125,12 @@ def run_id_for_task(
     """The content-addressed run ID of one study task.
 
     ``sha256(task fingerprint x seed x engine version)`` — the key the run
-    store files the task's artifacts under.
+    store files the task's artifacts under.  The fingerprint is canonical
+    already, so it is hashed without a second canonical walk.
     """
-    return digest(
-        {
-            "fingerprint": task_fingerprint(task),
-            "seed": seed,
-            "engine_version": engine_version,
-        }
-    )
+    identity = {
+        "fingerprint": task_fingerprint(task),
+        "seed": canonical_payload(seed),
+        "engine_version": canonical_payload(engine_version),
+    }
+    return hashlib.sha256(_render(identity).encode("utf-8")).hexdigest()

@@ -205,21 +205,18 @@ def _cell_from_run_results(
 ) -> "PopulationCellResult":
     """Condense per-die reference results into the same cell shape."""
     first = results[0]
-    limiting = np.array(
-        [result.limiting_factors for result in results], dtype=object
-    ).T
     return _cell_from_matrices(
         spec=spec,
         scenario_name=scenario.name,
         time_step_s=first.time_step_s,
         pl1_w=first.pl1_w,
         pl2_w=first.pl2_w,
-        times_s=np.array(first.times_s),
+        times_s=first.times_s,
         frequencies_hz=np.array([r.frequencies_hz for r in results]).T,
         package_powers_w=np.array([r.package_powers_w for r in results]).T,
         temperatures_c=np.array([r.temperatures_c for r in results]).T,
-        limiting_names=limiting,
-        cstate_names=first.package_cstates,
+        limiting_names=np.array([r.limiting_factors for r in results]).T,
+        cstate_names=tuple(first.package_cstates),
     )
 
 

@@ -151,4 +151,4 @@ def test_decoding_is_strict():
 
 
 def test_result_schema_version_lives_in_the_codec():
-    assert metrics.RESULT_SCHEMA_VERSION is codec.RESULT_SCHEMA_VERSION == 2
+    assert metrics.RESULT_SCHEMA_VERSION is codec.RESULT_SCHEMA_VERSION == 3

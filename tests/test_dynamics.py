@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -326,14 +328,55 @@ def test_dynamic_result_rejects_ragged_traces():
             time_step_s=0.1,
             pl1_w=35.0,
             pl2_w=43.75,
-            times_s=(0.1, 0.2),
+            frequencies_hz=(1e9, 2e9),
+            package_powers_w=(10.0,),
+            temperatures_c=(40.0,),
+            average_powers_w=(10.0,),
+            limiting_codes=(4,),
+            cstate_codes=(0,),
+            cstate_names=("C0",),
+        )
+
+
+def test_dynamic_result_rejects_codes_outside_their_vocabulary():
+    with pytest.raises(ConfigurationError, match="C-state codes"):
+        DynamicRunResult(
+            scenario_name="bad",
+            time_step_s=0.1,
+            pl1_w=35.0,
+            pl2_w=43.75,
             frequencies_hz=(1e9,),
             package_powers_w=(10.0,),
             temperatures_c=(40.0,),
             average_powers_w=(10.0,),
-            limiting_factors=("tdp",),
-            package_cstates=("C0",),
+            limiting_codes=(4,),
+            cstate_codes=(1,),
+            cstate_names=("C0",),
         )
+
+
+def test_dynamic_result_traces_are_read_only_arrays():
+    engine = _engine("darkgates", 35.0)
+    result = engine.run(sustained_scenario(duration_s=2.0, **FAST_THERMAL))
+    assert result.frequencies_hz.dtype == np.float64
+    assert result.limiting_codes.dtype == result.cstate_codes.dtype == np.int8
+    assert np.array_equal(
+        result.times_s, np.cumsum(np.full(result.steps, result.time_step_s))
+    )
+    for trace in (
+        result.frequencies_hz,
+        result.limiting_codes,
+        result.times_s,
+        result.limiting_factors,
+        result.package_cstates,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            trace[0] = trace[-1]
+    # Pickling (the process executor) keeps them read-only and equal.
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result
+    with pytest.raises(ValueError, match="read-only"):
+        clone.temperatures_c[0] = 0.0
 
 
 def test_engine_run_dispatches_dynamic_scenarios():

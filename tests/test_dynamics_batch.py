@@ -52,9 +52,9 @@ SCENARIOS = (
 
 def _assert_equivalent(reference, batched):
     # The headline guarantees first (clearer failures)...
-    assert reference.frequencies_hz == batched.frequencies_hz
-    assert reference.package_cstates == batched.package_cstates
-    assert reference.limiting_factors == batched.limiting_factors
+    assert np.array_equal(reference.frequencies_hz, batched.frequencies_hz)
+    assert np.array_equal(reference.package_cstates, batched.package_cstates)
+    assert np.array_equal(reference.limiting_factors, batched.limiting_factors)
     for attribute in ("package_powers_w", "temperatures_c", "average_powers_w"):
         assert np.allclose(
             getattr(reference, attribute),
@@ -339,9 +339,9 @@ def test_random_scenarios_bin_and_cstate_exact(
     batched = simulator.run_batch(pairs)
     for (pcode, _), result in zip(pairs, batched):
         reference = simulator.simulator(pcode).run(scenario)
-        assert reference.frequencies_hz == result.frequencies_hz
-        assert reference.package_cstates == result.package_cstates
-        assert reference.limiting_factors == result.limiting_factors
+        assert np.array_equal(reference.frequencies_hz, result.frequencies_hz)
+        assert np.array_equal(reference.package_cstates, result.package_cstates)
+        assert np.array_equal(reference.limiting_factors, result.limiting_factors)
         assert reference == result
 
 

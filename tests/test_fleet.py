@@ -38,6 +38,8 @@ from repro.sim.metrics import (
     THROTTLE_FACTORS,
     DynamicRunResult,
     RunResult,
+    encode_cstates,
+    encode_limiting_factors,
 )
 from repro.store.cache import StoreCache
 from repro.store.hashing import canonical_payload
@@ -308,21 +310,36 @@ def test_compiled_scenarios_are_valid_and_cover_the_horizon():
 
 def _result(frequencies, limits, name="unit"):
     n = len(frequencies)
+    cstate_codes, cstate_names = encode_cstates(
+        ["C0" if f > 0 else "C8" for f in frequencies]
+    )
     return DynamicRunResult(
         scenario_name=name,
         time_step_s=0.1,
         pl1_w=35.0,
         pl2_w=44.0,
-        times_s=tuple(0.1 * (i + 1) for i in range(n)),
-        frequencies_hz=tuple(frequencies),
-        package_powers_w=(10.0,) * n,
-        temperatures_c=(50.0,) * n,
-        average_powers_w=(10.0,) * n,
-        limiting_factors=tuple(limits),
-        package_cstates=tuple(
-            "C0" if f > 0 else "C8" for f in frequencies
-        ),
+        frequencies_hz=frequencies,
+        package_powers_w=[10.0] * n,
+        temperatures_c=[50.0] * n,
+        average_powers_w=[10.0] * n,
+        limiting_codes=encode_limiting_factors(limits),
+        cstate_codes=cstate_codes,
+        cstate_names=cstate_names,
     )
+
+
+def _schema2_payload(result):
+    """*result* in the per-step tuple layout repro wrote before schema 3."""
+    payload = result.to_dict()
+    for key in ("limiting_codes", "cstate_codes", "cstate_names"):
+        del payload[key]
+    payload.update(
+        schema_version=2,
+        times_s=result.times_s.tolist(),
+        limiting_factors=result.limiting_factors.tolist(),
+        package_cstates=result.package_cstates.tolist(),
+    )
+    return payload
 
 
 def test_qos_report_exact_metrics():
@@ -436,10 +453,24 @@ def test_dynamic_result_summary_is_first_class_and_round_trips():
 
 def test_dynamic_result_accepts_version1_payload_without_summary():
     result = _result([2.5e9], ["tdp"])
-    payload = result.to_dict()
+    payload = _schema2_payload(result)
     del payload["summary"]
     payload["schema_version"] = 1
     assert RunResult.from_dict(payload) == result
+
+
+def test_dynamic_result_upgrades_schema2_payloads():
+    result = _result([0.0, 2.5e9, 1.5e9, 0.0], ["none", "tdp", "thermal", "none"])
+    payload = json.loads(json.dumps(_schema2_payload(result)))
+    assert RunResult.from_dict(payload) == result
+    # times_s is derived now, so a stored grid that disagrees is rejected.
+    payload["times_s"][2] = 0.3
+    with pytest.raises(ConfigurationError, match="times_s disagrees"):
+        RunResult.from_dict(payload)
+    with pytest.raises(ConfigurationError, match="unknown limiting factor"):
+        RunResult.from_dict(
+            {**_schema2_payload(result), "limiting_factors": ["warp"] * 4}
+        )
 
 
 # -- FleetStudy / Study.over_fleet -----------------------------------------------------

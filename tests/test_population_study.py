@@ -81,18 +81,18 @@ def test_population_traces_match_per_die_reference_loop():
     for index, die_spec in enumerate(population.specs(spec)):
         engine = SimulationEngine(die_spec.build())
         loop = engine.run_dynamic_scenario(scenario, method="reference")
-        assert tuple(traces.frequencies_hz[:, index].tolist()) == loop.frequencies_hz
-        assert tuple(traces.package_powers_w[:, index].tolist()) == (
-            loop.package_powers_w
+        assert np.array_equal(traces.frequencies_hz[:, index], loop.frequencies_hz)
+        assert np.array_equal(
+            traces.package_powers_w[:, index], loop.package_powers_w
         )
-        assert tuple(traces.temperatures_c[:, index].tolist()) == loop.temperatures_c
-        assert tuple(traces.average_powers_w[:, index].tolist()) == (
-            loop.average_powers_w
+        assert np.array_equal(traces.temperatures_c[:, index], loop.temperatures_c)
+        assert np.array_equal(
+            traces.average_powers_w[:, index], loop.average_powers_w
         )
-        assert tuple(traces.limiting_factor_names()[:, index].tolist()) == (
-            loop.limiting_factors
+        assert np.array_equal(
+            traces.limiting_factor_names()[:, index], loop.limiting_factors
         )
-        assert tuple(traces.package_cstate_names()) == loop.package_cstates
+        assert traces.package_cstate_names() == loop.package_cstates.tolist()
 
 
 def test_run_population_rejects_varied_base_system():

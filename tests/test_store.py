@@ -7,11 +7,13 @@ import json
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.analysis.study import CallableTask, EngineTask, Study, StudyResult
 from repro.common.errors import ConfigurationError, StoreError
 from repro.core.spec import get_spec
+from repro.fleet import ScenarioGenerator, fleet_profile
 from repro.sim.engine import ENGINE_VERSION, SimulationEngine
 from repro.sim.metrics import RESULT_SCHEMA_VERSION, RunResult
 from repro.store import (
@@ -28,7 +30,11 @@ from repro.store import (
     run_id_for_task,
     task_fingerprint,
 )
+from repro.store import cache as cache_module
 from repro.store.manifest import MANIFEST_SCHEMA_VERSION, utc_timestamp
+from repro.variation.binning import skylake_binning_policy
+from repro.variation.distributions import skylake_process_variation
+from repro.variation.streaming import run_cell_shard
 from repro.workloads.dynamics import build_scenario, scenario_names
 from repro.workloads.energy import energy_star_scenario
 from repro.workloads.spec import spec_benchmark
@@ -107,6 +113,46 @@ def test_callable_task_fingerprint_includes_function_and_args():
     )
 
 
+def test_run_ids_are_pinned():
+    """Literal IDs: a canonicalisation change must not orphan stored runs."""
+    dynamic = _task()
+    member = ScenarioGenerator(fleet_profile("datacenter")).ensemble(seed=0, count=2)[1]
+    fleet = EngineTask(get_spec("baseline", tdp_w=45.0), member)
+    spec = get_spec("darkgates", tdp_w=65.0)
+    scenario = build_scenario("burst", time_step_s=1.0)
+    shard = CallableTask(
+        key=f"{spec.label}/{scenario.name}/shard1",
+        fn=run_cell_shard,
+        args=(
+            spec, scenario, skylake_process_variation(), 16, 0, 1, 8,
+            skylake_binning_policy(), get_spec("darkgates"),
+        ),
+    )
+    assert run_id_for_task(dynamic, seed=7, engine_version="1") == (
+        "a18a81c153facfe5d01a01eb30e2ffe32bd2fb6910f907536540738036bcb116"
+    )
+    assert run_id_for_task(fleet, seed=0, engine_version="1") == (
+        "bd3d97b4bb46d3092bedd76f80bff04041e699dae9185253faf75bc5dacbde20"
+    )
+    assert run_id_for_task(shard, seed=None, engine_version="1") == (
+        "8350b59aa2af5b9eea092bab2cdd5754b74f5c0249091c6c833b454b65139b05"
+    )
+
+
+def test_store_cache_hashes_each_task_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(task, **kwargs):
+        calls.append(task)
+        return run_id_for_task(task, **kwargs)
+
+    monkeypatch.setattr(cache_module, "run_id_for_task", counting)
+    study = _dynamics_study(tmp_path)
+    study.run()
+    assert study.tasks_executed == 2
+    assert len(calls) == 2  # the lookup miss and the write share one ID
+
+
 def _scenario_count(n):
     return n
 
@@ -144,7 +190,11 @@ def test_encode_decode_round_trips_engine_results():
     result = engine.run(_scenario())
     payload = encode_value(result)
     assert payload["codec"] == "run_result"
-    assert decode_value(json.loads(json.dumps(payload))) == result
+    assert "frequencies_hz" not in payload["value"]
+    traces = result.trace_table()
+    assert decode_value(json.loads(json.dumps(payload)), traces) == result
+    with pytest.raises(StoreError, match="trace table"):
+        decode_value(payload)
 
 
 def test_encode_rejects_unfaithful_values():
@@ -186,6 +236,42 @@ def test_store_put_load_round_trip(tmp_path):
     assert manifest.kind == "dynamic"
     assert manifest.schema_version == MANIFEST_SCHEMA_VERSION
     assert len(store) == 1
+
+
+def test_dynamic_run_round_trips_through_the_store(tmp_path):
+    store = RunStore(tmp_path)
+    task = _task(duration_s=30.0, time_step_s=0.1)
+    result = SimulationEngine(task.spec.build()).run(task.workload)
+    run_id = run_id_for_task(task, seed=None, engine_version=ENGINE_VERSION)
+    store.put(_manifest(run_id), result)
+    run_dir = store.run_dir(run_id)
+    assert sorted(path.name for path in run_dir.iterdir()) == [
+        "manifest.json", "result.json", "traces.npy",
+    ]
+    payload = json.loads((run_dir / "result.json").read_text())
+    assert payload["traces"] == result.steps == 300
+    assert "frequencies_hz" not in payload["value"]
+    assert payload["value"]["summary"] == result.summary()
+    loaded = store.load_value(run_id)
+    assert loaded == result
+    assert loaded.summary() == result.summary()
+    # Every other value keeps its single JSON file.
+    store.put(_manifest("a" * 64), {"v": 1})
+    assert sorted(path.name for path in store.run_dir("a" * 64).iterdir()) == [
+        "manifest.json", "result.json",
+    ]
+
+
+def test_cached_result_traces_are_read_only(tmp_path):
+    task = _task()
+    StoreCache(tmp_path)[task] = SimulationEngine(task.spec.build()).run(
+        task.workload
+    )
+    cached = StoreCache(tmp_path)[task]  # decoded from disk
+    with pytest.raises(ValueError, match="read-only"):
+        cached.frequencies_hz[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        cached.cstate_codes[:] = 0
 
 
 def test_manifest_run_id_mismatch_detected(tmp_path):
@@ -319,6 +405,51 @@ def test_cache_survives_corrupted_result(tmp_path):
     fresh = StoreCache(tmp_path)
     with pytest.warns(UserWarning, match="re-running"):
         assert task not in fresh  # miss, not crash: the study re-runs it
+
+
+def _drop_pl2(run_dir):
+    path = run_dir / "result.json"
+    payload = json.loads(path.read_text())
+    del payload["value"]["pl2_w"]
+    path.write_text(json.dumps(payload))
+
+
+def _truncate_traces(run_dir):
+    path = run_dir / "traces.npy"
+    path.write_bytes(path.read_bytes()[:-7])
+
+
+def _shorten_traces(run_dir):
+    path = run_dir / "traces.npy"
+    np.save(path, np.load(path)[:-1])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _drop_pl2,
+        lambda run_dir: (run_dir / "traces.npy").unlink(),
+        _truncate_traces,
+        _shorten_traces,
+        lambda run_dir: np.save(run_dir / "traces.npy", np.zeros(4)),
+    ],
+    ids=["missing-field", "missing-traces", "truncated-traces",
+         "wrong-length-traces", "wrong-dtype-traces"],
+)
+def test_invalid_artifact_reruns_the_task(tmp_path, damage):
+    """A parseable but invalid artifact is a cache miss, not an abort."""
+    first = _dynamics_study(tmp_path)
+    first.run()
+    cache = StoreCache(tmp_path, seed=7)
+    damage(cache.store.run_dir(cache.run_id(_task())))
+    warm = _dynamics_study(tmp_path)
+    with pytest.warns(UserWarning, match="re-running"):
+        second = warm.run()
+    assert warm.tasks_executed == 1
+    assert second.to_json() == first.run().to_json()
+    healed = _dynamics_study(tmp_path)
+    healed.run()
+    assert healed.tasks_executed == 0
 
 
 def test_cache_keeps_unencodable_values_in_memory(tmp_path):
