@@ -367,8 +367,9 @@ class StackedCandidateTables:
     and TDPs).  Stacking pads every table to a common bin count and leakage
     group count — padded bins are marked infeasible so a selection can never
     land on them, and padded leakage groups carry zero reference power so
-    they contribute exactly ``0.0`` W — which turns per-step resolution of
-    N runs into a handful of vectorized gathers.
+    they contribute exactly ``0.0`` W.  The lockstep resolution itself lives
+    in the dynamics engine's per-segment windowed bin search
+    (``repro.sim.dynamics``), which gathers these rows once per segment.
 
     The arithmetic deliberately mirrors :class:`CandidateTable` operation by
     operation (same accumulation order, same tolerances), so a batched run
@@ -552,100 +553,6 @@ class StackedCandidateTables:
             active + idle + self.uncore_power_w[:, None]
             + self.graphics_idle_power_w[:, None]
         )
-
-    # -- vectorized per-run power ------------------------------------------------------
-
-    def _groups_power_w(
-        self,
-        kt: np.ndarray,
-        reference_c: np.ndarray,
-        reference_w: np.ndarray,
-        rows: np.ndarray,
-        temperatures_c: np.ndarray,
-    ) -> np.ndarray:
-        # Same accumulation order as CandidateTable._groups_power_w: groups
-        # are summed first-to-last, so the result is bit-identical; padded
-        # groups add an exact 0.0.
-        total = np.zeros((len(rows), reference_w.shape[2]))
-        scale = np.exp(kt[rows] * (temperatures_c[:, None] - reference_c[rows]))
-        for g in range(reference_w.shape[1]):
-            total = total + reference_w[rows, g] * scale[:, g, None]
-        return total
-
-    def package_power_w(
-        self, rows: np.ndarray, temperatures_c: np.ndarray
-    ) -> np.ndarray:
-        """Per-bin package power of run *i* resolved against table ``rows[i]``.
-
-        Reproduces :meth:`CandidateTable.package_power_w` term by term
-        (active cores + idle cores + uncore + graphics, in that order) for a
-        vector of runs at per-run junction temperatures.
-        """
-        active = self.active_dynamic_w[rows] + self._groups_power_w(
-            self.active_kt, self.active_reference_c, self.active_reference_w,
-            rows, temperatures_c,
-        )
-        idle = np.zeros_like(self.frequencies_hz[rows]) + self._groups_power_w(
-            self.idle_kt, self.idle_reference_c, self.idle_reference_w,
-            rows, temperatures_c,
-        )
-        return (
-            active + idle + self.uncore_power_w[rows, None]
-            + self.graphics_idle_power_w[rows, None]
-        )
-
-    # -- vectorized selection ----------------------------------------------------------
-
-    def select(
-        self,
-        rows: np.ndarray,
-        power_limits_w: np.ndarray,
-        temperatures_c: np.ndarray,
-        package_power_w: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`CandidateTable.select` over a batch of runs.
-
-        Returns ``(bin indices, limiting-factor codes)`` where codes index
-        :data:`LIMITING_FACTOR_ORDER`.  Semantics match the scalar path
-        exactly: the highest feasible bin wins, the reported limit is
-        whatever stops the next bin up (``FREQUENCY_GRID`` at the top of the
-        grid; an infeasible grid reports bin 0 with the first limit it
-        violates, checked Vmax, then power, then Iccmax).
-        """
-        power = (
-            self.package_power_w(rows, temperatures_c)
-            if package_power_w is None
-            else package_power_w
-        )
-        power_ok = power <= (power_limits_w + 1e-9)[:, None]
-        allowed = self.vmax_ok[rows] & self.iccmax_ok[rows] & power_ok
-        any_allowed = allowed.any(axis=1)
-        top = allowed.shape[1] - 1 - np.argmax(allowed[:, ::-1], axis=1)
-        index = np.where(any_allowed, top, 0)
-        last_bin = self.bin_counts[rows] - 1
-        # The bin whose violated limit is reported: one above the selection
-        # when a higher bin exists, bin 0 when nothing is feasible.
-        probe = np.where(any_allowed, np.minimum(index + 1, last_bin), 0)
-        run_axis = np.arange(len(rows))
-        limiting = np.select(
-            [
-                ~self.vmax_ok[rows, probe],
-                ~power_ok[run_axis, probe],
-                ~self.iccmax_ok[rows, probe],
-            ],
-            [
-                LIMITING_FACTOR_CODES[LimitingFactor.VMAX],
-                LIMITING_FACTOR_CODES[LimitingFactor.TDP],
-                LIMITING_FACTOR_CODES[LimitingFactor.ICCMAX],
-            ],
-            default=LIMITING_FACTOR_CODES[LimitingFactor.NONE],
-        )
-        limiting = np.where(
-            any_allowed & (index == last_bin),
-            LIMITING_FACTOR_CODES[LimitingFactor.FREQUENCY_GRID],
-            limiting,
-        )
-        return index, limiting
 
 
 def resolve_sustained_bins(

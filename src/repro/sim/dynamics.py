@@ -293,6 +293,12 @@ _CODE_THERMAL = LIMITING_FACTOR_CODES[LimitingFactor.THERMAL]
 _CODE_FREQUENCY_GRID = LIMITING_FACTOR_CODES[LimitingFactor.FREQUENCY_GRID]
 _CODE_NONE = LIMITING_FACTOR_CODES[LimitingFactor.NONE]
 
+#: Window margins of :meth:`_ActiveSegment.resolve`: bins evaluated below
+#: the lower of the previous step's lowest top bin and the lowest sustained
+#: bin, and above the previous step's highest top bin.
+_WINDOW_BELOW = 1
+_WINDOW_ABOVE = 2
+
 
 class _ActiveSegment:
     """Row-dependent gathers of one lockstep segment, hoisted out of the loop.
@@ -303,14 +309,34 @@ class _ActiveSegment:
     sequence of vectorized operations replicating the per-run stepper
     expression for expression.
 
-    :meth:`resolve` is the segment-hoisted fusion of
-    :meth:`~repro.pmu.dvfs.StackedCandidateTables.package_power_w` and
-    :meth:`~repro.pmu.dvfs.StackedCandidateTables.select` (which gather per
-    call and stay the general-purpose vectorized API).  Both implementations
-    are pinned against the scalar oracle: the stacked tables by
-    ``test_stacked_tables_match_scalar_select``, this fused path by the
-    batched-vs-reference bit-identity suite — change one, and its test
-    catches the drift.
+    The constructor prepares a windowed bin search:
+
+    * **Trim.**  No selection lands above the highest statically (Vmax and
+      Iccmax) feasible bin of any run, and the limit report probes at most
+      one bin above the selection, so only bins ``0 .. top feasible + 1``
+      are kept (``edge`` is the trimmed bin count).
+    * **Bins-major layout.**  Every per-bin matrix is stored ``(bins,
+      runs)``, so a window of bins is a contiguous row slice.
+    * **Padding groups dropped.**  An all-zero leakage group with ``kt ==
+      0`` (stacking padding) has a scale of exactly 1 and adds exactly
+      ``+0.0``, so leaving it out changes no bit.
+    * **The check** (``windowed``).  For every run, static feasibility must
+      be a prefix of the bins, and the dynamic and every leakage reference
+      power must never decrease over that prefix (padded bins lie beyond
+      it and are not looked at).  Package power is then non-decreasing over
+      the prefix at any temperature: it is built term by term from those
+      references, and IEEE-754 round-to-nearest addition and multiplication
+      by a non-negative scale are monotone.  So each run's allowed bins
+      (feasible and under its power limit) form a prefix.
+
+    :meth:`resolve` then evaluates only bins ``[lo, hi)``: from one below
+    the lower of the previous step's lowest top bin and the lowest
+    sustained bin, to two above the previous step's highest top bin.  The
+    window is accepted when both ends show that every answer lies inside:
+    ``lo == 0`` or every run allows bin ``lo``, and ``hi == edge`` or no run
+    allows bin ``hi - 1``.  Otherwise — and on every step of a segment that
+    fails the check — the same code evaluates the whole trimmed range.
+    Either way the results are bit-identical to evaluating every bin.
     """
 
     def __init__(
@@ -325,12 +351,20 @@ class _ActiveSegment:
         self._run_axis = run_axis
         self._active = active
         self._all_active = bool(active.all())
-        self._dynamic_w = stacked.active_dynamic_w[rows]
-        self._frequencies_hz = stacked.frequencies_hz[rows]
-        vmax_ok = stacked.vmax_ok[rows]
-        iccmax_ok = stacked.iccmax_ok[rows]
+        static_ok = stacked.vmax_ok[rows] & stacked.iccmax_ok[rows]
+        feasible_bins = np.flatnonzero(static_ok.any(axis=0))
+        top_feasible = int(feasible_bins[-1]) if len(feasible_bins) else -1
+        self.edge = edge = min(static_ok.shape[1], top_feasible + 2)
+
+        def bins_major(matrix: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(matrix[:, :edge].T)
+
+        vmax_ok = bins_major(stacked.vmax_ok[rows])
+        iccmax_ok = bins_major(stacked.iccmax_ok[rows])
         self._static_ok = vmax_ok & iccmax_ok
-        self._bin_range = np.arange(vmax_ok.shape[1])
+        self._frequencies_hz = bins_major(stacked.frequencies_hz[rows])
+        self._dynamic_w = bins_major(stacked.active_dynamic_w[rows])
+        self._bin_range = np.arange(edge)[:, None]
         # Blocking-limit code of each bin, indexed by the (per-step) power
         # verdict at that bin; mirrors CandidateTable._blocking_limit's
         # precedence: Vmax first, then power (TDP), then Iccmax, then NONE.
@@ -344,28 +378,69 @@ class _ActiveSegment:
                 ),
             ]
         )
-        # Active and idle leakage laws share one exp evaluation; the first
-        # `group_split` groups are the active-core laws.
-        self._kt = np.concatenate(
-            [stacked.active_kt[rows], stacked.idle_kt[rows]], axis=1
+        # Leakage laws.  An all-zero group with kt == 0 is stacking padding:
+        # its scale is exactly 1 and it adds exactly +0.0, so it is left out.
+        def laws(
+            kt: np.ndarray, reference_c: np.ndarray, reference_w: np.ndarray
+        ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+            return [
+                (kt[rows, g], reference_c[rows, g], bins_major(reference_w[rows, g]))
+                for g in range(reference_w.shape[1])
+                if kt[rows, g].any() or reference_w[rows, g, :edge].any()
+            ]
+
+        active_laws = laws(
+            stacked.active_kt, stacked.active_reference_c, stacked.active_reference_w
         )
-        self._reference_c = np.concatenate(
-            [stacked.active_reference_c[rows], stacked.idle_reference_c[rows]],
-            axis=1,
+        idle_laws = laws(
+            stacked.idle_kt, stacked.idle_reference_c, stacked.idle_reference_w
         )
-        active_groups = stacked.active_reference_w.shape[1]
-        self._group_split = active_groups
-        self._group_reference_w = [
-            stacked.active_reference_w[rows, g] for g in range(active_groups)
-        ] + [
-            stacked.idle_reference_w[rows, g]
-            for g in range(stacked.idle_reference_w.shape[1])
-        ]
+        # Active and idle laws share one exp evaluation: scale row g belongs
+        # to the g-th kept law, active laws first.
+        kept = active_laws + idle_laws
+        shape = (len(kept), len(rows))
+        self._kt = np.array([law[0] for law in kept]).reshape(shape)
+        self._reference_c = np.array([law[1] for law in kept]).reshape(shape)
+        self._leakage_w = (
+            list(enumerate(law[2] for law in active_laws)),
+            list(enumerate((law[2] for law in idle_laws), start=len(active_laws))),
+        )
         self._uncore_w = stacked.uncore_power_w[rows]
         self._graphics_w = stacked.graphics_idle_power_w[rows]
         self._last_bin = stacked.bin_counts[rows] - 1
         self._sustained_bin = sustained_bin
         self._sustained_code = sustained_code
+        self._lowest_sustained = int(sustained_bin.min())
+        # The check: feasibility never resumes after a gap, and no reference
+        # power falls from one feasible bin to the next.
+        resumes = self._static_ok[1:] & ~self._static_ok[:-1]
+        self.windowed = not resumes.any() and all(
+            bool(np.all((power[1:] >= power[:-1]) | ~self._static_ok[1:]))
+            for power in [self._dynamic_w, *(law[2] for law in kept)]
+        )
+        self._next_window = (0, edge)
+        #: The bin range ``[lo, hi)`` the last :meth:`resolve` evaluated.
+        self.window = (0, edge)
+
+    def _evaluate(
+        self, scale: np.ndarray, limit_w: np.ndarray, lo: int, hi: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Package power, power verdict and allowed mask of bins ``[lo, hi)``."""
+        # Per-bin package power, replicating CandidateTable.package_power_w
+        # term by term: (dynamic + active leakage) + idle leakage, then
+        # uncore, then graphics.  Each split's leakage groups are summed
+        # *before* being added — the scalar path's association.
+        package = self._dynamic_w[lo:hi]
+        for laws in self._leakage_w:
+            leakage = None
+            for g, reference_w in laws:
+                term = reference_w[lo:hi] * scale[g]
+                leakage = term if leakage is None else leakage + term
+            if leakage is not None:
+                package = package + leakage
+        package = (package + self._uncore_w) + self._graphics_w
+        power_ok = package <= limit_w
+        return package, power_ok, self._static_ok[lo:hi] & power_ok
 
     def resolve(
         self,
@@ -378,33 +453,31 @@ class _ActiveSegment:
         idle_power_w: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One lockstep DVFS resolution: (frequency, power, limiting, exhausted)."""
-        # Per-bin package power, replicating CandidateTable.package_power_w
-        # term by term: (dynamic + active leakage) + idle leakage, then
-        # uncore, then graphics.  The leakage groups are summed *before*
-        # adding the dynamic term — the scalar path's association — and
-        # padded groups contribute exact zeros.
-        scale = np.exp(self._kt * (temperature_c[:, None] - self._reference_c))
-        groups = self._group_reference_w
-        leakage = groups[0] * scale[:, 0, None]
-        for g in range(1, self._group_split):
-            leakage = leakage + groups[g] * scale[:, g, None]
-        cores = self._dynamic_w + leakage
-        idle = groups[self._group_split] * scale[:, self._group_split, None]
-        for g in range(self._group_split + 1, len(groups)):
-            idle = idle + groups[g] * scale[:, g, None]
-        package = ((cores + idle) + self._uncore_w[:, None]) + self._graphics_w[:, None]
+        scale = np.exp(self._kt * (temperature_c - self._reference_c))
+        limit_w = power_limit_w + 1e-9
+        lo, hi = self._next_window
+        package, power_ok, allowed = self._evaluate(scale, limit_w, lo, hi)
+        bottom_holds = lo == 0 or allowed[0].all()
+        top_holds = hi == self.edge or not allowed[-1].any()
+        if not (bottom_holds and top_holds):
+            lo, hi = 0, self.edge
+            package, power_ok, allowed = self._evaluate(scale, limit_w, lo, hi)
+        self.window = (lo, hi)
         # Bin selection (CandidateTable.select): highest statically-feasible
         # bin under the instantaneous power limit.  The mul/max form picks
         # the highest allowed index and falls back to 0 when nothing is
         # allowed, matching the scalar path's infeasible-grid handling.
-        power_ok = package <= (power_limit_w + 1e-9)[:, None]
-        allowed = self._static_ok & power_ok
-        any_allowed = allowed.any(axis=1)
-        index = (allowed * self._bin_range).max(axis=1)
+        any_allowed = allowed.any(axis=0)
+        index = (allowed * self._bin_range[lo:hi]).max(axis=0)
+        if self.windowed:
+            low = min(int(index.min()), self._lowest_sustained)
+            self._next_window = (
+                max(0, low - _WINDOW_BELOW),
+                min(self.edge, int(index.max()) + _WINDOW_ABOVE + 1),
+            )
         probe = np.where(any_allowed, np.minimum(index + 1, self._last_bin), 0)
-        limiting = self._blocking_codes[
-            power_ok[self._run_axis, probe].view(np.int8), self._run_axis, probe
-        ]
+        probe_ok = power_ok[probe - lo, self._run_axis]
+        limiting = self._blocking_codes[probe_ok.view(np.int8), probe, self._run_axis]
         limiting = np.where(
             any_allowed & (index == self._last_bin), _CODE_FREQUENCY_GRID, limiting
         )
@@ -423,8 +496,8 @@ class _ActiveSegment:
         clamp = ~armed & (index >= self._sustained_bin)
         index = np.where(clamp, self._sustained_bin, index)
         limiting = np.where(clamp, self._sustained_code, limiting)
-        frequency = self._frequencies_hz[self._run_axis, index]
-        power = package[self._run_axis, index]
+        frequency = self._frequencies_hz[index, self._run_axis]
+        power = package[index - lo, self._run_axis]
         if not self._all_active:
             exhausted = exhausted & self._active
             frequency = np.where(self._active, frequency, 0.0)
@@ -508,20 +581,21 @@ class BatchedDynamicsSimulator:
     every step of every run, which makes ``Study.over_dynamics`` sweeps
     (specs x scenarios x TDP levels) scale with the interpreter rather than
     the hardware.  This simulator instead advances all N runs of a grid at
-    once as numpy arrays: one :class:`~repro.pmu.dvfs.StackedCandidateTables`
-    resolves every run's DVFS bin per step, a
-    :class:`~repro.pmu.turbo.BatchedTurboBudgetManager` carries every run's
-    EWMA turbo budget, and a
+    once as numpy arrays: every run's candidate table is stacked into one
+    :class:`~repro.pmu.dvfs.StackedCandidateTables` and a per-segment
+    windowed bin search (``_ActiveSegment``) resolves every run's DVFS bin
+    per step, a :class:`~repro.pmu.turbo.BatchedTurboBudgetManager` carries
+    every run's EWMA turbo budget, and a
     :class:`~repro.power.thermal.BatchedThermalModel` carries every run's
     thermal RC state.  Runs may differ arbitrarily (specs, scenarios, time
     steps, durations); shorter runs simply freeze once their timeline ends.
 
     The arithmetic replicates the per-run stepper operation for operation,
-    so the trajectories are bit-compatible: identical frequency-bin,
-    limiting-factor and C-state traces, and float traces equal to the
-    per-run path (asserted within tight tolerance by the equivalence
-    tests).  The per-run engine stays available as ``method="reference"``
-    on :meth:`~repro.sim.engine.SimulationEngine.run_dynamic_scenario`.
+    so the trajectories are bit-identical: the same frequency-bin,
+    limiting-factor and C-state traces and the same float traces, which
+    the equivalence suites assert as exact dataclass equality.  The
+    per-run engine stays available as ``method="reference"`` on
+    :meth:`~repro.sim.engine.SimulationEngine.run_dynamic_scenario`.
     """
 
     def __init__(self) -> None:

@@ -2,11 +2,12 @@
 
 The batched lockstep fast path (:class:`BatchedDynamicsSimulator`) must be
 bit-compatible with the retained per-run stepper: identical frequency-bin,
-limiting-factor and package C-state traces, and float traces within tight
-tolerance (in practice bit-identical, which the strictest tests assert via
-full dataclass equality).  The suite covers the deterministic acceptance
-grids, heterogeneous batches, the engine/Study wiring, the stacked
-candidate-table resolution, and a hypothesis sweep over random scenarios.
+limiting-factor and package C-state traces, and bit-identical float traces
+(every equivalence check ends on full dataclass equality).  The suite
+covers the deterministic acceptance grids, heterogeneous and padded
+batches, the engine/Study wiring, the segment's windowed bin search
+against ``CandidateTable.select`` (including a test for each of its
+guards), and a hypothesis sweep over random scenarios.
 """
 
 from __future__ import annotations
@@ -22,11 +23,16 @@ from repro.core.spec import build_engine, get_spec
 from repro.pmu.dvfs import (
     LIMITING_FACTOR_CODES,
     LIMITING_FACTOR_ORDER,
+    CandidateTable,
     CpuDemand,
     LimitingFactor,
     StackedCandidateTables,
 )
-from repro.sim.dynamics import BatchedDynamicsSimulator, DynamicsSimulator
+from repro.sim.dynamics import (
+    BatchedDynamicsSimulator,
+    DynamicsSimulator,
+    _ActiveSegment,
+)
 from repro.workloads.dynamics import (
     DynamicPhase,
     DynamicScenario,
@@ -193,32 +199,71 @@ def test_batched_executor_falls_back_for_non_dynamic_tasks():
     ) == serial.get("baseline", SCENARIOS[0].name, suite="dynamics")
 
 
-# -- stacked candidate tables ----------------------------------------------------------
+# -- stacked candidate tables and the segment's windowed bin search -------------------
+
+
+def _select_segment(tables):
+    """An all-active segment over *tables*, its sustained bins at the top.
+
+    Resolved armed and without a thermal cap, a segment's (frequency,
+    power, limiting) is exactly ``CandidateTable.select`` at the chosen
+    bin, so the lockstep resolution is pinned against the scalar oracle.
+    """
+    stacked = StackedCandidateTables.from_tables(tables)
+    rows = np.arange(len(tables))
+    return _ActiveSegment(
+        stacked,
+        rows,
+        rows,
+        np.ones(len(rows), dtype=bool),
+        stacked.bin_counts - 1,
+        np.full(len(rows), LIMITING_FACTOR_CODES[LimitingFactor.NONE]),
+    )
+
+
+def _assert_resolves_like_select(segment, tables, temperature, limit):
+    """One resolve of every row at (*temperature*, *limit*) vs the scalar path."""
+    runs = len(tables)
+    temperatures = np.full(runs, float(temperature))
+    limits = np.full(runs, float(limit))
+    frequency, power, codes, _ = segment.resolve(
+        temperatures,
+        limits,
+        np.ones(runs, dtype=bool),
+        limits,
+        limits,
+        np.full(runs, np.inf),
+        np.zeros(runs),
+    )
+    for row, table in enumerate(tables):
+        index, limiting = table.select(limit, temperature)
+        assert frequency[row] == table.frequencies_hz[index]
+        assert power[row] == table.package_power_w(temperature)[index]
+        assert LIMITING_FACTOR_ORDER[int(codes[row])] is limiting
+
+
+def _stacked_policy_tables(dvfs_policy):
+    policies = (dvfs_policy(35.0, True), dvfs_policy(91.0, False))
+    demands = (CpuDemand(active_cores=1), CpuDemand(active_cores=4, activity=0.8))
+    return [
+        policy.candidate_table(demand) for policy in policies for demand in demands
+    ]
 
 
 def test_stacked_tables_match_scalar_select(dvfs_policy):
-    policies = (dvfs_policy(35.0, True), dvfs_policy(91.0, False))
-    demands = (CpuDemand(active_cores=1), CpuDemand(active_cores=4, activity=0.8))
-    tables = [
-        policy.candidate_table(demand) for policy in policies for demand in demands
-    ]
-    stacked = StackedCandidateTables.from_tables(tables)
-    assert len(stacked) == len(tables)
-    temperatures = (40.0, 75.0, 99.0)
-    limits = (5.0, 20.0, 45.0, 200.0)
-    for row, table in enumerate(tables):
-        for temperature in temperatures:
-            expected_power = table.package_power_w(temperature)
-            rows = np.array([row])
-            power = stacked.package_power_w(rows, np.array([temperature]))
-            assert np.array_equal(power[0, : len(expected_power)], expected_power)
-            for limit in limits:
-                index, limiting = table.select(limit, temperature)
-                indices, codes = stacked.select(
-                    rows, np.array([limit]), np.array([temperature])
-                )
-                assert int(indices[0]) == index
-                assert LIMITING_FACTOR_ORDER[int(codes[0])] is limiting
+    tables = _stacked_policy_tables(dvfs_policy)
+    assert len(StackedCandidateTables.from_tables(tables)) == len(tables)
+    segment = _select_segment(tables)
+    assert segment.windowed
+    narrow = 0
+    for temperature in (40.0, 75.0, 99.0):
+        for limit in (5.0, 20.0, 45.0, 200.0):
+            # Repeated calls on the same rows: after the first, the window
+            # around the previous answer is what gets evaluated.
+            for _ in range(3):
+                _assert_resolves_like_select(segment, tables, temperature, limit)
+                narrow += segment.window != (0, segment.edge)
+    assert narrow > 0
 
 
 def test_stacked_tables_multi_group_association_matches_scalar():
@@ -228,8 +273,6 @@ def test_stacked_tables_multi_group_association_matches_scalar():
     table exercises the multi-group accumulation order; a group-by-group
     association mismatch shows up as a one-ulp power difference here.
     """
-    from repro.pmu.dvfs import CandidateTable
-
     table = CandidateTable(
         frequencies_hz=np.array([1e9, 2e9, 3e9]),
         vr_voltages_v=np.array([0.7, 0.8, 0.95]),
@@ -250,19 +293,118 @@ def test_stacked_tables_multi_group_association_matches_scalar():
         iccmax_ok=np.array([True, True, True]),
         vmax_v=1.0,
     )
-    stacked = StackedCandidateTables.from_tables([table])
-    rows = np.array([0])
+    segment = _select_segment([table])
     for temperature in (40.0, 61.3, 99.0):
-        expected = table.package_power_w(temperature)
-        power = stacked.package_power_w(rows, np.array([temperature]))
-        assert np.array_equal(power[0], expected)
         for limit in (2.0, 5.0, 50.0):
-            index, limiting = table.select(limit, temperature)
-            indices, codes = stacked.select(
-                rows, np.array([limit]), np.array([temperature])
-            )
-            assert int(indices[0]) == index
-            assert LIMITING_FACTOR_ORDER[int(codes[0])] is limiting
+            for _ in range(3):
+                _assert_resolves_like_select(segment, [table], temperature, limit)
+
+
+def _unchecked_table(dynamic_w, idle_reference_w, iccmax_ok):
+    """A 7-bin synthetic table; leakage sits at its T_ref (scale 1)."""
+    bins = len(dynamic_w)
+    return CandidateTable(
+        frequencies_hz=np.arange(1, bins + 1) * 1e9,
+        vr_voltages_v=np.linspace(0.7, 1.0, bins),
+        power_voltages_v=np.linspace(0.68, 0.98, bins),
+        active_dynamic_w=np.asarray(dynamic_w, dtype=float),
+        active_leakage_groups=((0.02, 60.0, 1.8, np.full(bins, 0.01)),),
+        idle_leakage_groups=(
+            (0.03, 60.0, 1.8, np.asarray(idle_reference_w, dtype=float)),
+        ),
+        uncore_power_w=0.5,
+        graphics_idle_power_w=0.05,
+        vmax_ok=np.ones(bins, dtype=bool),
+        iccmax_ok=np.asarray(iccmax_ok, dtype=bool),
+        vmax_v=1.1,
+    )
+
+
+_RISING_W = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    "dynamic_w, idle_reference_w, iccmax_ok, high_limit",
+    [
+        ([1.0, 2.0, 3.0, 6.0, 4.0, 7.0, 8.0], [0.0] * 7, [True] * 7, 5.0),
+        (_RISING_W, [0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0], [True] * 7, 6.0),
+        (_RISING_W, [0.0] * 7, [True, True, True, False, True, True, True], 6.0),
+    ],
+    ids=["dynamic-dip", "idle-leakage-dip", "feasibility-gap"],
+)
+def test_segment_failing_the_check_resolves_like_select(
+    dynamic_w, idle_reference_w, iccmax_ok, high_limit
+):
+    """A power dip or a feasibility gap inside the grid disables the window.
+
+    At 2.6 W the answer is bin 1, so the next window is bins [0, 4).  At
+    the high limit bin 3 is not allowed but bin 4 is: the window's top-end
+    test would pass and pick bin 2, while the scalar path picks bin 4.
+    Only the segment's check keeps this exact.
+    """
+    table = _unchecked_table(dynamic_w, idle_reference_w, iccmax_ok)
+    segment = _select_segment([table])
+    assert not segment.windowed
+    assert table.select(high_limit, 60.0)[0] == 4
+    for limit in (2.6, 2.6, 2.6, high_limit):
+        _assert_resolves_like_select(segment, [table], 60.0, limit)
+        assert segment.window == (0, segment.edge)
+
+
+def test_segment_answer_jumping_past_the_window_resolves_like_select(dvfs_policy):
+    """Jumps out of the window fall back to the whole trimmed range.
+
+    A few calls at one state narrow the window; then the limit or the
+    temperature moves every answer past one of its ends.  Each end's test
+    is what sends the step back to the full evaluation.
+    """
+    tables = _stacked_policy_tables(dvfs_policy)
+    for settle, jump in (
+        ((60.0, 8.0), (60.0, 200.0)),  # a PL2-level limit: past the top
+        ((60.0, 200.0), (60.0, 8.0)),  # a collapsed limit: below the bottom
+        ((99.0, 30.0), (20.0, 30.0)),  # a large temperature drop
+    ):
+        segment = _select_segment(tables)
+        for _ in range(3):
+            _assert_resolves_like_select(segment, tables, *settle)
+        assert segment.window != (0, segment.edge)
+        _assert_resolves_like_select(segment, tables, *jump)
+        assert segment.window == (0, segment.edge)
+        _assert_resolves_like_select(segment, tables, *jump)
+        assert segment.window != (0, segment.edge)
+
+
+def test_batched_matches_reference_with_padded_tables():
+    """Tables of different bin counts pad rows; the check skips the padding.
+
+    Broadwell's grid has 37 bins against Skylake's 43, and the -100 mV
+    DarkGates variant is feasible up to bin 40, so the trimmed range keeps
+    padded (zero-power) Broadwell bins.  The check looks only at each
+    run's feasible prefix, so the window stays on, and the batch stays
+    bit-identical to the per-run stepper.
+    """
+    darkgates = get_spec("darkgates", tdp_w=91.0, guardband_offset_v=-0.1).build()
+    broadwell = get_spec("broadwell-baseline", tdp_w=45.0).build()
+    tables = [
+        pcode.dvfs_policy.candidate_table(CpuDemand(active_cores=cores))
+        for pcode in (darkgates, broadwell)
+        for cores in (1, 4)
+    ]
+    bin_counts = {len(table.frequencies_hz) for table in tables}
+    assert len(bin_counts) == 2
+    segment = _select_segment(tables)
+    assert segment.edge > min(bin_counts)
+    assert segment.windowed
+
+    pairs = [
+        (pcode, scenario)
+        for pcode in (darkgates, broadwell)
+        for scenario in SCENARIOS
+    ]
+    simulator = BatchedDynamicsSimulator()
+    batched = simulator.run_batch(pairs)
+    for (pcode, scenario), result in zip(pairs, batched):
+        _assert_equivalent(simulator.simulator(pcode).run(scenario), result)
 
 
 def test_stacked_tables_reject_empty():
