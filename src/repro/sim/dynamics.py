@@ -33,7 +33,7 @@ transient on the way there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,29 @@ def phase_step_counts(scenario: DynamicScenario) -> List[int]:
     return counts
 
 
+def _loop_start(
+    pcode: Pcode, scenario: DynamicScenario
+) -> Tuple[TurboLimits, TransientThermalModel, float, bool]:
+    """Where *scenario*'s closed loop starts on *pcode*, for every stepper.
+
+    Returns the turbo limits, the thermal RC model, the initial junction
+    temperature and whether the burst budget starts armed.
+    """
+    processor = pcode.processor
+    thermal = TransientThermalModel(
+        steady_state=processor.thermal_model(),
+        capacitance_j_per_c=scenario.thermal_capacitance_j_per_c,
+    )
+    limits = TurboLimits.from_tdp(
+        processor.tdp_w, pl2_ratio=scenario.pl2_ratio, tau_s=scenario.turbo_tau_s
+    )
+    temperature_c = scenario.initial_temperature_c
+    if temperature_c is None:
+        temperature_c = thermal.limits.ambient_c
+    armed = scenario.initial_average_power_w < limits.pl1_w
+    return limits, thermal, temperature_c, armed
+
+
 class _TraceRecorder:
     """Accumulates the per-step traces of one run."""
 
@@ -138,25 +161,10 @@ class DynamicsSimulator:
 
     def run(self, scenario: DynamicScenario) -> DynamicRunResult:
         """Simulate *scenario* and return the full trajectory."""
-        processor = self._pcode.processor
-        thermal = TransientThermalModel(
-            steady_state=processor.thermal_model(),
-            capacitance_j_per_c=scenario.thermal_capacitance_j_per_c,
-        )
-        limits = TurboLimits.from_tdp(
-            processor.tdp_w,
-            pl2_ratio=scenario.pl2_ratio,
-            tau_s=scenario.turbo_tau_s,
-        )
+        limits, thermal, temperature, burst_armed = _loop_start(self._pcode, scenario)
         turbo = TurboBudgetManager(
             limits, initial_average_w=scenario.initial_average_power_w
         )
-        temperature = (
-            scenario.initial_temperature_c
-            if scenario.initial_temperature_c is not None
-            else thermal.limits.ambient_c
-        )
-        burst_armed = scenario.initial_average_power_w < limits.pl1_w
         recorder = _TraceRecorder()
         dt = scenario.time_step_s
         for phase, steps in zip(scenario.phases, phase_step_counts(scenario)):
@@ -506,6 +514,80 @@ class _ActiveSegment:
         return frequency, power, limiting, exhausted
 
 
+#: One stretch of the lockstep grid over which no run changes phase:
+#: ``(steps, alive, segment, idle_power_w)``.  Runs outside *alive* have
+#: ended and keep their state (``None``: every run is alive); *segment*
+#: resolves the active runs (``None``: every run idles), and the runs it
+#: leaves inactive draw *idle_power_w*.
+_Segment = Tuple[int, Optional[np.ndarray], Optional[_ActiveSegment], np.ndarray]
+
+
+def _lockstep(
+    segments: Iterable[_Segment],
+    total_steps: int,
+    turbo: BatchedTurboBudgetManager,
+    thermal: BatchedThermalModel,
+    temperature: np.ndarray,
+    armed: np.ndarray,
+    rebank_threshold_w: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """Advance every run through *segments*; the step-major traces.
+
+    The one lockstep step behind :meth:`BatchedDynamicsSimulator.run_batch`
+    and :meth:`BatchedDynamicsSimulator.run_population`, replicating
+    :meth:`DynamicsSimulator.run` expression for expression for every run.
+    Each segment is dropped before the next is pulled, so a generator that
+    builds segments on demand (``run_batch``'s) keeps one
+    :class:`_ActiveSegment` alive at a time.
+    """
+    n_runs = len(temperature)
+    pl2_w = turbo.pl2_w
+    idle_frequency = np.zeros(n_runs)
+    idle_limiting = np.full(n_runs, _CODE_NONE, dtype=np.int8)
+    # Step-major trace layout: each step writes one contiguous row.
+    traces = {
+        "frequency_hz": np.zeros((total_steps, n_runs)),
+        "power_w": np.zeros((total_steps, n_runs)),
+        "temperature_c": np.zeros((total_steps, n_runs)),
+        "average_w": np.zeros((total_steps, n_runs)),
+        "limiting": np.full((total_steps, n_runs), _CODE_NONE, dtype=np.int8),
+    }
+    start = 0
+    for steps, alive, segment, idle_power_w in segments:
+        for t in range(start, start + steps):
+            if segment is not None:
+                thermal_cap = thermal.max_power_keeping_tjmax_w(temperature)
+                budget = turbo.power_budget_w()
+                # Armed runs draw up to the EWMA budget; exhausted runs are
+                # ceilinged by instantaneous PL2 — both under the thermal cap.
+                limit = np.where(
+                    armed,
+                    np.minimum(budget, thermal_cap),
+                    np.minimum(pl2_w, thermal_cap),
+                )
+                frequency, power, limiting, exhausted = segment.resolve(
+                    temperature, limit, armed, budget, pl2_w, thermal_cap,
+                    idle_power_w,
+                )
+            else:
+                frequency, power, limiting = idle_frequency, idle_power_w, idle_limiting
+                exhausted = None
+            average = turbo.account(power, active=alive)
+            temperature = thermal.step(temperature, power, active=alive)
+            rebank = np.where(average <= rebank_threshold_w, True, armed)
+            if exhausted is not None:
+                rebank = np.where(exhausted, False, rebank)
+            armed = rebank if alive is None else np.where(alive, rebank, armed)
+            traces["frequency_hz"][t] = frequency
+            traces["power_w"][t] = power
+            traces["temperature_c"][t] = temperature
+            traces["average_w"][t] = average
+            traces["limiting"][t] = limiting
+        start += steps
+        segment = None  # freed before the next segment is built
+    return traces
+
+
 @dataclass
 class PopulationRunTraces:
     """Raw lockstep traces of one scenario stepped over a die population.
@@ -556,22 +638,31 @@ class PopulationRunTraces:
 
 @dataclass
 class _RunPlan:
-    """Everything one run contributes to the lockstep grid, pre-resolved."""
+    """Everything one run contributes to the lockstep grid, resolved per phase.
+
+    Phase ``k`` covers steps ``[phase_ends[k - 1], phase_ends[k])``; the
+    lockstep loop gathers the per-phase values at segment starts, so no
+    per-step vector is built.
+    """
 
     scenario: DynamicScenario
     limits: TurboLimits
     thermal: TransientThermalModel
     initial_temperature_c: float
     initial_armed: bool
-    n_steps: int
-    # Per-step attribute vectors (length n_steps).
-    table_slot: np.ndarray  # stacked-table row (0 for idle steps)
+    # Per-phase vectors (one entry per scenario phase).
+    phase_ends: np.ndarray  # int: steps elapsed at the end of each phase
+    table_slot: np.ndarray  # stacked-table row (0 for idle phases)
     is_active: np.ndarray  # bool
     sustained_bin: np.ndarray  # int
     sustained_code: np.ndarray  # limiting-factor code of the sustained point
-    idle_power_w: np.ndarray  # float (0 for active steps)
+    idle_power_w: np.ndarray  # float (0 for active phases)
     cstate_codes: np.ndarray  # int8 package-state codes into cstate_names
     cstate_names: Tuple[str, ...]
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.phase_ends[-1])
 
 
 class BatchedDynamicsSimulator:
@@ -589,6 +680,10 @@ class BatchedDynamicsSimulator:
     :class:`~repro.power.thermal.BatchedThermalModel` carries every run's
     thermal RC state.  Runs may differ arbitrarily (specs, scenarios, time
     steps, durations); shorter runs simply freeze once their timeline ends.
+    :meth:`run_batch` and :meth:`run_population` differ only in the
+    segments they feed one shared lockstep loop (``_lockstep``): a batch
+    splits at the union of its runs' phase ends, a population at its one
+    scenario's.
 
     The arithmetic replicates the per-run stepper operation for operation,
     so the trajectories are bit-identical: the same frequency-bin,
@@ -646,47 +741,26 @@ class BatchedDynamicsSimulator:
         table_slots: Dict[int, int],
     ) -> _RunPlan:
         simulator = self.simulator(pcode)
-        processor = pcode.processor
-        thermal = TransientThermalModel(
-            steady_state=processor.thermal_model(),
-            capacitance_j_per_c=scenario.thermal_capacitance_j_per_c,
-        )
-        limits = TurboLimits.from_tdp(
-            processor.tdp_w,
-            pl2_ratio=scenario.pl2_ratio,
-            tau_s=scenario.turbo_tau_s,
-        )
-        step_counts = phase_step_counts(scenario)
-        slots: List[int] = []
-        active: List[bool] = []
-        sustained_bins: List[int] = []
-        sustained_codes: List[int] = []
-        idle_powers: List[float] = []
-        cstates: List[str] = []
+        limits, thermal, temperature_c, armed = _loop_start(pcode, scenario)
+        # One row per phase: (table slot, active, sustained bin and code,
+        # idle power, package C-state).
+        phases: List[Tuple[int, bool, int, int, float, str]] = []
         for phase in scenario.phases:
             if phase.is_idle:
                 state = simulator._resolve_idle_state(phase)
-                slots.append(0)
-                active.append(False)
-                sustained_bins.append(0)
-                sustained_codes.append(_CODE_NONE)
-                idle_powers.append(pcode.cstate_model.power_w(state))
-                cstates.append(state.value)
-            else:
-                demand = phase.demand()
-                table = pcode.dvfs_policy.candidate_table(demand)
-                slot = table_slots.get(id(table))
-                if slot is None:
-                    slot = table_slots[id(table)] = len(tables)
-                    tables.append(table)
-                sustained = simulator._sustained_point(demand, table)
-                slots.append(slot)
-                active.append(True)
-                sustained_bins.append(sustained.bin_index)
-                sustained_codes.append(LIMITING_FACTOR_CODES[sustained.limiting])
-                idle_powers.append(0.0)
-                cstates.append(_C0_NAME)
-        counts = np.asarray(step_counts)
+                idle_power_w = pcode.cstate_model.power_w(state)
+                phases.append((0, False, 0, _CODE_NONE, idle_power_w, state.value))
+                continue
+            demand = phase.demand()
+            table = pcode.dvfs_policy.candidate_table(demand)
+            slot = table_slots.get(id(table))
+            if slot is None:
+                slot = table_slots[id(table)] = len(tables)
+                tables.append(table)
+            sustained = simulator._sustained_point(demand, table)
+            code = LIMITING_FACTOR_CODES[sustained.limiting]
+            phases.append((slot, True, sustained.bin_index, code, 0.0, _C0_NAME))
+        slots, active, bins, codes, idle_w, cstates = zip(*phases)
         # Every phase has at least one step, so the per-phase vocabulary is
         # the per-step one the reference stepper builds.
         cstate_codes, cstate_names = encode_cstates(cstates)
@@ -694,62 +768,24 @@ class BatchedDynamicsSimulator:
             scenario=scenario,
             limits=limits,
             thermal=thermal,
-            initial_temperature_c=(
-                scenario.initial_temperature_c
-                if scenario.initial_temperature_c is not None
-                else thermal.limits.ambient_c
-            ),
-            initial_armed=scenario.initial_average_power_w < limits.pl1_w,
-            n_steps=int(counts.sum()),
-            table_slot=np.repeat(np.asarray(slots), counts),
-            is_active=np.repeat(np.asarray(active, dtype=bool), counts),
-            sustained_bin=np.repeat(np.asarray(sustained_bins), counts),
-            sustained_code=np.repeat(np.asarray(sustained_codes), counts),
-            idle_power_w=np.repeat(np.asarray(idle_powers, dtype=float), counts),
-            cstate_codes=np.repeat(cstate_codes, counts),
+            initial_temperature_c=temperature_c,
+            initial_armed=armed,
+            phase_ends=np.cumsum(phase_step_counts(scenario)),
+            table_slot=np.asarray(slots),
+            is_active=np.asarray(active, dtype=bool),
+            sustained_bin=np.asarray(bins),
+            sustained_code=np.asarray(codes),
+            idle_power_w=np.asarray(idle_w, dtype=float),
+            cstate_codes=cstate_codes,
             cstate_names=cstate_names,
         )
 
-    @staticmethod
-    def _stack_steps(plans: Sequence[_RunPlan], total_steps: int) -> Dict[str, np.ndarray]:
-        def stacked(attribute: str, dtype, fill) -> np.ndarray:
-            out = np.full((len(plans), total_steps), fill, dtype=dtype)
-            for i, plan in enumerate(plans):
-                out[i, : plan.n_steps] = getattr(plan, attribute)
-            return out
-
-        return {
-            "table_slot": stacked("table_slot", np.int64, 0),
-            "is_active": stacked("is_active", bool, False),
-            "sustained_bin": stacked("sustained_bin", np.int64, 0),
-            "sustained_code": stacked("sustained_code", np.int64, _CODE_NONE),
-            "idle_power_w": stacked("idle_power_w", float, 0.0),
-        }
-
-    @staticmethod
-    def _segment_bounds(plans: Sequence[_RunPlan], total_steps: int) -> np.ndarray:
-        # Per-run step attributes only change at phase boundaries (and at
-        # each run's end), so the grid is advanced in segments between the
-        # union of those change points: everything row-dependent is gathered
-        # once per segment, leaving only state-dependent math per step.
-        boundaries = {0, total_steps}
-        for plan in plans:
-            offset = 0
-            for count in phase_step_counts(plan.scenario):
-                boundaries.add(offset)
-                offset += count
-            boundaries.add(offset)
-        return np.array(sorted(b for b in boundaries if 0 <= b <= total_steps))
-
-    # -- the lockstep loop -------------------------------------------------------------
+    # -- the lockstep grid -------------------------------------------------------------
 
     def _step_grid(
         self, plans: Sequence[_RunPlan], tables: Sequence[CandidateTable]
     ) -> Dict[str, np.ndarray]:
-        n_runs = len(plans)
-        n_steps = np.array([plan.n_steps for plan in plans])
-        total_steps = int(n_steps.max())
-        steps = self._stack_steps(plans, total_steps)
+        total_steps = max(plan.n_steps for plan in plans)
         time_step_s = [plan.scenario.time_step_s for plan in plans]
         stacked = StackedCandidateTables.from_tables(tables) if tables else None
         turbo = BatchedTurboBudgetManager(
@@ -762,76 +798,73 @@ class BatchedDynamicsSimulator:
         thermal = BatchedThermalModel(
             [plan.thermal for plan in plans], time_step_s=time_step_s
         )
-        pl2_w = turbo.pl2_w
-        rebank_threshold_w = np.array(
-            [plan.limits.pl1_w * plan.scenario.rebank_fraction for plan in plans]
+        return _lockstep(
+            self._segments(plans, stacked, total_steps),
+            total_steps,
+            turbo,
+            thermal,
+            temperature=np.array(
+                [plan.initial_temperature_c for plan in plans], dtype=float
+            ),
+            armed=np.array([plan.initial_armed for plan in plans], dtype=bool),
+            rebank_threshold_w=np.array(
+                [plan.limits.pl1_w * plan.scenario.rebank_fraction for plan in plans]
+            ),
         )
-        temperature = np.array(
-            [plan.initial_temperature_c for plan in plans], dtype=float
-        )
-        armed = np.array([plan.initial_armed for plan in plans], dtype=bool)
-        run_axis = np.arange(n_runs)
 
-        # Step-major trace layout: each step writes one contiguous row.
-        traces = {
-            "frequency_hz": np.zeros((total_steps, n_runs)),
-            "power_w": np.zeros((total_steps, n_runs)),
-            "temperature_c": np.zeros((total_steps, n_runs)),
-            "average_w": np.zeros((total_steps, n_runs)),
-            "limiting": np.full((total_steps, n_runs), _CODE_NONE, dtype=np.int8),
-        }
-        bounds = self._segment_bounds(plans, total_steps)
+    @staticmethod
+    def _segments(
+        plans: Sequence[_RunPlan],
+        stacked: Optional[StackedCandidateTables],
+        total_steps: int,
+    ) -> Iterable[_Segment]:
+        """The batch's segments: between the union of its runs' phase ends.
+
+        Each plan's per-phase vectors are padded into one ``(runs, phases +
+        1)`` matrix, so a segment gathers every run's values in one indexing
+        step: a run's phase is the count of its phase ends at or before the
+        segment start (ends are padded with ``total_steps``, where no
+        segment starts).  A run past its last end lands on the padding —
+        inactive, table row 0, zero idle power — and is masked as not alive.
+        """
+        run_axis = np.arange(len(plans))
+        width = max(len(plan.phase_ends) for plan in plans) + 1
+
+        def per_phase(attribute: str, fill: object) -> np.ndarray:
+            out = np.full((len(plans), width), fill)
+            for run, plan in enumerate(plans):
+                values = getattr(plan, attribute)
+                out[run, : len(values)] = values
+            return out
+
+        ends = per_phase("phase_ends", total_steps)
+        table_slot = per_phase("table_slot", 0)
+        is_active = per_phase("is_active", False)
+        sustained_bin = per_phase("sustained_bin", 0)
+        sustained_code = per_phase("sustained_code", _CODE_NONE)
+        idle_power_w = per_phase("idle_power_w", 0.0)
+        n_steps = np.array([plan.n_steps for plan in plans])
+        bounds = sorted({0, *ends.ravel().tolist()})
         for t0, t1 in zip(bounds[:-1], bounds[1:]):
+            phase = np.count_nonzero(ends <= t0, axis=1)
             alive = t0 < n_steps
-            active = steps["is_active"][:, t0] & alive
-            all_alive = bool(alive.all())
-            any_active = stacked is not None and bool(active.any())
-            idle_power = steps["idle_power_w"][:, t0]
-            if any_active:
+            active = is_active[run_axis, phase]
+            segment = None  # freed before the next segment is built
+            if stacked is not None and active.any():
                 segment = _ActiveSegment(
                     stacked,
-                    steps["table_slot"][:, t0],
+                    table_slot[run_axis, phase],
                     run_axis,
                     active,
-                    steps["sustained_bin"][:, t0],
-                    steps["sustained_code"][:, t0],
+                    sustained_bin[run_axis, phase],
+                    sustained_code[run_axis, phase],
                 )
-            for t in range(int(t0), int(t1)):
-                if any_active:
-                    thermal_cap = thermal.max_power_keeping_tjmax_w(temperature)
-                    budget = turbo.power_budget_w()
-                    # Armed runs draw up to the EWMA budget; exhausted runs
-                    # are ceilinged by instantaneous PL2 — both under the
-                    # thermal cap.
-                    limit = np.where(
-                        armed,
-                        np.minimum(budget, thermal_cap),
-                        np.minimum(pl2_w, thermal_cap),
-                    )
-                    frequency, power, limiting, exhausted = segment.resolve(
-                        temperature, limit, armed, budget, pl2_w, thermal_cap,
-                        idle_power,
-                    )
-                else:
-                    frequency = np.zeros(n_runs)
-                    power = idle_power
-                    limiting = np.full(n_runs, _CODE_NONE, dtype=np.int64)
-                    exhausted = None
-                average = turbo.account(power, active=None if all_alive else alive)
-                temperature = thermal.step(
-                    temperature, power, active=None if all_alive else alive
-                )
-                rebank = np.where(average <= rebank_threshold_w, True, armed)
-                new_armed = (
-                    rebank if exhausted is None else np.where(exhausted, False, rebank)
-                )
-                armed = new_armed if all_alive else np.where(alive, new_armed, armed)
-                traces["frequency_hz"][t] = frequency
-                traces["power_w"][t] = power
-                traces["temperature_c"][t] = temperature
-                traces["average_w"][t] = average
-                traces["limiting"][t] = limiting
-        return traces
+            yield (
+                int(t1 - t0),
+                None if alive.all() else alive,
+                segment,
+                idle_power_w[run_axis, phase],
+            )
 
     # -- the population (die-variation) fast path --------------------------------------
 
@@ -852,7 +885,12 @@ class BatchedDynamicsSimulator:
         idle power through the C-state model's varied arithmetic — with no
         per-die Python objects.  Every expression matches what one die's
         ``SystemSpec.variant(die_variation=...)`` build computes, so the
-        fast path reproduces the per-die reference path bit for bit.
+        fast path reproduces the per-die reference path bit for bit.  The
+        dice step through the same lockstep loop as :meth:`run_batch`, one
+        segment per phase (phases sharing a demand share an
+        ``_ActiveSegment``), and the traces keep
+        :class:`~repro.sim.metrics.DynamicRunResult`'s int8 limiting and
+        C-state codes.
 
         With *shard_size* unset (the default), the whole population steps
         at once and the full ``(steps, dice)``
@@ -879,13 +917,9 @@ class BatchedDynamicsSimulator:
         count = population.count
         processor = pcode.processor
         dt = scenario.time_step_s
-        limits = TurboLimits.from_tdp(
-            processor.tdp_w,
-            pl2_ratio=scenario.pl2_ratio,
-            tau_s=scenario.turbo_tau_s,
-        )
-        thermal_limits = processor.thermal_model().limits
-        base_resistance = processor.thermal_model().thermal_resistance_c_per_w
+        limits, nominal_thermal, temperature_c, armed = _loop_start(pcode, scenario)
+        thermal_limits = nominal_thermal.limits
+        base_resistance = nominal_thermal.steady_state.thermal_resistance_c_per_w
         resistance = base_resistance * population.thermal_resistance_scale
         thermal = BatchedThermalModel.from_parameters(
             ambient_c=thermal_limits.ambient_c,
@@ -908,13 +942,12 @@ class BatchedDynamicsSimulator:
         simulator = self.simulator(pcode)
         run_axis = np.arange(count)
         all_active = np.ones(count, dtype=bool)
-        segments: Dict[CpuDemand, _ActiveSegment] = {}
-        cstate_codes: Dict[str, int] = {_C0_NAME: 0}
-        phase_segments: List[Optional[_ActiveSegment]] = []
-        phase_idle_power: List[np.ndarray] = []
-        phase_cstates: List[int] = []
         zeros = np.zeros(count)
-        for phase in scenario.phases:
+        by_demand: Dict[CpuDemand, _ActiveSegment] = {}
+        segments: List[_Segment] = []
+        cstates: List[str] = []
+        counts = phase_step_counts(scenario)
+        for phase, steps in zip(scenario.phases, counts):
             if phase.is_idle:
                 state = simulator._resolve_idle_state(phase)
                 idle_power = np.asarray(
@@ -924,14 +957,11 @@ class BatchedDynamicsSimulator:
                         population.leakage_kt_delta_per_c,
                     )
                 )
-                phase_segments.append(None)
-                phase_idle_power.append(idle_power)
-                phase_cstates.append(
-                    cstate_codes.setdefault(state.value, len(cstate_codes))
-                )
+                segments.append((steps, None, None, idle_power))
+                cstates.append(state.value)
                 continue
             demand = phase.demand()
-            segment = segments.get(demand)
+            segment = by_demand.get(demand)
             if segment is None:
                 nominal = pcode.dvfs_policy.candidate_table(demand)
                 stacked = StackedCandidateTables.from_population(
@@ -954,72 +984,21 @@ class BatchedDynamicsSimulator:
                     stacked, run_axis, run_axis, all_active,
                     sustained_bin, sustained_code,
                 )
-                segments[demand] = segment
-            phase_segments.append(segment)
-            phase_idle_power.append(zeros)
-            phase_cstates.append(cstate_codes[_C0_NAME])
+                by_demand[demand] = segment
+            segments.append((steps, None, segment, zeros))
+            cstates.append(_C0_NAME)
 
-        counts = phase_step_counts(scenario)
-        total_steps = int(sum(counts))
-        temperature = np.full(
-            count,
-            (
-                scenario.initial_temperature_c
-                if scenario.initial_temperature_c is not None
-                else thermal_limits.ambient_c
-            ),
-            dtype=float,
+        total_steps = sum(counts)
+        traces = _lockstep(
+            segments,
+            total_steps,
+            turbo,
+            thermal,
+            temperature=np.full(count, temperature_c, dtype=float),
+            armed=np.full(count, armed, dtype=bool),
+            rebank_threshold_w=np.full(count, limits.pl1_w * scenario.rebank_fraction),
         )
-        armed = np.full(
-            count, scenario.initial_average_power_w < limits.pl1_w, dtype=bool
-        )
-        pl2_w = turbo.pl2_w
-        rebank_threshold_w = limits.pl1_w * scenario.rebank_fraction
-        traces = {
-            "frequency_hz": np.zeros((total_steps, count)),
-            "power_w": np.zeros((total_steps, count)),
-            "temperature_c": np.zeros((total_steps, count)),
-            "average_w": np.zeros((total_steps, count)),
-            "limiting": np.full((total_steps, count), _CODE_NONE, dtype=np.int64),
-        }
-        cstate_trace = np.zeros(total_steps, dtype=np.int64)
-        t = 0
-        for segment, idle_power, cstate, steps in zip(
-            phase_segments, phase_idle_power, phase_cstates, counts
-        ):
-            cstate_trace[t : t + steps] = cstate
-            for _ in range(steps):
-                if segment is not None:
-                    thermal_cap = thermal.max_power_keeping_tjmax_w(temperature)
-                    budget = turbo.power_budget_w()
-                    limit = np.where(
-                        armed,
-                        np.minimum(budget, thermal_cap),
-                        np.minimum(pl2_w, thermal_cap),
-                    )
-                    frequency, power, limiting, exhausted = segment.resolve(
-                        temperature, limit, armed, budget, pl2_w, thermal_cap,
-                        idle_power,
-                    )
-                else:
-                    frequency = zeros
-                    power = idle_power
-                    limiting = np.full(count, _CODE_NONE, dtype=np.int64)
-                    exhausted = None
-                average = turbo.account(power)
-                temperature = thermal.step(temperature, power)
-                rebank = np.where(average <= rebank_threshold_w, True, armed)
-                armed = (
-                    rebank
-                    if exhausted is None
-                    else np.where(exhausted, False, rebank)
-                )
-                traces["frequency_hz"][t] = frequency
-                traces["power_w"][t] = power
-                traces["temperature_c"][t] = temperature
-                traces["average_w"][t] = average
-                traces["limiting"][t] = limiting
-                t += 1
+        cstate_codes, cstate_names = encode_cstates(cstates)
         return PopulationRunTraces(
             scenario_name=scenario.name,
             time_step_s=dt,
@@ -1031,8 +1010,8 @@ class BatchedDynamicsSimulator:
             temperatures_c=traces["temperature_c"],
             average_powers_w=traces["average_w"],
             limiting_codes=traces["limiting"],
-            cstate_codes=cstate_trace,
-            cstate_names=tuple(cstate_codes),
+            cstate_codes=np.repeat(cstate_codes, counts),
+            cstate_names=cstate_names,
         )
 
     def _run_population_streaming(
@@ -1089,6 +1068,8 @@ class BatchedDynamicsSimulator:
             temperatures_c=traces["temperature_c"][:n, run_index],
             average_powers_w=traces["average_w"][:n, run_index],
             limiting_codes=traces["limiting"][:n, run_index],
-            cstate_codes=plan.cstate_codes,
+            cstate_codes=np.repeat(
+                plan.cstate_codes, np.diff(plan.phase_ends, prepend=0)
+            ),
             cstate_names=plan.cstate_names,
         )

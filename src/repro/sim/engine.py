@@ -10,7 +10,7 @@ transient droop).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.pdn.droop import DroopSimulator
@@ -21,7 +21,7 @@ from repro.pmu.dvfs import CpuDemand
 from repro.pmu.pbm import GraphicsDemand
 from repro.pmu.pcode import Pcode
 from repro.power.leakage import NOMINAL_SILICON_TEMPERATURE_C
-from repro.sim.dynamics import BatchedDynamicsSimulator
+from repro.sim.dynamics import BatchedDynamicsSimulator, PopulationRunTraces
 from repro.sim.metrics import (
     CpuRunResult,
     DynamicRunResult,
@@ -39,6 +39,10 @@ from repro.workloads.descriptors import (
     Workload,
 )
 from repro.workloads.dynamics import DynamicScenario
+
+if TYPE_CHECKING:
+    from repro.variation.sampler import DiePopulation
+    from repro.variation.streaming import StreamingCellShard
 
 #: Version stamp of the simulation engine, hashed into content-addressed
 #: run IDs and recorded in run-store manifests.  Bump it whenever an engine
@@ -204,8 +208,11 @@ class SimulationEngine:
         )
 
     def run_population(
-        self, scenario: DynamicScenario, population, shard_size=None
-    ) -> object:
+        self,
+        scenario: DynamicScenario,
+        population: DiePopulation,
+        shard_size: Optional[int] = None,
+    ) -> PopulationRunTraces | StreamingCellShard:
         """Step a dynamic scenario across a whole die population in lockstep.
 
         *population* is a :class:`~repro.variation.sampler.DiePopulation`;

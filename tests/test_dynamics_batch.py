@@ -467,19 +467,24 @@ _scenarios = st.builds(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(scenario=_scenarios)
+@given(darkgates_scenario=_scenarios, baseline_scenario=_scenarios)
 def test_random_scenarios_bin_and_cstate_exact(
-    darkgates_pcode, baseline_pcode, scenario
+    darkgates_pcode, baseline_pcode, darkgates_scenario, baseline_scenario
 ):
     """Random timelines produce identical bin and C-state traces on both paths.
 
     The two systems run as one heterogeneous batch, so the property also
     exercises lockstep mixing of a TDP-limited and a Vmax-limited run.
+    Each system draws its own timeline, so one run may end mid-segment and
+    a segment may start inside the other run's phase.
     """
-    pairs = [(darkgates_pcode(91.0), scenario), (baseline_pcode(35.0), scenario)]
+    pairs = [
+        (darkgates_pcode(91.0), darkgates_scenario),
+        (baseline_pcode(35.0), baseline_scenario),
+    ]
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
-    for (pcode, _), result in zip(pairs, batched):
+    for (pcode, scenario), result in zip(pairs, batched):
         reference = simulator.simulator(pcode).run(scenario)
         assert np.array_equal(reference.frequencies_hz, result.frequencies_hz)
         assert np.array_equal(reference.package_cstates, result.package_cstates)

@@ -78,6 +78,8 @@ def test_population_traces_match_per_die_reference_loop():
     scenario = SCENARIOS[0]
     population = DiePopulationSampler(VARIATIONS).sample(5, seed=9)
     traces = SimulationEngine(spec.build()).run_population(scenario, population)
+    # The code traces share DynamicRunResult's int8 layout.
+    assert traces.limiting_codes.dtype == traces.cstate_codes.dtype == np.int8
     for index, die_spec in enumerate(population.specs(spec)):
         engine = SimulationEngine(die_spec.build())
         loop = engine.run_dynamic_scenario(scenario, method="reference")
