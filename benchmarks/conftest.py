@@ -9,3 +9,9 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 """
+
+import sys
+from pathlib import Path
+
+# The speed harnesses time each fast path against its oracle in tests/oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))

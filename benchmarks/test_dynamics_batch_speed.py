@@ -5,7 +5,8 @@ through a per-step Python loop, so ``Study.over_dynamics`` sweeps paid
 interpreter overhead on every step of every grid cell.  The batched fast
 path steps the whole grid in lockstep as numpy arrays.  This benchmark runs
 a realistic sweep grid — specs x scenarios x TDP levels, every run a full
-turbo/thermal/DVFS/C-state trajectory — through both engines, asserts
+turbo/thermal/DVFS/C-state trajectory — through the batched engine and
+the per-run oracle (``tests/oracles/dynamics.py``), asserts
 bin-exact trace equivalence, and records the timings to
 ``benchmarks/output/dynamics_benchmark.json`` so CI can track the perf
 trajectory across PRs (see ``benchmarks/perf_track.py``).
@@ -27,6 +28,8 @@ from repro.workloads.dynamics import (
     sprint_and_rest_scenario,
     sustained_scenario,
 )
+
+from oracles.dynamics import DynamicsSimulator
 
 #: Where the timing artifact lands (overridable for local experiments).
 OUTPUT_PATH = Path(
@@ -88,8 +91,16 @@ def test_dynamics_batch_speedup(benchmark):
     # symmetrically: best of the same number of rounds on each side.
     batched = simulator.run_batch(pairs)
 
+    def run_reference():
+        # The per-run oracle reads the batch's sustained-point cache, so
+        # both sides time stepping, not sustained-point resolves.
+        return [
+            DynamicsSimulator(pcode, simulator.sustained_points).run(s)
+            for pcode, s in pairs
+        ]
+
     reference_s = min(
-        _time(lambda: [simulator.simulator(pcode).run(s) for pcode, s in pairs])
+        _time(run_reference)
         for _ in range(2)
     )
     batched_s = min(_time(lambda: simulator.run_batch(pairs)) for _ in range(2))
@@ -98,7 +109,7 @@ def test_dynamics_batch_speedup(benchmark):
     )
     speedup = reference_s / batched_s
 
-    reference = [simulator.simulator(pcode).run(s) for pcode, s in pairs]
+    reference = run_reference()
     bin_exact = all(
         np.array_equal(r.frequencies_hz, b.frequencies_hz)
         and np.array_equal(r.limiting_codes, b.limiting_codes)

@@ -5,7 +5,8 @@ and rides the batched dynamics engine, so a 64-member ensemble costs one
 lockstep sweep instead of 64 per-step Python loops.  This benchmark
 compiles an ensemble-of-64 from a fleet profile, runs it through
 ``BatchedDynamicsSimulator.run_batch`` and through the per-scenario
-``DynamicsSimulator`` reference, asserts bin-exact equivalence plus
+``DynamicsSimulator`` oracle (``tests/oracles/dynamics.py``), asserts
+bin-exact equivalence plus
 identical QoS reports, and records the timings to
 ``benchmarks/output/fleet_benchmark.json`` so CI can track the perf
 trajectory across PRs (see ``benchmarks/perf_track.py``).
@@ -23,6 +24,8 @@ import numpy as np
 from repro.core.spec import build_engine, get_spec
 from repro.fleet import QosReport, ScenarioGenerator, fleet_profile
 from repro.sim.dynamics import BatchedDynamicsSimulator
+
+from oracles.dynamics import DynamicsSimulator
 
 #: Where the timing artifact lands (overridable for local experiments).
 OUTPUT_PATH = Path(
@@ -64,8 +67,16 @@ def test_fleet_ensemble_speedup(benchmark):
     # rounds on each side.
     batched = simulator.run_batch(pairs)
 
+    def run_reference():
+        # The per-run oracle reads the batch's sustained-point cache, so
+        # both sides time stepping, not sustained-point resolves.
+        return [
+            DynamicsSimulator(pcode, simulator.sustained_points).run(s)
+            for pcode, s in pairs
+        ]
+
     reference_s = min(
-        _time(lambda: [simulator.simulator(pcode).run(s) for pcode, s in pairs])
+        _time(run_reference)
         for _ in range(2)
     )
     batched_s = min(_time(lambda: simulator.run_batch(pairs)) for _ in range(2))
@@ -74,7 +85,7 @@ def test_fleet_ensemble_speedup(benchmark):
     )
     speedup = reference_s / batched_s
 
-    reference = [simulator.simulator(pcode).run(s) for pcode, s in pairs]
+    reference = run_reference()
     bin_exact = all(
         np.array_equal(r.frequencies_hz, b.frequencies_hz)
         and np.array_equal(r.limiting_codes, b.limiting_codes)

@@ -1,25 +1,26 @@
 """Population-sweep performance — lockstep fast path versus per-die stepping.
 
-``Study.over_population`` can run a sampled die population three ways: the
-*reference* path materialises one ``SystemSpec.variant()`` per die and steps
-each through its own engine, the *fast* path injects the population's
-parameter arrays straight into the batched dynamics state and steps every
-die in lockstep, and the *streaming* path runs fixed-size shards through
-the fast path and folds each into mergeable online accumulators so peak
-memory is O(shard), not O(population).  This harness runs a >= 4096-die
-population through all paths on the same seed, asserts the fast path is
-identical to the reference and the streaming path matches the fast path
-(bit-identical exact statistics, histogram-backed quantiles within their
-documented error bounds), gauges streaming-vs-monolithic peak memory with
-``tracemalloc`` on a 64k-die population, drives a seeded million-die
-streaming binning study to completion in bounded memory, and records
-everything to ``benchmarks/output/population_benchmark.json`` so CI can
-track the perf and memory trajectory across PRs (see
+A sampled die population runs three ways: the per-die oracle
+(``tests/oracles/population.py``) materialises one ``SystemSpec.variant()``
+per die and steps each through its own engine, the *fast* path injects
+the population's parameter arrays straight into the batched dynamics state
+and steps every die in lockstep, and the *streaming* path runs fixed-size
+shards through the fast path and folds each into mergeable online
+accumulators so peak memory is O(shard), not O(population).  This harness
+runs a >= 4096-die population through all paths on the same seed, asserts
+the fast path is identical to the oracle and the streaming path matches
+the fast path (bit-identical exact statistics, histogram-backed quantiles
+within their documented error bounds), gauges streaming-vs-monolithic peak
+memory with ``tracemalloc`` on a 64k-die population, drives a seeded
+million-die streaming binning study to completion in bounded memory, and
+records everything to ``benchmarks/output/population_benchmark.json`` so
+CI can track the perf and memory trajectory across PRs (see
 ``benchmarks/perf_track.py``; the ``peak_mb`` key is gated against growth).
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -43,6 +44,8 @@ from repro.variation.streaming import (
     run_binning_shard,
 )
 from repro.workloads.dynamics import burst_scenario
+
+from oracles.population import ReferencePopulationStudy
 
 #: Where the timing artifact lands (overridable for local experiments).
 OUTPUT_PATH = Path(
@@ -93,14 +96,17 @@ def _study(method: str, shard_size: Optional[int] = None) -> Study:
     kwargs: Dict[str, Any] = {}
     if shard_size is not None:
         kwargs["shard_size"] = shard_size
-    return Study.over_population(
+    if method == "reference":
+        build = ReferencePopulationStudy
+    else:
+        build = functools.partial(Study.over_population, method=method)
+    return build(
         ("darkgates",),
         (_scenario(),),
         skylake_process_variation(),
         count=DICE,
         tdp_levels_w=(TDP_W,),
         seed=SEED,
-        method=method,
         name=f"population-bench-{method}",
         **kwargs,
     )

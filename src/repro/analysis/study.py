@@ -567,7 +567,9 @@ class Study:
     tasks:
         Extra :class:`CallableTask` steps to execute alongside the grid.
     executor:
-        ``"serial"`` (default), ``"process"``, or any object exposing
+        ``"serial"`` (default), ``"batched"`` (dynamic-scenario cells
+        stepped together in lockstep; the default of
+        :meth:`over_dynamics`), ``"process"``, or any object exposing
         ``run_tasks(tasks) -> results``.
     max_workers:
         Pool size when *executor* is ``"process"``.
@@ -851,12 +853,11 @@ class Study:
         pin the draw; it is recorded in the result) and steps every die
         through every (spec variant, scenario) cell.  By default each cell
         runs the whole population in lockstep on the batched fast path;
-        ``method="reference"`` expands to one engine task per die instead,
-        and ``method="streaming"`` (with ``shard_size=N``) expands to one
-        bounded-memory task per fixed-size die shard — shards sample their
-        die ranges deterministically, dispatch through this module's
-        executors (serial or process-pool), and merge associatively, so
-        million-die populations run in O(shard) memory (see
+        ``method="streaming"`` (with ``shard_size=N``) expands it to one
+        bounded-memory task per fixed-size die shard instead — shards
+        sample their die ranges deterministically, dispatch through this
+        module's executors (serial or process-pool), and merge
+        associatively, so million-die populations run in O(shard) memory (see
         :mod:`repro.variation.streaming`).  Pass ``cache=StoreCache(...)``
         to land every cell/shard in the persistent run store; warm re-runs
         then execute zero tasks.  Returns a

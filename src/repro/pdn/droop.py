@@ -17,17 +17,15 @@ methods:
 * ``"scan"`` — the classical RK4 update collapsed into a one-step linear
   propagator, diagonalised and evaluated for *all* time steps at once with
   a vectorized parallel prefix scan (no per-step Python loop).  Default.
-* ``"matvec"`` — the same propagator applied step by step as a single
-  matrix-vector product (the fallback when the propagator cannot be
-  diagonalised reliably).
 * ``"exact"`` — exact discretization of the continuous system for loads
   that are (or are sampled as) piecewise-linear, using the matrix
   exponential; accurate at any step size that resolves the load.
-* ``"reference"`` — the original per-stage Python RK4, kept as the
-  regression oracle for the vectorized methods.
 
-``"scan"``, ``"matvec"``, and ``"reference"`` produce the same RK4
-discretization and agree to floating-point roundoff; ``"exact"`` differs
+When a propagator's eigenbasis is too ill-conditioned to diagonalise
+reliably, either method applies it step by step as one matrix-vector
+product per step instead (the "matvec" loop).  ``"scan"`` and its loop
+agree to floating-point roundoff with the original per-stage Python RK4
+(the regression oracle in ``tests/oracles/droop.py``); ``"exact"`` differs
 from them only by the RK4 truncation error.
 """
 
@@ -43,7 +41,7 @@ from repro.common.validation import ensure_positive
 from repro.pdn.ladder import LadderStage
 
 #: Integration methods accepted by :class:`DroopSimulator`.
-INTEGRATION_METHODS = ("scan", "matvec", "exact", "reference")
+INTEGRATION_METHODS = ("scan", "exact")
 
 #: Stride (in steps) at which the per-step loops re-check for divergence.
 _DIVERGENCE_CHECK_STRIDE = 256
@@ -382,29 +380,19 @@ class DroopSimulator:
         resolved = self._resolve_method(method)
         steps = self._step_count(duration_s, time_step_s)
         times = np.arange(steps + 1) * time_step_s
-        if resolved == "reference":
-            load_voltages = self._integrate_reference(
-                load_profile, times, time_step_s, initial_current_a
+        load_samples = self._sample(load_profile, times, sampler)
+        if resolved == "exact":
+            states = self._integrate_exact(
+                load_samples, times, time_step_s, initial_current_a
             )
-            load_samples = self._sample(load_profile, times, sampler)
         else:
-            load_samples = self._sample(load_profile, times, sampler)
-            if resolved == "exact":
-                states = self._integrate_exact(
-                    load_samples, times, time_step_s, initial_current_a
-                )
-            else:
-                midpoint_samples = self._sample(
-                    load_profile, times[:-1] + time_step_s / 2.0, sampler
-                )
-                states = self._integrate_rk4(
-                    load_samples,
-                    midpoint_samples,
-                    time_step_s,
-                    initial_current_a,
-                    use_scan=(resolved == "scan"),
-                )
-            load_voltages = self._load_voltages(states, load_samples)
+            midpoint_samples = self._sample(
+                load_profile, times[:-1] + time_step_s / 2.0, sampler
+            )
+            states = self._integrate_rk4(
+                load_samples, midpoint_samples, time_step_s, initial_current_a
+            )
+        load_voltages = self._load_voltages(states, load_samples)
         if not np.all(np.isfinite(load_voltages)):
             raise SimulationError("droop integration diverged; reduce time_step_s")
         final_dc_drop = float(
@@ -475,7 +463,6 @@ class DroopSimulator:
         midpoint_samples: np.ndarray,
         time_step_s: float,
         initial_current_a: float,
-        use_scan: bool,
     ) -> np.ndarray:
         propagator, g0, g1, g2, source_term = self._rk4_matrices(time_step_s)
         drive = (
@@ -485,7 +472,7 @@ class DroopSimulator:
             + source_term
         )
         initial_state = self._settled_state(initial_current_a)
-        return self._propagate(propagator, drive, initial_state, use_scan=use_scan)
+        return self._propagate(propagator, drive, initial_state)
 
     # -- exact piecewise-linear discretization -----------------------------------------
 
@@ -539,23 +526,22 @@ class DroopSimulator:
             + source_term
         )
         initial_state = self._settled_state(initial_current_a)
-        return self._propagate(propagator, drive, initial_state, use_scan=True)
+        return self._propagate(propagator, drive, initial_state)
 
     # -- linear-recurrence propagation -------------------------------------------------
 
     def _propagate(
-        self,
-        propagator: np.ndarray,
-        drive: np.ndarray,
-        initial_state: np.ndarray,
-        use_scan: bool,
+        self, propagator: np.ndarray, drive: np.ndarray, initial_state: np.ndarray
     ) -> np.ndarray:
-        """Solve ``x_(k+1) = M x_k + d_k`` for all steps."""
-        if use_scan:
-            eig = self._eigenbasis(propagator)
-            if eig is not None:
-                return self._propagate_scan(eig, drive, initial_state)
-        return self._propagate_loop(propagator, drive, initial_state)
+        """Solve ``x_(k+1) = M x_k + d_k`` for all steps.
+
+        By prefix scan in the eigenbasis of ``M``, or — when that basis is
+        too ill-conditioned to trust — one matrix-vector product per step.
+        """
+        eig = self._eigenbasis(propagator)
+        if eig is None:
+            return self._propagate_loop(propagator, drive, initial_state)
+        return self._propagate_scan(eig, drive, initial_state)
 
     def _eigenbasis(self, propagator: np.ndarray):
         # Keyed by the matrix content: the RK4 and exact discretizations of
@@ -613,89 +599,3 @@ class DroopSimulator:
                     "droop integration diverged; reduce time_step_s"
                 )
         return states
-
-    # -- reference per-stage RK4 (regression oracle) -----------------------------------
-
-    def _derivative(self, state: np.ndarray, load_current_a: float) -> np.ndarray:
-        stage_count = len(self._stages)
-        currents = state[:stage_count]
-        cap_voltages = state[stage_count:]
-        node_voltages = np.empty(stage_count)
-        cap_currents = np.empty(stage_count)
-        # Capacitor current of stage k is the series current into the node
-        # minus the series current leaving it (or the load at the last node).
-        for index in range(stage_count):
-            downstream = currents[index + 1] if index + 1 < stage_count else load_current_a
-            cap_currents[index] = currents[index] - downstream
-            node_voltages[index] = (
-                cap_voltages[index] + self._stages[index].shunt_esr_ohm * cap_currents[index]
-            )
-        derivative = np.empty_like(state)
-        for index, stage in enumerate(self._stages):
-            upstream_voltage = (
-                self._nominal_voltage_v if index == 0 else node_voltages[index - 1]
-            )
-            derivative[index] = (
-                upstream_voltage
-                - node_voltages[index]
-                - stage.series_resistance_ohm * currents[index]
-            ) / stage.series_inductance_h
-            derivative[stage_count + index] = (
-                cap_currents[index] / stage.shunt_capacitance_f
-            )
-        return derivative
-
-    def _rk4_step(
-        self,
-        state: np.ndarray,
-        time_s: float,
-        time_step_s: float,
-        load_profile: Callable[[float], float],
-    ) -> np.ndarray:
-        half = time_step_s / 2.0
-        k1 = self._derivative(state, load_profile(time_s))
-        k2 = self._derivative(state + half * k1, load_profile(time_s + half))
-        k3 = self._derivative(state + half * k2, load_profile(time_s + half))
-        k4 = self._derivative(state + time_step_s * k3, load_profile(time_s + time_step_s))
-        return state + (time_step_s / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    def _integrate_reference(
-        self,
-        load_profile: Callable[[float], float],
-        times: np.ndarray,
-        time_step_s: float,
-        initial_current_a: float,
-    ) -> np.ndarray:
-        steps = len(times) - 1
-        stage_count = len(self._stages)
-        state = self._settled_state(initial_current_a)
-        load_voltages = np.empty(steps + 1)
-        load_voltages[0] = self._node_voltage(state, load_profile(0.0), stage_count - 1)
-        time_s = 0.0
-        for step in range(1, steps + 1):
-            state = self._rk4_step(state, time_s, time_step_s, load_profile)
-            time_s += time_step_s
-            load_voltages[step] = self._node_voltage(
-                state, load_profile(time_s), stage_count - 1
-            )
-            if step % _DIVERGENCE_CHECK_STRIDE == 0 and not np.all(
-                np.isfinite(state)
-            ):
-                raise SimulationError(
-                    "droop integration diverged; reduce time_step_s"
-                )
-        return load_voltages
-
-    def _node_voltage(
-        self, state: np.ndarray, load_current_a: float, node_index: int
-    ) -> float:
-        stage_count = len(self._stages)
-        currents = state[:stage_count]
-        cap_voltage = state[stage_count + node_index]
-        downstream = (
-            currents[node_index + 1] if node_index + 1 < stage_count else load_current_a
-        )
-        cap_current = currents[node_index] - downstream
-        return float(
-            cap_voltage + self._stages[node_index].shunt_esr_ohm * cap_current
-        )

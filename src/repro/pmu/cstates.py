@@ -261,8 +261,8 @@ class PackageCStateModel:
         """Package power at idle *state* for one or many varied dice.
 
         The knobs may be scalars (one die) or arrays (a population): the
-        same element-wise expressions evaluate either way, so the per-die
-        reference path and the population fast path agree bit for bit.
+        same element-wise expressions evaluate either way, so one die's own
+        build and the population fast path agree bit for bit.
         Only the core-leakage component varies; uncore, VR overhead and the
         platform floor are die-independent, and the summation order mirrors
         :meth:`CStatePowerBreakdown.total_w`.

@@ -576,9 +576,9 @@ def resolve_sustained_bins(
     (``FREQUENCY_GRID`` at the top; an infeasible grid reports bin 0 with
     the first limit it violates, checked Vmax, then power, then Iccmax).
 
-    Shared by the per-die reference path (one row) and the population fast
-    path (one row per die): both feed the same element-wise arithmetic, so
-    the sustained bins agree bit for bit.  Returns ``(bin index, limiting
+    Shared by a single system, varied or not (one row), and the population
+    fast path (one row per die): both feed the same element-wise
+    arithmetic, so the sustained bins agree bit for bit.  Returns ``(bin index, limiting
     code, fixed-point power, fixed-point temperature)``; the latter two are
     per-bin arrays.
     """

@@ -15,7 +15,7 @@ which round-trip through JSON via ``to_dict()`` / ``RunResult.from_dict()``.
   engine: turbo budget, thermal RC, per-step DVFS, package C-states.
 """
 
-from repro.sim.dynamics import BatchedDynamicsSimulator, DynamicsSimulator
+from repro.sim.dynamics import BatchedDynamicsSimulator
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import (
     CpuRunResult,
@@ -33,7 +33,6 @@ __all__ = [
     "BatchedDynamicsSimulator",
     "CpuRunResult",
     "DynamicRunResult",
-    "DynamicsSimulator",
     "EnergyRunResult",
     "GraphicsRunResult",
     "PhaseEnergy",

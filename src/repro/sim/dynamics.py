@@ -1,21 +1,21 @@
 """The closed-loop Pcode dynamics engine.
 
 The steady-state models resolve *operating points*; this module resolves
-*trajectories*.  :class:`DynamicsSimulator` steps a
-:class:`~repro.workloads.dynamics.DynamicScenario` through time, closing the
-loop between four firmware/physics subsystems every step:
+*trajectories*.  :class:`BatchedDynamicsSimulator` steps
+:class:`~repro.workloads.dynamics.DynamicScenario` timelines through time,
+closing the loop between four firmware/physics subsystems every step:
 
 1. **Turbo power budget** — a PL1/PL2 pair with EWMA accounting
-   (:class:`~repro.pmu.turbo.TurboBudgetManager`): the package may burst to
-   PL2 while the moving average of power has headroom below PL1 (the TDP),
-   then the budget squeezes back to the sustained level.
+   (:class:`~repro.pmu.turbo.BatchedTurboBudgetManager`): the package may
+   burst to PL2 while the moving average of power has headroom below PL1
+   (the TDP), then the budget squeezes back to the sustained level.
 2. **Thermal RC model** — the junction temperature follows the exponential
    step response of :class:`~repro.power.thermal.TransientThermalModel`, and
    a thermal throttle caps the next step's power so Tjmax is never crossed.
 3. **DVFS re-resolution** — every step picks the highest 100 MHz bin that
    satisfies Vmax, Iccmax and the *instantaneous* power limit at the
-   *current* junction temperature, via the vectorized
-   :class:`~repro.pmu.dvfs.CandidateTable`.
+   *current* junction temperature, the choice
+   :meth:`~repro.pmu.dvfs.CandidateTable.select` makes.
 4. **Package C-states** — idle gaps enter the state the break-even ladder
    allows for their duration (clamped at the fused deepest state), and the
    idle power both cools the die and re-banks the turbo budget.
@@ -28,6 +28,10 @@ TDP-limited behaviour exactly: a long constant-demand scenario converges to
 the same 100 MHz bin (and thermal fixed point) the steady-state resolver
 reports, while low-TDP configurations show the PL2-burst-then-throttle
 transient on the way there.
+
+Every run steps through one lockstep loop (``_lockstep``) as numpy arrays.
+The per-run Python stepper it is asserted bit-identical with lives in
+``tests/oracles/dynamics.py``.
 """
 
 from __future__ import annotations
@@ -45,12 +49,11 @@ from repro.pmu.dvfs import (
     CandidateTable,
     CpuDemand,
     LimitingFactor,
-    OperatingPoint,
     StackedCandidateTables,
     die_voltage_offsets,
 )
 from repro.pmu.pcode import Pcode
-from repro.pmu.turbo import BatchedTurboBudgetManager, TurboBudgetManager
+from repro.pmu.turbo import BatchedTurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import BatchedThermalModel, TransientThermalModel
 from repro.sim.metrics import DynamicRunResult, encode_cstates
@@ -110,185 +113,48 @@ def _loop_start(
     return limits, thermal, temperature_c, armed
 
 
-class _TraceRecorder:
-    """Accumulates the per-step traces of one run."""
+def resolve_idle_state(pcode: Pcode, phase: DynamicPhase) -> PackageCState:
+    """The package C-state idle *phase* enters on *pcode*.
 
-    def __init__(self) -> None:
-        self.frequencies_hz: List[float] = []
-        self.package_powers_w: List[float] = []
-        self.temperatures_c: List[float] = []
-        self.average_powers_w: List[float] = []
-        self.limiting_codes: List[int] = []
-        self.package_cstates: List[str] = []
-
-    def record(
-        self,
-        frequency_hz: float,
-        package_power_w: float,
-        temperature_c: float,
-        average_power_w: float,
-        limiting: LimitingFactor,
-        cstate: str,
-    ) -> None:
-        self.frequencies_hz.append(frequency_hz)
-        self.package_powers_w.append(package_power_w)
-        self.temperatures_c.append(temperature_c)
-        self.average_powers_w.append(average_power_w)
-        self.limiting_codes.append(LIMITING_FACTOR_CODES[limiting])
-        self.package_cstates.append(cstate)
+    ``"auto"`` picks the deepest state the break-even ladder allows for the
+    phase's duration, ``"deepest"`` the fused deepest state; a named state
+    is clamped to the fused deepest.  Pinning C0 is an error.
+    """
+    deepest = pcode.deepest_package_cstate()
+    name = phase.package_cstate.strip()
+    if name.lower() == AUTO_CSTATE:
+        return cstate_for_idle_duration(phase.duration_s, deepest)
+    if name.lower() == "deepest":
+        return deepest
+    state = PackageCState.from_name(name)
+    if state is PackageCState.C0:
+        raise ConfigurationError(f"idle phase {phase.name!r} cannot pin package C0")
+    return state if state.depth <= deepest.depth else deepest
 
 
-class DynamicsSimulator:
-    """Steps dynamic scenarios through the closed firmware loop.
+class SustainedPointCache:
+    """Sustained (TDP-table) points, each resolved once per (pcode, demand).
 
-    Parameters
-    ----------
-    pcode:
-        The firmware-configured system (provides the DVFS policy, the
-        C-state power model, the TDP, and the thermal design limits).
+    A resolve runs the static thermal fixed-point search (about 1 ms); a
+    sweep asks for the same few points thousands of times.  Systems key by
+    identity (:class:`~repro.pmu.pcode.Pcode` defines no equality).
     """
 
-    def __init__(self, pcode: Pcode) -> None:
-        self._pcode = pcode
-        self._sustained_cache: Dict[CpuDemand, SustainedPoint] = {}
+    def __init__(self) -> None:
+        self._points: Dict[Tuple[Pcode, CpuDemand], SustainedPoint] = {}
 
-    @property
-    def pcode(self) -> Pcode:
-        """The firmware configuration this simulator drives."""
-        return self._pcode
-
-    # -- public API --------------------------------------------------------------------
-
-    def run(self, scenario: DynamicScenario) -> DynamicRunResult:
-        """Simulate *scenario* and return the full trajectory."""
-        limits, thermal, temperature, burst_armed = _loop_start(self._pcode, scenario)
-        turbo = TurboBudgetManager(
-            limits, initial_average_w=scenario.initial_average_power_w
-        )
-        recorder = _TraceRecorder()
-        dt = scenario.time_step_s
-        for phase, steps in zip(scenario.phases, phase_step_counts(scenario)):
-            if phase.is_idle:
-                stepper = self._idle_stepper(phase)
-            else:
-                stepper = self._active_stepper(phase, limits, thermal, turbo)
-            for _ in range(steps):
-                frequency, power, limiting, cstate, exhausted = stepper(
-                    temperature, burst_armed, dt
-                )
-                average = turbo.account(power, dt)
-                temperature = thermal.step(temperature, power, dt)
-                if exhausted:
-                    burst_armed = False
-                elif average <= limits.pl1_w * scenario.rebank_fraction:
-                    burst_armed = True
-                recorder.record(
-                    frequency, power, temperature, average, limiting, cstate
-                )
-        cstate_codes, cstate_names = encode_cstates(recorder.package_cstates)
-        return DynamicRunResult(
-            scenario_name=scenario.name,
-            time_step_s=dt,
-            pl1_w=limits.pl1_w,
-            pl2_w=limits.pl2_w,
-            frequencies_hz=recorder.frequencies_hz,
-            package_powers_w=recorder.package_powers_w,
-            temperatures_c=recorder.temperatures_c,
-            average_powers_w=recorder.average_powers_w,
-            limiting_codes=recorder.limiting_codes,
-            cstate_codes=cstate_codes,
-            cstate_names=cstate_names,
-        )
-
-    # -- per-phase steppers ------------------------------------------------------------
-
-    def _idle_stepper(self, phase: DynamicPhase):
-        state = self._resolve_idle_state(phase)
-        power = self._pcode.cstate_model.power_w(state)
-
-        def step(
-            temperature: float, burst_armed: bool, dt: float
-        ) -> Tuple[float, float, LimitingFactor, str, bool]:
-            return 0.0, power, LimitingFactor.NONE, state.value, False
-
-        return step
-
-    def _active_stepper(
-        self,
-        phase: DynamicPhase,
-        limits: TurboLimits,
-        thermal: TransientThermalModel,
-        turbo: TurboBudgetManager,
-    ):
-        demand = phase.demand()
-        table = self._pcode.dvfs_policy.candidate_table(demand)
-        sustained = self._sustained_point(demand, table)
-
-        def step(
-            temperature: float, burst_armed: bool, dt: float
-        ) -> Tuple[float, float, LimitingFactor, str, bool]:
-            thermal_cap = thermal.max_power_keeping_tjmax_w(temperature, dt)
-            powers = table.package_power_w(temperature)
-            exhausted = False
-            if burst_armed:
-                budget = turbo.power_budget_w(dt)  # already PL2-clamped
-                index, limiting = table.select(
-                    min(budget, thermal_cap), temperature, package_power_w=powers
-                )
-                if limiting is LimitingFactor.TDP and thermal_cap < budget:
-                    limiting = LimitingFactor.THERMAL
-                # The power-limited search (EWMA budget or thermal throttle)
-                # decaying onto or below the sustained bin means the turbo
-                # bank is spent: latch the sustained (TDP-table) point until
-                # an idle gap re-banks budget.
-                if (
-                    limiting in (LimitingFactor.TDP, LimitingFactor.THERMAL)
-                    and index <= sustained.bin_index
-                ):
-                    exhausted = True
-            else:
-                # Bank exhausted: burst bins are off the table; the ceiling
-                # is the sustained (TDP-table) bin, still subject to the
-                # instantaneous PL2/thermal envelope.
-                index, limiting = table.select(
-                    min(limits.pl2_w, thermal_cap), temperature, package_power_w=powers
-                )
-                if limiting is LimitingFactor.TDP and thermal_cap < limits.pl2_w:
-                    limiting = LimitingFactor.THERMAL
-                if index >= sustained.bin_index:
-                    index, limiting = sustained.bin_index, sustained.limiting
-            power = float(powers[index])
-            return float(table.frequencies_hz[index]), power, limiting, "C0", exhausted
-
-        return step
-
-    # -- helpers -----------------------------------------------------------------------
-
-    def _resolve_idle_state(self, phase: DynamicPhase) -> PackageCState:
-        deepest = self._pcode.deepest_package_cstate()
-        name = phase.package_cstate.strip()
-        if name.lower() == AUTO_CSTATE:
-            return cstate_for_idle_duration(phase.duration_s, deepest)
-        if name.lower() == "deepest":
-            return deepest
-        state = PackageCState.from_name(name)
-        if state is PackageCState.C0:
-            raise ConfigurationError(
-                f"idle phase {phase.name!r} cannot pin package C0"
-            )
-        return state if state.depth <= deepest.depth else deepest
-
-    def _sustained_point(
-        self, demand: CpuDemand, table: CandidateTable
+    def get(
+        self, pcode: Pcode, demand: CpuDemand, table: CandidateTable
     ) -> SustainedPoint:
-        cached = self._sustained_cache.get(demand)
-        if cached is None:
-            cached = sustained_table_point(self._pcode, demand, table)
-            self._sustained_cache[demand] = cached
-        return cached
+        """*pcode*'s sustained point for *demand*; *table* is its candidate table."""
+        key = (pcode, demand)
+        point = self._points.get(key)
+        if point is None:
+            point = self._points[key] = sustained_table_point(pcode, demand, table)
+        return point
 
 
-# -- the batched (lockstep) fast path --------------------------------------------------
+# -- the lockstep loop -----------------------------------------------------------------
 
 
 #: Trace code of the active package state.
@@ -534,8 +400,8 @@ def _lockstep(
     """Advance every run through *segments*; the step-major traces.
 
     The one lockstep step behind :meth:`BatchedDynamicsSimulator.run_batch`
-    and :meth:`BatchedDynamicsSimulator.run_population`, replicating
-    :meth:`DynamicsSimulator.run` expression for expression for every run.
+    and :meth:`BatchedDynamicsSimulator.run_population`, replicating the
+    per-run stepper expression for expression for every run.
     Each segment is dropped before the next is pulled, so a generator that
     builds segments on demand (``run_batch``'s) keeps one
     :class:`_ActiveSegment` alive at a time.
@@ -596,8 +462,7 @@ class PopulationRunTraces:
     shared by every die (idle-state selection depends only on the timeline
     and the fuses).  :mod:`repro.variation.population` condenses these into
     percentile traces and per-die summary metrics; keeping the matrices
-    raw here lets tests assert bit-identity against the per-die reference
-    path.
+    raw here lets tests assert bit-identity against per-die stepping.
     """
 
     scenario_name: str
@@ -668,11 +533,11 @@ class _RunPlan:
 class BatchedDynamicsSimulator:
     """Steps an entire sweep grid of dynamic runs in lockstep.
 
-    The per-run :class:`DynamicsSimulator` re-enters the Python interpreter
-    every step of every run, which makes ``Study.over_dynamics`` sweeps
-    (specs x scenarios x TDP levels) scale with the interpreter rather than
-    the hardware.  This simulator instead advances all N runs of a grid at
-    once as numpy arrays: every run's candidate table is stacked into one
+    A per-run stepper re-enters the Python interpreter every step of every
+    run, which makes ``Study.over_dynamics`` sweeps (specs x scenarios x
+    TDP levels) scale with the interpreter rather than the hardware.  This
+    simulator instead advances all N runs of a grid at once as numpy
+    arrays: every run's candidate table is stacked into one
     :class:`~repro.pmu.dvfs.StackedCandidateTables` and a per-segment
     windowed bin search (``_ActiveSegment``) resolves every run's DVFS bin
     per step, a :class:`~repro.pmu.turbo.BatchedTurboBudgetManager` carries
@@ -688,23 +553,14 @@ class BatchedDynamicsSimulator:
     The arithmetic replicates the per-run stepper operation for operation,
     so the trajectories are bit-identical: the same frequency-bin,
     limiting-factor and C-state traces and the same float traces, which
-    the equivalence suites assert as exact dataclass equality.  The
-    per-run engine stays available as ``method="reference"`` on
-    :meth:`~repro.sim.engine.SimulationEngine.run_dynamic_scenario`.
+    the equivalence suites assert as exact dataclass equality against the
+    per-run oracle in ``tests/oracles/dynamics.py``.
     """
 
     def __init__(self) -> None:
-        # Keyed by Pcode identity: keeps each system's sustained-point and
-        # candidate-table caches warm across batches.
-        self._simulators: Dict[Pcode, DynamicsSimulator] = {}
-
-    def simulator(self, pcode: Pcode) -> DynamicsSimulator:
-        """The per-run (reference) simulator backing *pcode*'s precompute."""
-        simulator = self._simulators.get(pcode)
-        if simulator is None:
-            simulator = DynamicsSimulator(pcode)
-            self._simulators[pcode] = simulator
-        return simulator
+        #: Sustained points of every batch this simulator steps, so a
+        #: sweep resolves each (system, demand) once.
+        self.sustained_points = SustainedPointCache()
 
     # -- public API --------------------------------------------------------------------
 
@@ -714,8 +570,8 @@ class BatchedDynamicsSimulator:
         """Simulate every (system, scenario) run in lockstep.
 
         Returns one :class:`~repro.sim.metrics.DynamicRunResult` per run, in
-        input order — each equal to what ``DynamicsSimulator(pcode).run(
-        scenario)`` produces for that pair.
+        input order — each equal to what the per-run stepper produces for
+        that pair.
         """
         if not runs:
             return []
@@ -740,14 +596,13 @@ class BatchedDynamicsSimulator:
         tables: List[CandidateTable],
         table_slots: Dict[int, int],
     ) -> _RunPlan:
-        simulator = self.simulator(pcode)
         limits, thermal, temperature_c, armed = _loop_start(pcode, scenario)
         # One row per phase: (table slot, active, sustained bin and code,
         # idle power, package C-state).
         phases: List[Tuple[int, bool, int, int, float, str]] = []
         for phase in scenario.phases:
             if phase.is_idle:
-                state = simulator._resolve_idle_state(phase)
+                state = resolve_idle_state(pcode, phase)
                 idle_power_w = pcode.cstate_model.power_w(state)
                 phases.append((0, False, 0, _CODE_NONE, idle_power_w, state.value))
                 continue
@@ -757,12 +612,12 @@ class BatchedDynamicsSimulator:
             if slot is None:
                 slot = table_slots[id(table)] = len(tables)
                 tables.append(table)
-            sustained = simulator._sustained_point(demand, table)
+            sustained = self.sustained_points.get(pcode, demand, table)
             code = LIMITING_FACTOR_CODES[sustained.limiting]
             phases.append((slot, True, sustained.bin_index, code, 0.0, _C0_NAME))
         slots, active, bins, codes, idle_w, cstates = zip(*phases)
         # Every phase has at least one step, so the per-phase vocabulary is
-        # the per-step one the reference stepper builds.
+        # the per-step one the per-run stepper builds.
         cstate_codes, cstate_names = encode_cstates(cstates)
         return _RunPlan(
             scenario=scenario,
@@ -885,7 +740,7 @@ class BatchedDynamicsSimulator:
         idle power through the C-state model's varied arithmetic — with no
         per-die Python objects.  Every expression matches what one die's
         ``SystemSpec.variant(die_variation=...)`` build computes, so the
-        fast path reproduces the per-die reference path bit for bit.  The
+        fast path reproduces stepping each die's own build bit for bit.  The
         dice step through the same lockstep loop as :meth:`run_batch`, one
         segment per phase (phases sharing a demand share an
         ``_ActiveSegment``), and the traces keep
@@ -939,7 +794,6 @@ class BatchedDynamicsSimulator:
             processor.die.cores[0].power_gate.on_resistance_ohm,
             pcode.bypass_mode,
         )
-        simulator = self.simulator(pcode)
         run_axis = np.arange(count)
         all_active = np.ones(count, dtype=bool)
         zeros = np.zeros(count)
@@ -949,7 +803,7 @@ class BatchedDynamicsSimulator:
         counts = phase_step_counts(scenario)
         for phase, steps in zip(scenario.phases, counts):
             if phase.is_idle:
-                state = simulator._resolve_idle_state(phase)
+                state = resolve_idle_state(pcode, phase)
                 idle_power = np.asarray(
                     pcode.cstate_model.varied_power_w(
                         state,

@@ -70,7 +70,7 @@ class SimulationEngine:
     def __init__(self, pcode: Pcode) -> None:
         self._pcode = pcode
         self._droop_simulators: Dict[float, DroopSimulator] = {}
-        self._batched_dynamics: Optional[BatchedDynamicsSimulator] = None
+        self._dynamics = BatchedDynamicsSimulator()
 
     @property
     def pcode(self) -> Pcode:
@@ -182,30 +182,18 @@ class SimulationEngine:
 
     # -- dynamic (time-stepped) scenarios --------------------------------------------------
 
-    def run_dynamic_scenario(
-        self, scenario: DynamicScenario, method: str = "batched"
-    ) -> DynamicRunResult:
+    def run_dynamic_scenario(self, scenario: DynamicScenario) -> DynamicRunResult:
         """Step a dynamic scenario through the closed Pcode loop.
 
         The loop couples the PL1/PL2 turbo budget, the lumped thermal RC
         model, per-step DVFS re-resolution and package C-state entry; see
-        :mod:`repro.sim.dynamics`.  ``method="batched"`` (the default)
-        resolves the trajectory through the vectorized lockstep engine (a
-        batch of one); ``method="reference"`` steps the retained per-run
-        Python loop, which the batched path is asserted bit-compatible
-        with.  The simulator is shared across runs so per-demand candidate
-        tables and sustained points are built once per engine.
+        :mod:`repro.sim.dynamics`.  The trajectory is resolved by the
+        lockstep engine as a batch of one.  The simulator is shared across
+        runs so per-demand candidate tables and sustained points are built
+        once per engine.
         """
-        if self._batched_dynamics is None:
-            self._batched_dynamics = BatchedDynamicsSimulator()
-        if method == "batched":
-            (result,) = self._batched_dynamics.run_batch([(self._pcode, scenario)])
-            return result
-        if method == "reference":
-            return self._batched_dynamics.simulator(self._pcode).run(scenario)
-        raise ConfigurationError(
-            f"unknown dynamics method {method!r}; expected 'batched' or 'reference'"
-        )
+        (result,) = self._dynamics.run_batch([(self._pcode, scenario)])
+        return result
 
     def run_population(
         self,
@@ -224,9 +212,7 @@ class SimulationEngine:
         merged bounded-memory
         :class:`~repro.variation.streaming.StreamingCellShard`.
         """
-        if self._batched_dynamics is None:
-            self._batched_dynamics = BatchedDynamicsSimulator()
-        return self._batched_dynamics.run_population(
+        return self._dynamics.run_population(
             self._pcode, scenario, population, shard_size=shard_size
         )
 

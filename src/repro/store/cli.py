@@ -90,6 +90,31 @@ def _format_metric(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
+def _sweep_kwargs(args: argparse.Namespace, cache: StoreCache) -> Dict[str, Any]:
+    """The sweep keywords every ``run``/``optimize`` study takes from *args*.
+
+    ``--executor`` and ``--max-workers`` pass through only when given, so
+    each study keeps its own default executor.
+    """
+    kwargs: Dict[str, Any] = {"cache": cache, "seed": args.seed, "name": args.name}
+    if args.executor is not None:
+        kwargs["executor"] = args.executor
+    if args.max_workers is not None:
+        kwargs["max_workers"] = args.max_workers
+    return kwargs
+
+
+def _report_tasks(store: RunStore, executed: int, total: int) -> int:
+    """Print the executed/served footer, re-index *store*; the exit code."""
+    print(
+        f"{executed} task(s) executed, "
+        f"{total - executed} served from the store ({store.root})"
+    )
+    indexed = RunIndex(store).rebuild()
+    print(f"index: {indexed} run(s)")
+    return 0
+
+
 # -- subcommand handlers ---------------------------------------------------------------
 
 
@@ -116,15 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"(steady-state workloads); scenarios: {sorted(scenario_names())}, "
             f"suites: {sorted(SUITE_BUILDERS)}"
         )
-    kwargs: Dict[str, Any] = {
-        "cache": cache,
-        "seed": args.seed,
-        "name": args.name,
-    }
-    if args.executor is not None:
-        kwargs["executor"] = args.executor
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
+    kwargs = _sweep_kwargs(args, cache)
     if args.scenario:
         options = _scenario_options(args.opt)
         scenarios = [build_scenario(name, **options) for name in args.scenario]
@@ -144,14 +161,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             study = Study(args.spec, suites, **kwargs)
     result = study.run()
     print(result.as_table())
-    served = len(study) - study.tasks_executed
-    print(
-        f"{study.tasks_executed} task(s) executed, "
-        f"{served} served from the store ({store.root})"
-    )
-    indexed = RunIndex(store).rebuild()
-    print(f"index: {indexed} run(s)")
-    return 0
+    return _report_tasks(store, study.tasks_executed, len(study))
 
 
 def _cmd_run_fleet(
@@ -175,15 +185,7 @@ def _cmd_run_fleet(
         raise ConfigurationError(
             "--profile sweeps nominal specs; drop --population/--shard-size"
         )
-    kwargs: Dict[str, Any] = {
-        "cache": cache,
-        "seed": args.seed,
-        "name": args.name,
-    }
-    if args.executor is not None:
-        kwargs["executor"] = args.executor
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
+    kwargs = _sweep_kwargs(args, cache)
     study = Study.over_fleet(
         args.spec,
         args.profile,
@@ -201,14 +203,7 @@ def _cmd_run_fleet(
             )
         )
     )
-    served = study.tasks_total - study.tasks_executed
-    print(
-        f"{study.tasks_executed} task(s) executed, "
-        f"{served} served from the store ({store.root})"
-    )
-    indexed = RunIndex(store).rebuild()
-    print(f"index: {indexed} run(s)")
-    return 0
+    return _report_tasks(store, study.tasks_executed, study.tasks_total)
 
 
 def _cmd_run_population(
@@ -235,19 +230,11 @@ def _cmd_run_population(
         )
     options = _scenario_options(args.opt)
     scenarios = [build_scenario(name, **options) for name in args.scenario]
-    kwargs: Dict[str, Any] = {
-        "tdp_levels_w": args.tdp or None,
-        "cache": cache,
-        "seed": args.seed,
-        "name": args.name,
-    }
+    kwargs = _sweep_kwargs(args, cache)
+    kwargs["tdp_levels_w"] = args.tdp or None
     if args.shard_size is not None:
         kwargs["method"] = "streaming"
         kwargs["shard_size"] = args.shard_size
-    if args.executor is not None:
-        kwargs["executor"] = args.executor
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
     study = Study.over_population(
         args.spec, scenarios, skylake_process_variation(), args.population,
         **kwargs,
@@ -287,14 +274,7 @@ def _cmd_run_population(
             for name, fraction in sorted(binning.yield_fractions.items())
         )
         print(f"yields[{binning.spec_name}]: {yields}")
-    served = study.tasks_total - study.tasks_executed
-    print(
-        f"{study.tasks_executed} task(s) executed, "
-        f"{served} served from the store ({store.root})"
-    )
-    indexed = RunIndex(store).rebuild()
-    print(f"index: {indexed} run(s)")
-    return 0
+    return _report_tasks(store, study.tasks_executed, study.tasks_total)
 
 
 def _parse_grid(text: str, what: str) -> List[float]:
@@ -345,15 +325,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
     store = RunStore(args.store)
     cache = StoreCache(store=store, seed=args.seed)
-    kwargs: Dict[str, Any] = {
-        "cache": cache,
-        "seed": args.seed,
-        "name": args.name,
-    }
-    if args.executor is not None:
-        kwargs["executor"] = args.executor
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
+    kwargs = _sweep_kwargs(args, cache)
     if (args.target_ghz is None) == (args.population is None):
         raise ConfigurationError(
             "pick exactly one query: --target-ghz F (min TDP sustaining F "
@@ -448,14 +420,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             )
     result = study.run()
     print(result.as_table())
-    served = study.tasks_total - study.tasks_executed
-    print(
-        f"{study.tasks_executed} task(s) executed, "
-        f"{served} served from the store ({store.root})"
-    )
-    indexed = RunIndex(store).rebuild()
-    print(f"index: {indexed} run(s)")
-    return 0
+    return _report_tasks(store, study.tasks_executed, study.tasks_total)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:

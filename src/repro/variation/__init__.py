@@ -12,8 +12,8 @@ turns the repo's single-die models into population-scale studies:
   :class:`VariationModel`.
 * :mod:`repro.variation.sampler` — :class:`DiePopulationSampler` draws N
   dice as numpy arrays from a seeded :class:`numpy.random.Generator` and
-  materialises them either as N ``SystemSpec.variant()``s (the per-die
-  reference path) or as stacked parameter arrays injected straight into the
+  materialises them either as N ``SystemSpec.variant()``s (one system per
+  die) or as stacked parameter arrays injected straight into the
   batched dynamics engine (the fast path — no per-die Python objects).
 * :mod:`repro.variation.binning` — SKU binning rules (frequency / leakage /
   Vmin cutoffs mapped onto the parts of :mod:`repro.soc.skus`) producing

@@ -8,19 +8,17 @@ scenarios with a seeded die population and executes the grid through the
   the whole population in lockstep through
   :meth:`~repro.sim.engine.SimulationEngine.run_population` (stacked
   parameter arrays, no per-die Python objects);
-* ``method="reference"`` — each grid cell expands to one task **per die**,
-  every die a full ``SystemSpec.variant(die_variation=...)`` build stepped
-  through the ordinary engine.
 * ``method="streaming"`` — each grid cell expands to one task per
   fixed-size **die shard** (``shard_size`` dice each); shards sample their
   own die range deterministically, condense into the bounded accumulators
   of :mod:`repro.variation.streaming`, and merge associatively — peak
   memory is O(shard), never O(population), so million-die studies fit.
 
-Fast and reference produce identical numbers (the fast path is
-bit-compatible with per-die stepping); streaming matches them exactly on
-every discrete statistic (frequency percentile traces, limiting factors,
-bin yields) and within a documented one-histogram-bin bound on continuous
+The fast path is bit-identical to stepping every die as its own
+``SystemSpec.variant(die_variation=...)`` build (the per-die oracle in
+``tests/oracles/population.py``); streaming matches it exactly on every
+discrete statistic (frequency percentile traces, limiting factors, bin
+yields) and within a documented one-histogram-bin bound on continuous
 ones.  The population benchmark and the equivalence tests assert all of
 this.  Results condense into a :class:`PopulationResult`: percentile
 traces, summary metrics, limiting-factor histograms, SKU-bin yields — all
@@ -55,8 +53,6 @@ from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.pmu.dvfs import LimitingFactor
-from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import DynamicRunResult
 from repro.variation.binning import (
     SCRAP_BIN,
     BinningPolicy,
@@ -119,15 +115,6 @@ def _run_fast_cell(
     )
 
 
-def _run_reference_die(spec: SystemSpec, scenario: DynamicScenario) -> DynamicRunResult:
-    """One reference-path task: one sampled die through the ordinary engine.
-
-    Engines are built fresh (not through the shared ``build_engine`` cache):
-    every die is a distinct system, so caching would only hoard memory.
-    """
-    return SimulationEngine(spec.build()).run(scenario)
-
-
 # -- result condensation ---------------------------------------------------------------
 
 
@@ -146,10 +133,10 @@ def _cell_from_matrices(
 ) -> "PopulationCellResult":
     """Condense ``(steps, dice)`` trace matrices into one cell result.
 
-    Shared verbatim by the fast and reference paths — both hand identical
-    matrices here, so the condensed cells compare equal.  Matrices are
-    forced C-contiguous first: numpy's pairwise reductions depend on the
-    memory layout, and the reference path arrives transposed.
+    Shared verbatim by the fast path and the per-die oracle — both hand
+    identical matrices here, so the condensed cells compare equal.
+    Matrices are forced C-contiguous first: numpy's pairwise reductions
+    depend on the memory layout, and the oracle's arrive transposed.
     """
     frequencies_hz = np.ascontiguousarray(frequencies_hz)
     package_powers_w = np.ascontiguousarray(package_powers_w)
@@ -195,28 +182,6 @@ def _cell_from_matrices(
         peak_temperature_c=tuple(temperatures_c.max(axis=0).tolist()),
         final_limiting=final_limiting,
         package_cstates=cstate_names,
-    )
-
-
-def _cell_from_run_results(
-    spec: SystemSpec,
-    scenario: DynamicScenario,
-    results: Sequence[DynamicRunResult],
-) -> "PopulationCellResult":
-    """Condense per-die reference results into the same cell shape."""
-    first = results[0]
-    return _cell_from_matrices(
-        spec=spec,
-        scenario_name=scenario.name,
-        time_step_s=first.time_step_s,
-        pl1_w=first.pl1_w,
-        pl2_w=first.pl2_w,
-        times_s=first.times_s,
-        frequencies_hz=np.array([r.frequencies_hz for r in results]).T,
-        package_powers_w=np.array([r.package_powers_w for r in results]).T,
-        temperatures_c=np.array([r.temperatures_c for r in results]).T,
-        limiting_names=np.array([r.limiting_factors for r in results]).T,
-        cstate_names=tuple(first.package_cstates),
     )
 
 
@@ -397,23 +362,22 @@ class PopulationStudy:
         Optional TDP sweep; every spec expands to one variant per level.
     seed:
         RNG seed; recorded in the result so the run can be replayed.
-        ``None`` draws one fresh seed up front — every grid cell, the
-        binning pass and the reference path still share that one draw (the
-        population must be the *same* dice everywhere), and the drawn seed
-        is recorded like an explicit one.
+        ``None`` pins :data:`UNSEEDED_DEFAULT_SEED` (``0x5EED``), not OS
+        entropy, so every grid cell and the binning pass see the *same*
+        dice and the run replays like a seeded one.
     binning:
         SKU binning policy; defaults to
         :func:`~repro.variation.binning.skylake_binning_policy`.
     method:
-        ``"fast"`` (lockstep population per cell, default),
-        ``"reference"`` (one engine task per die), or ``"streaming"``
-        (one bounded-memory task per die shard; needs *shard_size*).
+        ``"fast"`` (lockstep population per cell, default) or
+        ``"streaming"`` (one bounded-memory task per die shard; needs
+        *shard_size*).
     shard_size:
         Dice per shard for ``method="streaming"``.  Validated up front:
         shard-infeasible configurations (``shard_size < 1``,
         ``shard_size > count``, empty populations) raise
         :class:`~repro.common.errors.ConfigurationError` with actionable
-        messages.  Forbidden for the in-memory methods.
+        messages.  Forbidden for ``method="fast"``.
     executor:
         Study executor the tasks run through (``"serial"``, ``"process"``,
         or an executor object).
@@ -428,7 +392,7 @@ class PopulationStudy:
         Study name used in reports.
     """
 
-    METHODS = ("fast", "reference", "streaming")
+    METHODS = ("fast", "streaming")
 
     def __init__(
         self,
@@ -551,12 +515,12 @@ class PopulationStudy:
 
     @property
     def method(self) -> str:
-        """Execution method (``"fast"``, ``"reference"`` or ``"streaming"``)."""
+        """Execution method (``"fast"`` or ``"streaming"``)."""
         return self._method
 
     @property
     def shard_size(self) -> Optional[int]:
-        """Dice per shard (``None`` for the in-memory methods)."""
+        """Dice per shard (``None`` for ``method="fast"``)."""
         return self._shard_size
 
     @property
@@ -587,48 +551,27 @@ class PopulationStudy:
         if self._method == "streaming":
             return self._run_streaming()
         population = self.sample()
-        tasks: List[CallableTask] = []
-        if self._method == "fast":
-            for spec in self._cell_specs:
-                for scenario in self._scenarios:
-                    tasks.append(
-                        CallableTask(
-                            key=f"{spec.label}/{scenario.name}",
-                            fn=_run_fast_cell,
-                            args=(
-                                spec, scenario, self._variations, self._count,
-                                self._seed,
-                            ),
-                        )
-                    )
-        else:
-            die_specs = {
-                spec: population.specs(spec) for spec in self._cell_specs
-            }
-            for spec in self._cell_specs:
-                for scenario in self._scenarios:
-                    for index, die_spec in enumerate(die_specs[spec]):
-                        tasks.append(
-                            CallableTask(
-                                key=f"{spec.label}/{scenario.name}/die{index}",
-                                fn=_run_reference_die,
-                                args=(die_spec, scenario),
-                            )
-                        )
+        tasks = [
+            CallableTask(
+                key=f"{spec.label}/{scenario.name}",
+                fn=_run_fast_cell,
+                args=(spec, scenario, self._variations, self._count, self._seed),
+            )
+            for spec in self._cell_specs
+            for scenario in self._scenarios
+        ]
         grid = self._run_grid(tasks)
-        cells: List[Union[PopulationCellResult, StreamingCellResult]] = []
-        for spec in self._cell_specs:
-            for scenario in self._scenarios:
-                if self._method == "fast":
-                    cells.append(grid.task(f"{spec.label}/{scenario.name}"))
-                else:
-                    results = [
-                        grid.task(f"{spec.label}/{scenario.name}/die{index}")
-                        for index in range(self._count)
-                    ]
-                    cells.append(
-                        _cell_from_run_results(spec, scenario, results)
-                    )
+        cells = [
+            grid.task(f"{spec.label}/{scenario.name}")
+            for spec in self._cell_specs
+            for scenario in self._scenarios
+        ]
+        return self._in_memory_result(cells, population)
+
+    def _in_memory_result(
+        self, cells: Sequence[PopulationCellResult], population: DiePopulation
+    ) -> PopulationResult:
+        """*cells* plus every base spec's binning of *population*."""
         binning = tuple(
             self._bin_population(spec, population) for spec in self._base_specs
         )

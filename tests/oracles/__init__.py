@@ -1,0 +1,11 @@
+"""Reference implementations the fast paths are checked against.
+
+Each oracle is the slow, obviously-correct path a fast path replaced:
+
+* :mod:`oracles.dynamics` — the per-run closed-loop stepper;
+* :mod:`oracles.population` — per-die population stepping;
+* :mod:`oracles.droop` — the per-stage RK4 droop integrator.
+
+The equivalence tests and the speed harnesses in ``benchmarks/`` import
+them from here; the library itself never does.
+"""

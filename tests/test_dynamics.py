@@ -15,7 +15,6 @@ from repro.pmu.dvfs import CpuDemand, LimitingFactor
 from repro.pmu.turbo import TurboBudgetManager
 from repro.power.budget import EwmaPowerMeter, TurboLimits
 from repro.power.thermal import ThermalLimits, ThermalModel, TransientThermalModel
-from repro.sim.dynamics import DynamicsSimulator
 from repro.sim.metrics import DynamicRunResult, RunResult
 from repro.analysis.study import Study
 from repro.workloads.dynamics import (
@@ -26,6 +25,8 @@ from repro.workloads.dynamics import (
     sustained_scenario,
 )
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
+
+from oracles.dynamics import DynamicsSimulator
 
 #: Fast-converging run configuration shared by the closed-loop tests: a small
 #: thermal capacitance keeps the thermal time constant a few seconds, so a

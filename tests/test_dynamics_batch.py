@@ -1,7 +1,8 @@
 """Batched-vs-reference equivalence of the closed-loop dynamics engine.
 
 The batched lockstep fast path (:class:`BatchedDynamicsSimulator`) must be
-bit-compatible with the retained per-run stepper: identical frequency-bin,
+bit-compatible with the per-run oracle stepper (``oracles.dynamics``):
+identical frequency-bin,
 limiting-factor and package C-state traces, and bit-identical float traces
 (every equivalence check ends on full dataclass equality).  The suite
 covers the deterministic acceptance grids, heterogeneous and padded
@@ -28,11 +29,8 @@ from repro.pmu.dvfs import (
     LimitingFactor,
     StackedCandidateTables,
 )
-from repro.sim.dynamics import (
-    BatchedDynamicsSimulator,
-    DynamicsSimulator,
-    _ActiveSegment,
-)
+from repro.sim import dynamics
+from repro.sim.dynamics import BatchedDynamicsSimulator, _ActiveSegment
 from repro.workloads.dynamics import (
     DynamicPhase,
     DynamicScenario,
@@ -41,6 +39,8 @@ from repro.workloads.dynamics import (
     sustained_scenario,
 )
 from repro.workloads.spec import spec_cpu2006_base_suite
+
+from oracles.dynamics import DynamicsSimulator
 
 SCENARIOS = (
     sustained_scenario(duration_s=12.0, time_step_s=0.1),
@@ -54,6 +54,11 @@ SCENARIOS = (
         sprint_s=4.0, rest_s=2.0, cycles=2, active_cores=2, time_step_s=0.1
     ),
 )
+
+
+def _reference(simulator, pcode, scenario):
+    """The oracle's run, reading sustained points through *simulator*'s cache."""
+    return DynamicsSimulator(pcode, simulator.sustained_points).run(scenario)
 
 
 def _assert_equivalent(reference, batched):
@@ -86,7 +91,7 @@ def test_batched_matches_reference_on_tdp_sweep(darkgates_pcode, baseline_pcode)
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        _assert_equivalent(simulator.simulator(pcode).run(scenario), result)
+        _assert_equivalent(_reference(simulator, pcode, scenario), result)
 
 
 def test_batched_handles_heterogeneous_runs(darkgates_pcode, baseline_pcode):
@@ -117,7 +122,7 @@ def test_batched_handles_heterogeneous_runs(darkgates_pcode, baseline_pcode):
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        _assert_equivalent(simulator.simulator(pcode).run(scenario), result)
+        _assert_equivalent(_reference(simulator, pcode, scenario), result)
 
 
 def test_batched_all_idle_batch(baseline_pcode):
@@ -128,7 +133,7 @@ def test_batched_all_idle_batch(baseline_pcode):
     )
     simulator = BatchedDynamicsSimulator()
     (batched,) = simulator.run_batch([(baseline_pcode(35.0), scenario)])
-    _assert_equivalent(simulator.simulator(baseline_pcode(35.0)).run(scenario), batched)
+    _assert_equivalent(_reference(simulator, baseline_pcode(35.0), scenario), batched)
     assert set(batched.frequencies_hz) == {0.0}
 
 
@@ -143,14 +148,66 @@ def test_engine_dispatches_to_batched_by_default():
     engine = build_engine(get_spec("baseline").variant(tdp_w=35.0))
     scenario = SCENARIOS[1]
     default = engine.run(scenario)
-    reference = engine.run_dynamic_scenario(scenario, method="reference")
+    reference = DynamicsSimulator(engine.pcode).run(scenario)
     _assert_equivalent(reference, default)
 
 
 def test_engine_rejects_unknown_dynamics_method():
+    """The engine has one dynamics path: no method switch, not even the old ones."""
     engine = build_engine(get_spec("baseline").variant(tdp_w=35.0))
-    with pytest.raises(ConfigurationError, match="unknown dynamics method"):
-        engine.run_dynamic_scenario(SCENARIOS[0], method="vectorised")
+    for method in ("vectorised", "batched", "reference"):
+        with pytest.raises(TypeError, match="method"):
+            engine.run_dynamic_scenario(SCENARIOS[0], method=method)
+
+
+# -- sustained-point cache -------------------------------------------------------------
+
+
+def test_sustained_points_resolve_once_per_system_and_demand(
+    monkeypatch, darkgates_pcode, baseline_pcode
+):
+    """A batch resolves each (pcode, demand) once; repeat batches resolve none.
+
+    The grid repeats demands within runs (sprint cycles), across runs
+    (one scenario on both systems' demands) and across batches, so a cache
+    dropped, kept per run or kept per batch each resolves more often.
+    The oracle reads through the same cache and resolves nothing either.
+    """
+    resolves = []
+    resolve = dynamics.sustained_table_point
+
+    def counting(pcode, demand, table=None):
+        resolves.append((pcode, demand))
+        return resolve(pcode, demand, table)
+
+    monkeypatch.setattr(dynamics, "sustained_table_point", counting)
+    pairs = [
+        (pcode, scenario)
+        for pcode in (darkgates_pcode(35.0), baseline_pcode(91.0))
+        for scenario in SCENARIOS
+    ]
+    active = [
+        (pcode, phase.demand())
+        for pcode, scenario in pairs
+        for phase in scenario.phases
+        if not phase.is_idle
+    ]
+    distinct = set(active)
+    per_run = {
+        (run, pcode, phase.demand())
+        for run, (pcode, scenario) in enumerate(pairs)
+        for phase in scenario.phases
+        if not phase.is_idle
+    }
+    assert len(active) > len(per_run) > len(distinct)
+
+    simulator = BatchedDynamicsSimulator()
+    simulator.run_batch(pairs)
+    assert sorted(map(repr, resolves)) == sorted(map(repr, distinct))
+    simulator.run_batch(pairs)
+    for pcode, scenario in pairs:
+        _reference(simulator, pcode, scenario)
+    assert len(resolves) == len(distinct)
 
 
 # -- Study wiring ----------------------------------------------------------------------
@@ -404,7 +461,7 @@ def test_batched_matches_reference_with_padded_tables():
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        _assert_equivalent(simulator.simulator(pcode).run(scenario), result)
+        _assert_equivalent(_reference(simulator, pcode, scenario), result)
 
 
 def test_stacked_tables_reject_empty():
@@ -485,7 +542,7 @@ def test_random_scenarios_bin_and_cstate_exact(
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        reference = simulator.simulator(pcode).run(scenario)
+        reference = _reference(simulator, pcode, scenario)
         assert np.array_equal(reference.frequencies_hz, result.frequencies_hz)
         assert np.array_equal(reference.package_cstates, result.package_cstates)
         assert np.array_equal(reference.limiting_factors, result.limiting_factors)

@@ -32,7 +32,6 @@ from repro.fleet import (
     fleet_profile,
     fleet_profile_names,
 )
-from repro.sim.dynamics import DynamicsSimulator
 from repro.sim.metrics import (
     RESULT_SCHEMA_VERSION,
     THROTTLE_FACTORS,
@@ -44,6 +43,8 @@ from repro.sim.metrics import (
 from repro.store.cache import StoreCache
 from repro.store.hashing import canonical_payload
 from repro.workloads.dynamics import build_scenario, scenario_names
+
+from oracles.dynamics import DynamicsSimulator
 
 # -- strategies ------------------------------------------------------------------------
 

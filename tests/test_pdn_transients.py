@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.pdn import droop
 from repro.pdn.droop import DroopResult, DroopSimulator
 from repro.pdn.ladder import LadderStage, SkylakePdnBuilder
 from repro.pdn.transients import (
@@ -28,6 +29,8 @@ from repro.pdn.transients import (
     staggered_wake_trace,
     step_trace,
 )
+
+from oracles.droop import ReferenceDroopSimulator
 
 # -- analytic regression -------------------------------------------------------------------------
 
@@ -84,10 +87,28 @@ def _analytic_rlc_ramp_step(times, nominal_v, R, L, C, step_a, rise_s):
     return np.where(times <= rise_s, ramp, step)
 
 
-@pytest.mark.parametrize("method", ["scan", "matvec", "exact", "reference"])
-def test_droop_matches_analytic_rlc_step(method):
+#: The integrators under test: the two public methods, the step-by-step
+#: ("matvec") loop both fall back to on an ill-conditioned eigenbasis, and
+#: the per-stage RK4 oracle.
+INTEGRATORS = ["scan", "matvec", "exact", "reference"]
+
+
+def _integrator(name, stages, monkeypatch, nominal_voltage_v=1.0):
+    """A fresh simulator that integrates like *name*, and the method to ask."""
+    if name == "reference":
+        return ReferenceDroopSimulator(stages, nominal_voltage_v), None
+    if name == "matvec":
+        # A zero ceiling rejects every eigenbasis; the simulator is fresh,
+        # so no basis cached under the real ceiling survives.
+        monkeypatch.setattr(droop, "_MAX_EIGENBASIS_CONDITION", 0.0)
+        return DroopSimulator(stages, nominal_voltage_v), "scan"
+    return DroopSimulator(stages, nominal_voltage_v), name
+
+
+@pytest.mark.parametrize("method", INTEGRATORS)
+def test_droop_matches_analytic_rlc_step(method, monkeypatch):
     stage = _underdamped_stage()[0]
-    simulator = DroopSimulator(_underdamped_stage(), nominal_voltage_v=1.0)
+    simulator, method = _integrator(method, _underdamped_stage(), monkeypatch)
     result = simulator.simulate_current_step(
         step_current_a=10.0,
         rise_time_s=2e-9,
@@ -120,16 +141,22 @@ def bypassed_simulator(bypassed_pdn):
     return DroopSimulator(SkylakePdnBuilder(bypassed_pdn).build_ladder(), 1.0)
 
 
-def test_vectorized_matches_reference_on_core_wake(gated_simulator, bypassed_simulator):
+def test_vectorized_matches_reference_on_core_wake(
+    gated_simulator, bypassed_simulator, monkeypatch
+):
     trace = core_wake_trace()
     for simulator in (gated_simulator, bypassed_simulator):
-        reference = simulator.simulate_profile(
-            trace, trace.duration_s, method="reference"
+        reference = ReferenceDroopSimulator.like(simulator).simulate_profile(
+            trace, trace.duration_s
         )
-        for method in ("scan", "matvec"):
-            vectorized = simulator.simulate_profile(
-                trace, trace.duration_s, method=method
-            )
+        for name in ("scan", "matvec"):
+            with monkeypatch.context() as patch:
+                solver, method = _integrator(
+                    name, simulator.stages, patch, simulator.nominal_voltage_v
+                )
+                vectorized = solver.simulate_profile(
+                    trace, trace.duration_s, method=method
+                )
             delta = np.abs(
                 vectorized.load_voltage_v - reference.load_voltage_v
             ).max()
@@ -143,7 +170,9 @@ def test_vectorized_matches_reference_on_core_wake(gated_simulator, bypassed_sim
 def test_vectorized_matches_reference_on_scenarios(gated_simulator, trace_builder):
     trace = trace_builder()
     duration = min(trace.duration_s, 1e-6)
-    reference = gated_simulator.simulate_profile(trace, duration, method="reference")
+    reference = ReferenceDroopSimulator.like(gated_simulator).simulate_profile(
+        trace, duration
+    )
     vectorized = gated_simulator.simulate_profile(trace, duration, method="scan")
     assert np.abs(vectorized.load_voltage_v - reference.load_voltage_v).max() <= 1e-9
 
@@ -159,10 +188,30 @@ def test_exact_method_accurate_at_coarse_steps(gated_simulator):
 
 
 def test_simulator_rejects_unknown_method(gated_simulator):
-    with pytest.raises(ConfigurationError):
-        gated_simulator.simulate_current_step(10.0, method="euler")
-    with pytest.raises(ConfigurationError):
-        DroopSimulator(_underdamped_stage(), method="euler")
+    # The matvec loop is a fallback and the per-stage RK4 an oracle in the
+    # tests; neither is a method a caller can pick.
+    for method in ("euler", "matvec", "reference"):
+        with pytest.raises(ConfigurationError):
+            gated_simulator.simulate_current_step(10.0, method=method)
+        with pytest.raises(ConfigurationError):
+            DroopSimulator(_underdamped_stage(), method=method)
+
+
+@pytest.mark.parametrize("method", ["scan", "exact"])
+def test_zero_condition_ceiling_forces_the_matvec_loop(method, monkeypatch):
+    """Both methods fall back to the loop when no eigenbasis is trusted."""
+    simulator, _ = _integrator("matvec", _underdamped_stage(), monkeypatch)
+
+    def no_scan(*args):
+        raise AssertionError("the prefix scan ran despite the zero ceiling")
+
+    monkeypatch.setattr(DroopSimulator, "_propagate_scan", no_scan)
+    looped = simulator.simulate_current_step(10.0, duration_s=1e-7, method=method)
+    monkeypatch.undo()
+    scanned = DroopSimulator(_underdamped_stage()).simulate_current_step(
+        10.0, duration_s=1e-7, method=method
+    )
+    assert np.abs(looped.load_voltage_v - scanned.load_voltage_v).max() <= 1e-9
 
 
 # -- Fig. 6 ordering ------------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Population-study tests: fast-path identity, JSON round trips, seeding.
 
 The load-bearing guarantee of the variation subsystem is that the batched
-population fast path is *bit-identical* to the per-die reference path —
+population fast path is *bit-identical* to the per-die oracle
+(``oracles.population``) —
 same seed, same trajectories, same quantiles — so the equivalence tests
 here assert exact dataclass equality, not tolerances.
 """
@@ -23,6 +24,9 @@ from repro.variation.population import (
 )
 from repro.variation.sampler import DiePopulationSampler, DieVariation
 from repro.workloads.dynamics import burst_scenario, sprint_and_rest_scenario
+
+from oracles.dynamics import DynamicsSimulator
+from oracles.population import ReferencePopulationStudy
 
 VARIATIONS = skylake_process_variation()
 
@@ -49,14 +53,13 @@ def fast_result() -> PopulationResult:
 
 @pytest.fixture(scope="module")
 def reference_result() -> PopulationResult:
-    return Study.over_population(
+    return ReferencePopulationStudy(
         ("darkgates", "baseline"),
         SCENARIOS,
         VARIATIONS,
         count=10,
         tdp_levels_w=(35.0, 65.0),
         seed=42,
-        method="reference",
     ).run()
 
 
@@ -81,8 +84,7 @@ def test_population_traces_match_per_die_reference_loop():
     # The code traces share DynamicRunResult's int8 layout.
     assert traces.limiting_codes.dtype == traces.cstate_codes.dtype == np.int8
     for index, die_spec in enumerate(population.specs(spec)):
-        engine = SimulationEngine(die_spec.build())
-        loop = engine.run_dynamic_scenario(scenario, method="reference")
+        loop = DynamicsSimulator(die_spec.build()).run(scenario)
         assert np.array_equal(traces.frequencies_hz[:, index], loop.frequencies_hz)
         assert np.array_equal(
             traces.package_powers_w[:, index], loop.package_powers_w
@@ -181,9 +183,8 @@ def test_unseeded_study_pins_one_seed_for_every_path():
     assert result.seed == study.seed
     # The recorded seed replays the run exactly — including on the
     # reference path, which must see the same dice as the fast cells.
-    replay = PopulationStudy(
-        ("darkgates",), SCENARIOS[:1], VARIATIONS, count=6, seed=result.seed,
-        method="reference",
+    replay = ReferencePopulationStudy(
+        ("darkgates",), SCENARIOS[:1], VARIATIONS, count=6, seed=result.seed
     ).run()
     assert replay.cells == result.cells
     assert replay.binning == result.binning
@@ -196,10 +197,11 @@ def test_population_study_validation():
         PopulationStudy((), SCENARIOS, VARIATIONS, count=4)
     with pytest.raises(ConfigurationError):
         PopulationStudy(("darkgates",), (), VARIATIONS, count=4)
-    with pytest.raises(ConfigurationError):
-        PopulationStudy(
-            ("darkgates",), SCENARIOS, VARIATIONS, count=4, method="warp"
-        )
+    for method in ("warp", "reference"):
+        with pytest.raises(ConfigurationError):
+            PopulationStudy(
+                ("darkgates",), SCENARIOS, VARIATIONS, count=4, method=method
+            )
     varied = get_spec("darkgates").variant(
         name="varied", die_variation=DieVariation(leakage_scale=1.1)
     )
