@@ -2,11 +2,11 @@
 
 Sweeps the 35 W - 91 W configurable-TDP range of the evaluated desktop with
 one declarative :class:`Study` grid — DarkGates and baseline specs x four
-TDP levels x SPEC CPU2006 in base and rate mode, fanned out over a process
-pool — and reports, per level: the achieved single-core and all-core
-frequencies of both systems, which limit (Vmax or TDP) stopped each, and
-the resulting average SPEC gain in each mode — the data behind the paper's
-Fig. 8.
+TDP levels x SPEC CPU2006 in base and rate mode, fanned out over two
+worker processes (``max_workers=2``) — and reports, per level: the
+achieved single-core and all-core frequencies of both systems, which limit
+(Vmax or TDP) stopped each, and the resulting average SPEC gain in each
+mode — the data behind the paper's Fig. 8.
 
 Run with::
 
@@ -33,7 +33,7 @@ def main() -> None:
         (darkgates, baseline),
         SKYLAKE_TDP_LEVELS_W,
         suites,
-        executor="process",
+        max_workers=2,
         name="tdp-sweep",
     )
     grid = study.run()
@@ -95,7 +95,7 @@ def main() -> None:
         )
     )
     print()
-    print(f"({study.tasks_executed} engine runs through the process pool)")
+    print(f"({study.tasks_executed} engine runs on 2 worker processes)")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,13 @@ Quickstart — declare systems, run workloads, sweep grids::
     result = engine.run(spec_cpu2006_base_suite()[0])   # -> CpuRunResult
     print(result.to_dict())                             # JSON round-trips
 
-    # 3. Studies sweep specs x workloads (serially or on a process pool),
-    #    cache per-(spec, workload) results, and serialise to JSON.
+    # 3. Studies sweep specs x workloads (in-process, or on max_workers
+    #    processes), cache per-(spec, workload) results, and serialise to JSON.
     study = Study.over_tdp_levels(
         ("darkgates", "baseline"),
         tdp_levels_w=(35.0, 91.0),
         workloads=spec_cpu2006_base_suite(),
-        executor="process",
+        max_workers=2,
     )
     grid = study.run()
     gain = grid.get(darkgates.variant(tdp_w=91.0), "416.gamess").improvement_over(
@@ -78,9 +78,8 @@ from repro.analysis.optimize import (
 )
 from repro.analysis.study import (
     CallableTask,
-    ProcessExecutor,
-    SerialExecutor,
     Study,
+    StudyExecutor,
     StudyResult,
     SweepRequest,
 )
@@ -149,7 +148,7 @@ from repro.workloads.spec import (
     spec_cpu2006_suite,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "SystemSpec",
@@ -166,8 +165,7 @@ __all__ = [
     "OptimizationResult",
     "OptimizationStudy",
     "CallableTask",
-    "SerialExecutor",
-    "ProcessExecutor",
+    "StudyExecutor",
     "SystemComparison",
     "darkgates_overheads",
     "Pcode",

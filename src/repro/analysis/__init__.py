@@ -1,8 +1,9 @@
 """Experiment definitions, the study runner, and reporting.
 
 * :mod:`repro.analysis.study` — the declarative sweep runner: grids of
-  system specs x workload suites executed through a serial or process-pool
-  executor with per-(spec, workload) result caching.
+  system specs x workload suites executed in-process or on a process pool,
+  dynamic cells in lockstep batches, with per-(spec, workload) result
+  caching.
 * :mod:`repro.analysis.experiments` — one function per table/figure of the
   paper's evaluation, each declaring its grid as a :class:`Study` and
   reducing the completed grid into a structured result object that the
@@ -33,10 +34,9 @@ from repro.analysis.reporting import format_table
 from repro.analysis.study import (
     CallableTask,
     EngineTask,
-    ProcessExecutor,
-    SerialExecutor,
     Study,
     StudyCell,
+    StudyExecutor,
     StudyResult,
 )
 
@@ -63,6 +63,5 @@ __all__ = [
     "StudyResult",
     "CallableTask",
     "EngineTask",
-    "SerialExecutor",
-    "ProcessExecutor",
+    "StudyExecutor",
 ]

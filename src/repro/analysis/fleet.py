@@ -4,8 +4,8 @@
 profiles, compiles each profile into a seeded scenario **ensemble** through
 :class:`~repro.fleet.profiles.ScenarioGenerator` (bit-identical per seed),
 and steps every (spec variant, ensemble member) cell through the study
-machinery — the batched dynamics executor by default, so a whole ensemble
-locksteps as numpy arrays, and any :class:`~repro.store.cache.StoreCache`
+machinery — the study executor locksteps a whole ensemble as numpy
+arrays (one batch per worker), and any :class:`~repro.store.cache.StoreCache`
 passed as ``cache=`` lands every member run in the persistent run store
 (warm re-runs execute **zero** simulator tasks).
 
@@ -21,6 +21,7 @@ result types it returns.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -147,10 +148,10 @@ class FleetStudy:
     slo_frequency_hz:
         The frequency SLO every member run is judged against.
     request:
-        The unified execution descriptor (executor / cache / seed / name);
-        :meth:`Study.over_fleet <repro.analysis.study.Study.over_fleet>`
-        builds one through the shared validation helper.  Defaults to the
-        batched executor and seed 0.
+        The unified execution descriptor (executor / max_workers / cache /
+        seed / name); :meth:`Study.over_fleet
+        <repro.analysis.study.Study.over_fleet>` builds one through the
+        shared validation helper.  An unseeded request runs with seed 0.
     """
 
     def __init__(
@@ -161,27 +162,22 @@ class FleetStudy:
         ensemble: int = 8,
         tdp_levels_w: Optional[Sequence[float]] = None,
         slo_frequency_hz: float = DEFAULT_SLO_FREQUENCY_HZ,
-        executor: Union[str, Executor] = "batched",
+        executor: Optional[Executor] = None,
         max_workers: Optional[int] = None,
         cache: Optional[MutableMapping[StudyTask, Any]] = None,
         seed: Optional[int] = 0,
         name: str = "fleet-study",
         request: Optional[SweepRequest] = None,
     ) -> None:
-        if request is not None:
-            executor = request.executor
-            max_workers = request.max_workers
-            cache = request.cache
-            seed = request.seed
-            name = request.name
-        else:
-            SweepRequest(
+        if request is None:
+            request = SweepRequest(
                 executor=executor,
                 max_workers=max_workers,
                 cache=cache,
                 seed=seed,
                 name=name,
-            ).validate("FleetStudy")
+            )
+            request.validate("FleetStudy")
         if ensemble < 1:
             raise ConfigurationError("ensemble must be >= 1")
         resolved = tuple(resolve_spec(spec) for spec in specs)
@@ -209,12 +205,9 @@ class FleetStudy:
         # Like PopulationStudy, an unseeded fleet study pins seed 0 rather
         # than drawing OS entropy: compiled members must be replayable and
         # keep stable content-addressed run IDs.
-        self._seed = 0 if seed is None else int(seed)
+        seed = 0 if request.seed is None else int(request.seed)
+        self._request = dataclasses.replace(request, seed=seed)
         self._slo_frequency_hz = slo_frequency_hz
-        self._executor = executor
-        self._max_workers = max_workers
-        self._cache = cache
-        self._name = name
         self._tasks_total = 0
         self._tasks_executed = 0
 
@@ -223,12 +216,13 @@ class FleetStudy:
     @property
     def name(self) -> str:
         """Study name."""
-        return self._name
+        return self._request.name
 
     @property
     def seed(self) -> int:
         """Seed every profile ensemble is compiled from."""
-        return self._seed
+        assert self._request.seed is not None  # pinned in __init__
+        return self._request.seed
 
     @property
     def ensemble(self) -> int:
@@ -258,7 +252,7 @@ class FleetStudy:
     def scenarios(self, profile: FleetProfile) -> Tuple[DynamicScenario, ...]:
         """The compiled ensemble of one profile under the study seed."""
         return ScenarioGenerator(profile).ensemble(
-            seed=self._seed, count=self._ensemble
+            seed=self.seed, count=self._ensemble
         )
 
     # -- execution ---------------------------------------------------------------------
@@ -267,7 +261,7 @@ class FleetStudy:
         """Compile every ensemble, execute the grid, pool the QoS verdicts.
 
         Every (spec variant, ensemble member) pair is one ordinary dynamic
-        engine cell, so the batched executor locksteps the whole grid and a
+        engine cell, so the study executor locksteps the grid and a
         ``StoreCache`` persists each member run individually — a warm
         re-run (same specs, profiles, seed, ensemble) executes nothing.
         """
@@ -276,15 +270,7 @@ class FleetStudy:
             for profile in self._profiles
         }
         study = Study(
-            self._specs,
-            suites,
-            request=SweepRequest(
-                executor=self._executor,
-                max_workers=self._max_workers,
-                cache=self._cache,
-                seed=self._seed,
-                name=f"{self._name}-grid",
-            ),
+            self._specs, suites, request=self._request.derive(f"{self.name}-grid")
         )
         grid = study.run()
         self._tasks_total = len(study)
@@ -310,8 +296,8 @@ class FleetStudy:
                     )
                 )
         return FleetStudyResult(
-            name=self._name,
-            seed=self._seed,
+            name=self.name,
+            seed=self.seed,
             ensemble=self._ensemble,
             slo_frequency_hz=self._slo_frequency_hz,
             cells=tuple(cells),

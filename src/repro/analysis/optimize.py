@@ -23,9 +23,10 @@ Three solver families cover the paper's inverse questions:
 
 Every probe dispatches through the unified
 :class:`~repro.analysis.study.SweepRequest` machinery — the same
-executors, caches and run store the ``over_*`` sweeps use — so process
-pools parallelise probe rounds and a warm store replays a whole
-optimization with zero simulator tasks.  Results are schema-versioned,
+executor, caches and run store the ``over_*`` sweeps use — so a probe
+round's dynamic cells step in lockstep batches, ``max_workers=N`` spreads
+a round over N processes, and a warm store replays a whole optimization
+with zero simulator tasks.  Results are schema-versioned,
 JSON-round-tripping :class:`OptimizationResult` values that land in the
 run store next to the sweeps they condensed.
 """
@@ -487,9 +488,9 @@ class OptimizationStudy:
 
     Built by :meth:`Study.optimize`.  ``run()`` solves the query and
     returns an :class:`OptimizationResult`; probe sweeps dispatch through
-    the study executor machinery, so ``executor="process"`` parallelises
-    probe rounds and a :class:`~repro.store.cache.StoreCache` makes warm
-    re-runs execute zero simulator tasks (the condensed result itself is
+    the study executor, so ``max_workers=N`` parallelises probe rounds
+    and a :class:`~repro.store.cache.StoreCache` makes warm re-runs
+    execute zero simulator tasks (the condensed result itself is
     content-addressed in the store, keyed by query, specs, backend and
     seed).
     """

@@ -2,14 +2,9 @@
 
 A :class:`Study` declares a grid — system specs x workload suites (and,
 via :meth:`Study.over_tdp_levels`, x TDP levels) — and executes every cell
-through a pluggable executor:
-
-* :class:`SerialExecutor` runs cells in the calling process (default);
-* :class:`BatchedExecutor` locksteps dynamic-scenario cells through the
-  vectorized batched dynamics engine (default for
-  :meth:`Study.over_dynamics`), running everything else serially;
-* :class:`ProcessExecutor` fans cells out over a
-  :mod:`concurrent.futures` process pool.
+through one :class:`StudyExecutor`.  Dynamic-scenario cells step together
+in lockstep batches; ``max_workers=N`` shards them, and every other cell,
+over a :mod:`concurrent.futures` process pool.
 
 Results are cached per (spec, workload): re-running a study (or another
 study sharing the same cache mapping) re-executes nothing.  The outcome is
@@ -32,8 +27,8 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
 from concurrent import futures
 from dataclasses import dataclass, field
 from typing import (
@@ -55,8 +50,10 @@ from repro.analysis.reporting import format_table
 from repro.common.codec import RESULT_SCHEMA_VERSION, check_schema
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
+from repro.sim.dynamics import BatchedDynamicsSimulator
 from repro.sim.metrics import RunResult
 from repro.workloads.descriptors import Workload
+from repro.workloads.dynamics import DynamicScenario
 
 if TYPE_CHECKING:
     from repro.analysis.fleet import FleetStudy  # noqa: F401  (signature refs)
@@ -69,7 +66,6 @@ if TYPE_CHECKING:
     from repro.variation.binning import BinningPolicy  # noqa: F401
     from repro.variation.distributions import VariationModel  # noqa: F401
     from repro.variation.population import PopulationStudy  # noqa: F401
-    from repro.workloads.dynamics import DynamicScenario  # noqa: F401
 
 #: The default suite name used when a study is given a flat workload list.
 DEFAULT_SUITE = "default"
@@ -93,9 +89,9 @@ class EngineTask:
 class CallableTask:
     """An escape hatch for study steps that are not engine runs.
 
-    The callable must be a module-level function (so that the process-pool
-    executor can pickle it) and the arguments must be hashable (so that the
-    task can key the result cache).
+    The callable must be a module-level function (so that a process pool
+    can pickle it) and the arguments must be hashable (so that the task can
+    key the result cache).
     """
 
     key: str
@@ -107,90 +103,107 @@ StudyTask = Union[EngineTask, CallableTask]
 
 
 def execute_task(task: StudyTask) -> Any:
-    """Execute one study task (module-level so process pools can pickle it).
+    """Execute one study task on its own.
 
     Engine tasks go through the shared :func:`repro.core.spec.build_engine`
-    cache, so workers of a process pool each build a spec's engine at most
-    once, no matter how many cells they execute.
+    cache, so a process builds a spec's engine at most once, no matter how
+    many cells it executes.
     """
     if isinstance(task, EngineTask):
         return build_engine(task.spec).run(task.workload)
     return task.fn(*task.args)
 
 
-# -- executors -------------------------------------------------------------------------
+# -- the executor ----------------------------------------------------------------------
 
 
-class SerialExecutor:
-    """Runs every task in the calling process, in order."""
-
-    def run_tasks(self, tasks: Sequence[StudyTask]) -> List[Any]:
-        """Execute *tasks* and return their results in order."""
-        return [execute_task(task) for task in tasks]
+def _is_dynamic(task: StudyTask) -> bool:
+    return isinstance(task, EngineTask) and isinstance(task.workload, DynamicScenario)
 
 
-class BatchedExecutor:
-    """Locksteps every dynamic-scenario cell through the batched fast path.
+def _run_job(tasks: Tuple[StudyTask, ...]) -> List[Any]:
+    """Execute one job: a lockstep batch of dynamic cells, or one other task.
 
-    Dynamic-scenario engine tasks — the slowest cells of a study grid, each
-    a per-step closed-loop trajectory — are collected into one
-    :class:`~repro.sim.dynamics.BatchedDynamicsSimulator` batch and stepped
-    together as numpy arrays; every other task falls back to in-process
-    serial execution.  This is the default executor of
-    :meth:`Study.over_dynamics`, and produces results identical to the
-    serial (per-run) executor.
+    Module-level so process pools can pickle it.  Engines come from this
+    module's ``build_engine`` global, so each worker builds a spec's engine
+    at most once.
     """
-
-    def __init__(self) -> None:
-        from repro.sim.dynamics import BatchedDynamicsSimulator
-
-        self._batch = BatchedDynamicsSimulator()
-
-    def run_tasks(self, tasks: Sequence[StudyTask]) -> List[Any]:
-        """Execute *tasks*, batching the dynamic cells, preserving order."""
-        from repro.workloads.dynamics import DynamicScenario
-
-        results: List[Any] = [None] * len(tasks)
-        dynamic: List[int] = []
-        for position, task in enumerate(tasks):
-            if isinstance(task, EngineTask) and isinstance(
-                task.workload, DynamicScenario
-            ):
-                dynamic.append(position)
-            else:
-                results[position] = execute_task(task)
-        if dynamic:
-            pairs = [
-                (build_engine(tasks[position].spec).pcode, tasks[position].workload)
-                for position in dynamic
-            ]
-            for position, result in zip(dynamic, self._batch.run_batch(pairs)):
-                results[position] = result
-        return results
+    if _is_dynamic(tasks[0]):
+        runs = [(build_engine(task.spec).pcode, task.workload) for task in tasks]
+        return BatchedDynamicsSimulator().run_batch(runs)
+    return [execute_task(task) for task in tasks]
 
 
-class ProcessExecutor:
-    """Fans tasks out over a :class:`concurrent.futures.ProcessPoolExecutor`.
+def _check_max_workers(max_workers: Any, where: str) -> None:
+    if max_workers is not None and (
+        isinstance(max_workers, bool)
+        or not isinstance(max_workers, int)
+        or max_workers < 1
+    ):
+        raise ConfigurationError(
+            f"{where}: max_workers must be None or an int >= 1, "
+            f"got {max_workers!r}"
+        )
+
+
+class StudyExecutor:
+    """Runs study tasks in the calling process or on a process pool.
+
+    Every dynamic-scenario engine cell — the slowest cells of a grid, each a
+    per-step closed-loop trajectory — is dealt round-robin into one of
+    ``min(workers, D)`` lockstep batches, and each batch is stepped by one
+    :meth:`~repro.sim.dynamics.BatchedDynamicsSimulator.run_batch` call.
+    Every other task is a job of its own.  A run's result does not depend on
+    which runs share its batch, so every *max_workers* gives bit-identical
+    results.
 
     Parameters
     ----------
     max_workers:
-        Pool size; defaults to the interpreter's own default (CPU count).
+        ``None`` or 1 runs every job in the calling process, so all dynamic
+        cells form one batch; N > 1 runs the jobs on a pool of N processes,
+        one batch per worker.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
-        self._max_workers = max_workers
+        _check_max_workers(max_workers, "StudyExecutor")
+        self._workers = max_workers or 1
+
+    def plan(self, tasks: Sequence[StudyTask]) -> List[Tuple[int, ...]]:
+        """The job list: the input positions each job executes.
+
+        Each lockstep batch opens a chunk of the pool's task queue, so no
+        two batches share a chunk.
+        """
+        dynamic = [i for i, task in enumerate(tasks) if _is_dynamic(task)]
+        jobs: List[Tuple[int, ...]] = [
+            (i,) for i, task in enumerate(tasks) if not _is_dynamic(task)
+        ]
+        batches = min(self._workers, len(dynamic))
+        stride = self._chunksize(len(jobs) + batches)
+        for k in range(batches):
+            jobs.insert(k * stride, tuple(dynamic[k :: self._workers]))
+        return jobs
+
+    def _chunksize(self, jobs: int) -> int:
+        return max(1, jobs // (self._workers * 4))
 
     def run_tasks(self, tasks: Sequence[StudyTask]) -> List[Any]:
-        """Execute *tasks* across the pool, preserving order."""
-        if not tasks:
-            return []
-        workers = self._max_workers or os.cpu_count() or 1
-        chunksize = max(1, len(tasks) // (workers * 4))
-        with futures.ProcessPoolExecutor(max_workers=self._max_workers) as pool:
-            return list(pool.map(execute_task, tasks, chunksize=chunksize))
+        """Execute *tasks* and return their results in input order."""
+        plan = self.plan(tasks)
+        jobs = [tuple(tasks[i] for i in positions) for positions in plan]
+        if self._workers == 1:
+            outputs = list(map(_run_job, jobs))
+        else:
+            with futures.ProcessPoolExecutor(max_workers=self._workers) as pool:
+                outputs = list(
+                    pool.map(_run_job, jobs, chunksize=self._chunksize(len(jobs)))
+                )
+        results: List[Any] = [None] * len(tasks)
+        for positions, values in zip(plan, outputs):
+            for position, value in zip(positions, values):
+                results[position] = value
+        return results
 
 
 class StoreOnlyExecutor:
@@ -220,46 +233,7 @@ class StoreOnlyExecutor:
         )
 
 
-Executor = Union[
-    SerialExecutor, BatchedExecutor, ProcessExecutor, StoreOnlyExecutor
-]
-
-_EXECUTORS: Dict[str, Callable[[], Executor]] = {
-    "serial": SerialExecutor,
-    "batched": BatchedExecutor,
-    "process": ProcessExecutor,
-}
-
-
-def resolve_executor(
-    executor: Union[str, Executor], max_workers: Optional[int] = None
-) -> Executor:
-    """Turn an executor name (or pass an executor object through).
-
-    *max_workers* is validated here for every executor shape, so a bad
-    pool size fails fast instead of surfacing later (or being silently
-    ignored by a non-process executor).
-    """
-    if max_workers is not None and max_workers < 1:
-        raise ConfigurationError(
-            f"max_workers must be >= 1, got {max_workers}"
-        )
-    if isinstance(executor, str):
-        try:
-            factory = _EXECUTORS[executor]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}; known: {sorted(_EXECUTORS)}"
-            ) from None
-        if executor == "process":
-            return ProcessExecutor(max_workers=max_workers)
-        return factory()
-    if not hasattr(executor, "run_tasks"):
-        raise ConfigurationError(
-            f"executor must be one of {sorted(_EXECUTORS)} or expose "
-            f"run_tasks(); got {type(executor).__name__}"
-        )
-    return executor
+Executor = Union[StudyExecutor, StoreOnlyExecutor]
 
 
 # -- the unified sweep request ---------------------------------------------------------
@@ -282,7 +256,7 @@ class SweepRequest:
     sweeps through the exact same machinery).
     """
 
-    executor: Union[str, Executor] = "serial"
+    executor: Optional[Executor] = None
     max_workers: Optional[int] = None
     cache: Optional[MutableMapping[StudyTask, Any]] = None
     seed: Optional[int] = None
@@ -323,32 +297,38 @@ class SweepRequest:
         return request, merged
 
     def validate(self, entry_point: str) -> None:
-        """Reject conflicting keyword combinations with actionable errors."""
-        if (
-            self.max_workers is not None
-            and isinstance(self.executor, str)
-            and self.executor != "process"
-        ):
+        """Reject bad or conflicting keywords with actionable errors."""
+        where = f"{entry_point}()"
+        _check_max_workers(self.max_workers, where)
+        if self.executor is None:
+            return
+        if isinstance(self.executor, str):
             raise ConfigurationError(
-                f"{entry_point}(): max_workers={self.max_workers} conflicts "
-                f"with executor={self.executor!r}; max_workers sizes the "
-                "process pool, so pass executor='process' (or drop "
-                "max_workers)"
+                f"{where}: executor={self.executor!r}: executor names were "
+                "removed in repro 4.0; every study batches its dynamic cells "
+                "in lockstep, and max_workers=N runs it on N processes"
+            )
+        if not hasattr(self.executor, "run_tasks"):
+            raise ConfigurationError(
+                f"{where}: executor must expose run_tasks(); got "
+                f"{type(self.executor).__name__}"
+            )
+        if self.max_workers is not None:
+            raise ConfigurationError(
+                f"{where}: max_workers={self.max_workers} sizes the default "
+                f"executor, so it conflicts with executor="
+                f"{type(self.executor).__name__}; drop one of them"
             )
 
     def resolve(self) -> Executor:
         """The executor instance this request describes."""
-        return resolve_executor(self.executor, max_workers=self.max_workers)
+        if self.executor is not None:
+            return self.executor
+        return StudyExecutor(self.max_workers)
 
     def derive(self, name: str) -> "SweepRequest":
         """This request renamed — for sub-sweeps dispatched on its behalf."""
-        return SweepRequest(
-            executor=self.executor,
-            max_workers=self.max_workers,
-            cache=self.cache,
-            seed=self.seed,
-            name=name,
-        )
+        return dataclasses.replace(self, name=name)
 
 
 # -- results ---------------------------------------------------------------------------
@@ -567,12 +547,11 @@ class Study:
     tasks:
         Extra :class:`CallableTask` steps to execute alongside the grid.
     executor:
-        ``"serial"`` (default), ``"batched"`` (dynamic-scenario cells
-        stepped together in lockstep; the default of
-        :meth:`over_dynamics`), ``"process"``, or any object exposing
-        ``run_tasks(tasks) -> results``.
+        Any object exposing ``run_tasks(tasks) -> results``, in place of
+        the default :class:`StudyExecutor`.
     max_workers:
-        Pool size when *executor* is ``"process"``.
+        Process count of the default executor: ``None`` (the default) or
+        1 runs in the calling process, N > 1 on a pool of N processes.
     cache:
         Mapping of task -> result shared between runs (and, if passed to
         several studies, between studies).  Defaults to a fresh dict.
@@ -585,10 +564,10 @@ class Study:
     name:
         Study name used in reports.
     request:
-        A pre-validated :class:`SweepRequest` carrying the execution
-        keywords; the ``over_*`` constructors build one through the shared
-        validation helper.  Mutually exclusive with passing the individual
-        execution keywords.
+        A :class:`SweepRequest` carrying the execution keywords; the
+        ``over_*`` constructors build one through the shared validation
+        helper.  Mutually exclusive with passing the individual execution
+        keywords.
     """
 
     def __init__(
@@ -597,7 +576,7 @@ class Study:
         workloads: WorkloadSuites = (),
         *,
         tasks: Sequence[CallableTask] = (),
-        executor: Union[str, Executor] = "serial",
+        executor: Optional[Executor] = None,
         max_workers: Optional[int] = None,
         cache: Optional[MutableMapping[StudyTask, Any]] = None,
         seed: Optional[int] = None,
@@ -612,9 +591,8 @@ class Study:
                 seed=seed,
                 name=name,
             )
-            request.validate("Study")
         elif (
-            executor != "serial"
+            executor is not None
             or max_workers is not None
             or cache is not None
             or seed is not None
@@ -624,6 +602,7 @@ class Study:
                 "pass either request= or the individual execution keywords "
                 f"({', '.join(SWEEP_KWARGS)}), not both"
             )
+        request.validate("Study")
         self._request = request
         self._name = request.name
         self._specs = tuple(resolve_spec(spec) for spec in specs)
@@ -818,17 +797,11 @@ class Study:
         per level (TDP-major order, like :meth:`over_tdp_levels`), which is
         how the paper's burst-vs-throttle TDP story is swept; results read
         back with ``result.get(spec.variant(tdp_w=...), scenario.name,
-        suite)``.
-
-        Unless the caller picks another executor, the whole grid is stepped
-        in lockstep through the batched dynamics fast path
-        (:class:`BatchedExecutor`), which resolves every run's turbo /
-        thermal / DVFS / C-state step as one set of numpy operations
-        instead of one Python loop per cell.
+        suite)``.  The executor steps the grid in lockstep batches (one
+        per worker), resolving every run's turbo / thermal / DVFS /
+        C-state step as one set of numpy operations.
         """
-        request, _ = SweepRequest.from_kwargs(
-            "Study.over_dynamics", kwargs, defaults={"executor": "batched"}
-        )
+        request, _ = SweepRequest.from_kwargs("Study.over_dynamics", kwargs)
         resolved = [resolve_spec(spec) for spec in specs]
         if tdp_levels_w is not None:
             resolved = [
@@ -855,12 +828,12 @@ class Study:
         runs the whole population in lockstep on the batched fast path;
         ``method="streaming"`` (with ``shard_size=N``) expands it to one
         bounded-memory task per fixed-size die shard instead — shards
-        sample their die ranges deterministically, dispatch through this
-        module's executors (serial or process-pool), and merge
-        associatively, so million-die populations run in O(shard) memory (see
-        :mod:`repro.variation.streaming`).  Pass ``cache=StoreCache(...)``
-        to land every cell/shard in the persistent run store; warm re-runs
-        then execute zero tasks.  Returns a
+        sample their die ranges deterministically, dispatch through the
+        study executor (in-process, or on ``max_workers=N`` processes), and
+        merge associatively, so million-die populations run in O(shard)
+        memory (see :mod:`repro.variation.streaming`).  Pass
+        ``cache=StoreCache(...)`` to land every cell/shard in the persistent
+        run store; warm re-runs then execute zero tasks.  Returns a
         :class:`~repro.variation.population.PopulationStudy`
         whose :meth:`~repro.variation.population.PopulationStudy.run`
         yields a JSON-round-tripping
@@ -906,8 +879,8 @@ class Study:
         :class:`~repro.workloads.dynamics.DynamicScenario` members —
         bit-identical per seed and prefix-stable in the ensemble size —
         and steps every (spec variant, member) cell through the study
-        machinery.  The default executor is the batched dynamics fast
-        path; pass ``cache=StoreCache(...)`` to land every member run in
+        machinery, which locksteps the members in batches (one per
+        worker); pass ``cache=StoreCache(...)`` to land every member run in
         the persistent run store, after which a warm re-run executes zero
         simulator tasks.  Member runs pool into per-cell
         :class:`~repro.fleet.qos.EnsembleQos` verdicts (SLO-violation
@@ -923,7 +896,7 @@ class Study:
         request, _ = SweepRequest.from_kwargs(
             "Study.over_fleet",
             kwargs,
-            defaults={"executor": "batched", "seed": 0, "name": "fleet-study"},
+            defaults={"seed": 0, "name": "fleet-study"},
         )
         return FleetStudy(
             specs,
@@ -964,7 +937,7 @@ class Study:
         Pareto-front extraction, or a vectorized cutoff scan, issuing only
         the probe cells the solver actually needs.  Probes dispatch through
         the exact sweep machinery the ``over_*`` constructors use (same
-        executors, caches and run store), so a warm store replays an
+        executor, caches and run store), so a warm store replays an
         optimization with zero simulator tasks.
 
         Each entry of *specs* is solved independently (the paper's

@@ -61,9 +61,9 @@ class StoreCache(MutableMapping[StudyTask, Any]):
 
     The cache deliberately refuses to pickle: it would silently fork the
     in-memory layer across workers.  A :class:`StoreCache` belongs in the
-    driving process — :class:`~repro.analysis.study.ProcessExecutor` sweeps
-    work unchanged, because the study keeps its cache on the main side and
-    only tasks cross the pool boundary.
+    driving process — ``max_workers=N`` sweeps work unchanged, because the
+    study keeps its cache on the main side and only tasks cross the pool
+    boundary.
     """
 
     def __init__(

@@ -91,17 +91,23 @@ def _format_metric(value: Optional[float]) -> str:
 
 
 def _sweep_kwargs(args: argparse.Namespace, cache: StoreCache) -> Dict[str, Any]:
-    """The sweep keywords every ``run``/``optimize`` study takes from *args*.
+    """The sweep keywords every ``run``/``optimize`` study takes from *args*."""
+    return {
+        "cache": cache,
+        "seed": args.seed,
+        "name": args.name,
+        "max_workers": args.max_workers,
+    }
 
-    ``--executor`` and ``--max-workers`` pass through only when given, so
-    each study keeps its own default executor.
-    """
-    kwargs: Dict[str, Any] = {"cache": cache, "seed": args.seed, "name": args.name}
-    if args.executor is not None:
-        kwargs["executor"] = args.executor
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
-    return kwargs
+
+def _reject_stray_opt(args: argparse.Namespace) -> None:
+    """``--opt`` overrides scenario builder options; refuse it elsewhere."""
+    if args.opt and not args.scenario:
+        raise ConfigurationError(
+            f"--opt {args.opt[0]} overrides a scenario builder option, so it "
+            "needs --scenario; suites, fleet profiles and the static "
+            "optimize probe build no scenario"
+        )
 
 
 def _report_tasks(store: RunStore, executed: int, total: int) -> int:
@@ -119,6 +125,7 @@ def _report_tasks(store: RunStore, executed: int, total: int) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _reject_stray_opt(args)
     store = RunStore(args.store)
     cache = StoreCache(store=store, seed=args.seed)
     if args.profile:
@@ -323,6 +330,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.analysis.optimize import Constraint, Objective, OptimizationSpec
     from repro.pmu.dvfs import CpuDemand
 
+    _reject_stray_opt(args)
     store = RunStore(args.store)
     cache = StoreCache(store=store, seed=args.seed)
     kwargs = _sweep_kwargs(args, cache)
@@ -606,8 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
             "requires --population"
         ),
     )
-    run.add_argument("--executor", default=None, help="serial | batched | process")
-    run.add_argument("--max-workers", type=int, default=None)
+    run.add_argument(
+        "--max-workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run the sweep on N processes (default: in-process)",
+    )
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--name", default="cli-study")
     run.set_defaults(handler=_cmd_run)
@@ -690,8 +703,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cutoff query: require yield.total >= this fraction",
     )
-    optimize.add_argument("--executor", default=None, help="serial | batched | process")
-    optimize.add_argument("--max-workers", type=int, default=None)
+    optimize.add_argument(
+        "--max-workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run probe rounds on N processes (default: in-process)",
+    )
     optimize.add_argument("--seed", type=int, default=None)
     optimize.add_argument("--name", default="cli-optimize")
     optimize.set_defaults(handler=_cmd_optimize)

@@ -28,6 +28,7 @@ exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -379,10 +380,10 @@ class PopulationStudy:
         :class:`~repro.common.errors.ConfigurationError` with actionable
         messages.  Forbidden for ``method="fast"``.
     executor:
-        Study executor the tasks run through (``"serial"``, ``"process"``,
-        or an executor object).
+        An executor object to run the tasks through, in place of the
+        default :class:`~repro.analysis.study.StudyExecutor`.
     max_workers:
-        Pool size when *executor* is ``"process"``.
+        Process count of the default executor (``None``: in-process).
     cache:
         Optional task-result cache (typically a
         :class:`~repro.store.cache.StoreCache`) shared with the inner grid
@@ -390,6 +391,11 @@ class PopulationStudy:
         re-runs execute zero tasks.
     name:
         Study name used in reports.
+    request:
+        The unified execution descriptor (executor / max_workers / cache /
+        seed / name) in place of the individual keywords;
+        :meth:`Study.over_population
+        <repro.analysis.study.Study.over_population>` builds one.
     """
 
     METHODS = ("fast", "streaming")
@@ -406,28 +412,21 @@ class PopulationStudy:
         binning: Optional[BinningPolicy] = None,
         method: str = "fast",
         shard_size: Optional[int] = None,
-        executor: Union[str, Executor] = "serial",
+        executor: Optional[Executor] = None,
         max_workers: Optional[int] = None,
         cache: Optional[MutableMapping[StudyTask, Any]] = None,
         name: str = "population-study",
         request: Optional[SweepRequest] = None,
     ) -> None:
-        if request is not None:
-            # The unified sweep-request path (Study.over_population); the
-            # individual execution keywords keep working for direct use.
-            executor = request.executor
-            max_workers = request.max_workers
-            cache = request.cache
-            seed = request.seed
-            name = request.name
-        else:
-            SweepRequest(
+        if request is None:
+            request = SweepRequest(
                 executor=executor,
                 max_workers=max_workers,
                 cache=cache,
                 seed=seed,
                 name=name,
-            ).validate("PopulationStudy")
+            )
+            request.validate("PopulationStudy")
         if count < 1:
             raise ConfigurationError("count must be >= 1")
         if method not in self.METHODS:
@@ -472,16 +471,11 @@ class PopulationStudy:
         # "unseeded" run is then replayable by construction (same dice in
         # every process, same content-addressed run IDs), and a caller who
         # wants fresh dice passes a seed of their own choosing.
-        if seed is None:
-            seed = UNSEEDED_DEFAULT_SEED
-        self._seed = int(seed)
+        seed = UNSEEDED_DEFAULT_SEED if request.seed is None else int(request.seed)
+        self._request = dataclasses.replace(request, seed=seed)
         self._binning = binning if binning is not None else skylake_binning_policy()
         self._method = method
         self._shard_size = shard_size
-        self._executor = executor
-        self._max_workers = max_workers
-        self._cache = cache
-        self._name = name
         self._tasks_total = 0
         self._tasks_executed = 0
         if tdp_levels_w is None:
@@ -501,12 +495,13 @@ class PopulationStudy:
     @property
     def name(self) -> str:
         """Study name."""
-        return self._name
+        return self._request.name
 
     @property
     def seed(self) -> int:
         """The seed threaded through every stochastic path of this study."""
-        return self._seed
+        assert self._request.seed is not None  # pinned in __init__
+        return self._request.seed
 
     @property
     def count(self) -> int:
@@ -541,7 +536,7 @@ class PopulationStudy:
     def sample(self) -> DiePopulation:
         """The study's population (deterministic in the seed)."""
         return DiePopulationSampler(self._variations).sample(
-            self._count, seed=self._seed
+            self._count, seed=self.seed
         )
 
     # -- execution ---------------------------------------------------------------------
@@ -555,7 +550,7 @@ class PopulationStudy:
             CallableTask(
                 key=f"{spec.label}/{scenario.name}",
                 fn=_run_fast_cell,
-                args=(spec, scenario, self._variations, self._count, self._seed),
+                args=(spec, scenario, self._variations, self._count, self.seed),
             )
             for spec in self._cell_specs
             for scenario in self._scenarios
@@ -576,8 +571,8 @@ class PopulationStudy:
             self._bin_population(spec, population) for spec in self._base_specs
         )
         return PopulationResult(
-            name=self._name,
-            seed=self._seed,
+            name=self.name,
+            seed=self.seed,
             count=self._count,
             method=self._method,
             variations=self._variations,
@@ -589,14 +584,7 @@ class PopulationStudy:
     def _run_grid(self, tasks: Sequence[CallableTask]) -> Any:
         """Run the grid tasks through the executor (store-cached if given)."""
         study = Study(
-            tasks=list(tasks),
-            request=SweepRequest(
-                executor=self._executor,
-                max_workers=self._max_workers,
-                cache=self._cache,
-                seed=self._seed,
-                name=f"{self._name}-grid",
-            ),
+            tasks=list(tasks), request=self._request.derive(f"{self.name}-grid")
         )
         grid = study.run()
         self._tasks_total = len(study)
@@ -623,7 +611,7 @@ class PopulationStudy:
                             fn=run_cell_shard,
                             args=(
                                 spec, scenario, self._variations, self._count,
-                                self._seed, shard, self._shard_size,
+                                self.seed, shard, self._shard_size,
                                 self._binning, base_spec,
                             ),
                         )
@@ -635,7 +623,7 @@ class PopulationStudy:
                         key=f"binning/{spec.name}/shard{shard}",
                         fn=run_binning_shard,
                         args=(
-                            spec, self._variations, self._count, self._seed,
+                            spec, self._variations, self._count, self.seed,
                             shard, self._shard_size, self._binning,
                         ),
                     )
@@ -663,8 +651,8 @@ class PopulationStudy:
             for spec in self._base_specs
         )
         return PopulationResult(
-            name=self._name,
-            seed=self._seed,
+            name=self.name,
+            seed=self.seed,
             count=self._count,
             method=self._method,
             variations=self._variations,

@@ -4,7 +4,8 @@ Each oracle is the slow, obviously-correct path a fast path replaced:
 
 * :mod:`oracles.dynamics` — the per-run closed-loop stepper;
 * :mod:`oracles.population` — per-die population stepping;
-* :mod:`oracles.droop` — the per-stage RK4 droop integrator.
+* :mod:`oracles.droop` — the per-stage RK4 droop integrator;
+* :mod:`oracles.study` — per-cell study execution.
 
 The equivalence tests and the speed harnesses in ``benchmarks/`` import
 them from here; the library itself never does.

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.study import BatchedExecutor, Study, resolve_executor
+from repro.analysis.study import Study, StudyExecutor, SweepRequest
 from repro.common.errors import ConfigurationError
 from repro.core.spec import build_engine, get_spec
 from repro.pmu.dvfs import (
@@ -41,6 +41,7 @@ from repro.workloads.dynamics import (
 from repro.workloads.spec import spec_cpu2006_base_suite
 
 from oracles.dynamics import DynamicsSimulator
+from oracles.study import PerCellExecutor
 
 SCENARIOS = (
     sustained_scenario(duration_s=12.0, time_step_s=0.1),
@@ -215,15 +216,19 @@ def test_sustained_points_resolve_once_per_system_and_demand(
 
 def test_over_dynamics_defaults_to_batched_executor():
     study = Study.over_dynamics(("baseline",), SCENARIOS[:1], tdp_levels_w=(35.0,))
-    assert isinstance(study._executor, BatchedExecutor)
+    assert isinstance(study._executor, StudyExecutor)
+    oracle = PerCellExecutor()
     explicit = Study.over_dynamics(
-        ("baseline",), SCENARIOS[:1], tdp_levels_w=(35.0,), executor="serial"
+        ("baseline",), SCENARIOS[:1], tdp_levels_w=(35.0,), executor=oracle
     )
-    assert not isinstance(explicit._executor, BatchedExecutor)
+    assert not isinstance(explicit._executor, StudyExecutor)
+    assert explicit._executor is oracle
 
 
 def test_batched_executor_name_resolves():
-    assert isinstance(resolve_executor("batched"), BatchedExecutor)
+    """The lockstep executor is what every request resolves to by default."""
+    assert isinstance(SweepRequest().resolve(), StudyExecutor)
+    assert isinstance(SweepRequest(max_workers=2).resolve(), StudyExecutor)
 
 
 def test_over_dynamics_batched_equals_serial():
@@ -233,7 +238,7 @@ def test_over_dynamics_batched_equals_serial():
         ("darkgates", "baseline"), scenarios, **kwargs
     ).run()
     serial = Study.over_dynamics(
-        ("darkgates", "baseline"), scenarios, executor="serial", **kwargs
+        ("darkgates", "baseline"), scenarios, executor=PerCellExecutor(), **kwargs
     ).run()
     assert len(batched.cells) == len(serial.cells)
     for cell_b, cell_s in zip(batched.cells, serial.cells):
@@ -245,8 +250,10 @@ def test_over_dynamics_batched_equals_serial():
 def test_batched_executor_falls_back_for_non_dynamic_tasks():
     workloads = spec_cpu2006_base_suite()[:2]
     suites = {"cpu": workloads, "dynamics": list(SCENARIOS[:1])}
-    batched = Study(("baseline",), suites, executor="batched", name="mixed").run()
-    serial = Study(("baseline",), suites, executor="serial", name="mixed").run()
+    batched = Study(("baseline",), suites, name="mixed").run()
+    serial = Study(
+        ("baseline",), suites, executor=PerCellExecutor(), name="mixed"
+    ).run()
     for workload in workloads:
         assert batched.get("baseline", workload, suite="cpu") == serial.get(
             "baseline", workload, suite="cpu"

@@ -45,6 +45,7 @@ from repro.store.hashing import canonical_payload
 from repro.workloads.dynamics import build_scenario, scenario_names
 
 from oracles.dynamics import DynamicsSimulator
+from oracles.study import PerCellExecutor
 
 # -- strategies ------------------------------------------------------------------------
 
@@ -540,7 +541,11 @@ def test_over_fleet_matches_serial_reference():
         ("darkgates",), (profile,), ensemble=2, seed=3
     ).run()
     serial = Study.over_fleet(
-        ("darkgates",), (profile,), ensemble=2, seed=3, executor="serial"
+        ("darkgates",),
+        (profile,),
+        ensemble=2,
+        seed=3,
+        executor=PerCellExecutor(),
     ).run()
     assert batched == serial
     # And both agree with judging per-member reference runs directly.

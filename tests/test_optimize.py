@@ -201,13 +201,6 @@ class TestBackendValidation:
                 demand=DEMAND, workers=4,
             )
 
-    def test_max_workers_conflicts_with_serial_executor(self):
-        with pytest.raises(ConfigurationError, match="executor='process'"):
-            Study.optimize(
-                ("darkgates",), _min_tdp_query("bisect"),
-                demand=DEMAND, executor="serial", max_workers=4,
-            )
-
     def test_unknown_metric_names_available_set(self):
         query = OptimizationSpec(
             name="bad-metric", method="bisect",
@@ -274,7 +267,7 @@ class TestBisectMatchesDenseOracle:
         ).run()
         pooled = Study.optimize(
             ("darkgates", "baseline"), _min_tdp_query("bisect"),
-            demand=DEMAND, executor="process", max_workers=2,
+            demand=DEMAND, max_workers=2,
         ).run()
         assert serial == pooled
 

@@ -469,10 +469,10 @@ def test_store_cache_refuses_to_pickle(tmp_path):
 
 def test_store_cache_with_process_executor(tmp_path):
     """The cache stays on the main side; only tasks cross the pool."""
-    study = _dynamics_study(tmp_path, executor="process", max_workers=2)
+    study = _dynamics_study(tmp_path, max_workers=2)
     study.run()
     assert study.tasks_executed == 2
-    warm = _dynamics_study(tmp_path, executor="process", max_workers=2)
+    warm = _dynamics_study(tmp_path, max_workers=2)
     warm.run()
     assert warm.tasks_executed == 0
 

@@ -73,6 +73,33 @@ def test_bad_opt_and_bad_scenario_are_clean_errors(store_root, capsys):
     assert "known scenarios" in capsys.readouterr().err
 
 
+def test_run_suite_rejects_opt(store_root, capsys):
+    argv = ["run", "--spec", "darkgates", "--suite", "energy", "--opt", "duration_s=4"]
+    assert main(argv) == 2
+    assert "--opt duration_s=4" in capsys.readouterr().err
+    assert not any(RunStore(store_root).iter_manifests())
+
+
+def test_run_fleet_profile_rejects_opt(store_root, capsys):
+    argv = [
+        "run", "--spec", "darkgates", "--profile", "datacenter",
+        "--ensemble", "1", "--opt", "time_step_s=5",
+    ]
+    assert main(argv) == 2
+    assert "--opt time_step_s=5" in capsys.readouterr().err
+    assert not any(RunStore(store_root).iter_manifests())
+
+
+def test_optimize_static_probe_rejects_opt(store_root, capsys):
+    argv = [
+        "optimize", "--spec", "darkgates", "--target-ghz", "3.0",
+        "--tdp-grid", "35,91", "--opt", "duration_s=4",
+    ]
+    assert main(argv) == 2
+    assert "--opt duration_s=4" in capsys.readouterr().err
+    assert not any(RunStore(store_root).iter_manifests())
+
+
 def test_summarize_and_index(store_root, capsys):
     main(TINY_SWEEP)
     capsys.readouterr()

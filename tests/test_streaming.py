@@ -475,9 +475,7 @@ def test_study_streaming_bounded_statistics_within_bounds(
 
 
 def test_study_streaming_process_pool_is_identical(streaming_result):
-    pooled = _population_study(
-        "streaming", shard_size=16, executor="process", max_workers=2
-    ).run()
+    pooled = _population_study("streaming", shard_size=16, max_workers=2).run()
     assert pooled.cells == streaming_result.cells
     assert pooled.binning == streaming_result.binning
 

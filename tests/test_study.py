@@ -1,26 +1,36 @@
-"""Tests for the Study sweep runner: grids, executors, caching, and
+"""Tests for the Study sweep runner: grids, the executor, caching, and
 StudyResult serialisation."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from repro.analysis.fleet import FleetStudy
+from repro.analysis.optimize import Constraint, Objective, OptimizationSpec
 from repro.analysis.study import (
     CallableTask,
-    ProcessExecutor,
-    SerialExecutor,
+    EngineTask,
     Study,
+    StudyExecutor,
     StudyResult,
-    resolve_executor,
+    SweepRequest,
 )
 from repro.common.errors import ConfigurationError
 from repro.core.darkgates import SystemComparison
 from repro.core.spec import get_spec
+from repro.pmu.dvfs import CpuDemand
+from repro.sim.dynamics import BatchedDynamicsSimulator
 from repro.sim.metrics import CpuRunResult, EnergyRunResult
+from repro.variation.distributions import skylake_process_variation
+from repro.variation.population import PopulationStudy
+from repro.workloads.dynamics import burst_scenario, sustained_scenario
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
 from repro.workloads.spec import spec_benchmark
+
+from oracles.study import PerCellExecutor
 
 
 def _small_suite():
@@ -127,29 +137,168 @@ def test_same_workload_in_two_suites_runs_once():
     assert study.tasks_executed == 3  # not 6: identical (spec, workload) pairs
 
 
-# -- executors -----------------------------------------------------------------------------------
+# -- the executor ------------------------------------------------------------------------------
 
 
-def test_resolve_executor():
-    assert isinstance(resolve_executor("serial"), SerialExecutor)
-    assert isinstance(resolve_executor("process"), ProcessExecutor)
-    executor = SerialExecutor()
-    assert resolve_executor(executor) is executor
-    with pytest.raises(ConfigurationError):
-        resolve_executor("threads")
-    with pytest.raises(ConfigurationError):
-        resolve_executor(object())
-    with pytest.raises(ConfigurationError):
-        ProcessExecutor(max_workers=0)
+def _mixed_study(**kwargs):
+    """Two CPU workloads and two dynamic scenarios at two TDPs, and one callable."""
+    specs = [get_spec("darkgates", tdp_w=tdp) for tdp in (35.0, 91.0)]
+    suites = {
+        "cpu": _small_suite()[:2],
+        "dynamics": [
+            sustained_scenario(duration_s=6.0, time_step_s=0.1),
+            burst_scenario(idle_lead_s=1.0, burst_s=5.0, time_step_s=0.1),
+        ],
+    }
+    tasks = (CallableTask(key="constant", fn=int, args=("42",)),)
+    return Study(specs, suites, tasks=tasks, name="mixed", **kwargs)
 
 
-def test_resolve_executor_validates_max_workers():
-    for name in ("serial", "batched", "process"):
-        with pytest.raises(ConfigurationError, match="max_workers must be >= 1"):
-            resolve_executor(name, max_workers=0)
-        with pytest.raises(ConfigurationError, match="max_workers must be >= 1"):
-            resolve_executor(name, max_workers=-2)
-    assert isinstance(resolve_executor("serial", max_workers=2), SerialExecutor)
+@pytest.mark.parametrize("max_workers", [None, 2])
+def test_executor_matches_per_cell_oracle_on_a_mixed_grid(max_workers):
+    expected = _mixed_study(executor=PerCellExecutor()).run()
+    study = _mixed_study(max_workers=max_workers)
+    assert study.run() == expected
+    assert study.tasks_executed == 9
+
+
+def test_max_workers_runs_jobs_in_worker_processes():
+    tasks = tuple(CallableTask(key=f"pid{i}", fn=os.getpid) for i in range(4))
+    pooled = Study(tasks=tasks, max_workers=2).run()
+    assert os.getpid() not in {pooled.task(task.key) for task in tasks}
+    in_process = Study(tasks=tasks).run()
+    assert {in_process.task(task.key) for task in tasks} == {os.getpid()}
+
+
+def test_in_process_executor_steps_every_dynamic_cell_in_one_batch(monkeypatch):
+    batches = []
+    run_batch = BatchedDynamicsSimulator.run_batch
+
+    def recording(self, runs):
+        batches.append(len(runs))
+        return run_batch(self, runs)
+
+    monkeypatch.setattr(BatchedDynamicsSimulator, "run_batch", recording)
+    _mixed_study().run()
+    assert batches == [4]
+
+
+def _plan_tasks(dynamic, other):
+    """*dynamic* dynamic engine cells interleaved with *other* callable tasks."""
+    spec = get_spec("darkgates")
+    tasks = [
+        EngineTask(spec, sustained_scenario(duration_s=1.0 + i, time_step_s=0.5))
+        for i in range(dynamic)
+    ]
+    for i in range(other):
+        tasks.insert(2 * i, CallableTask(key=f"task{i}", fn=int, args=(str(i),)))
+    return tasks
+
+
+@pytest.mark.parametrize(
+    "max_workers, dynamic, other",
+    [(None, 5, 3), (1, 3, 0), (2, 5, 3), (3, 2, 4), (4, 9, 40), (2, 0, 3)],
+)
+def test_plan_deals_dynamic_cells_round_robin_into_lockstep_batches(
+    max_workers, dynamic, other
+):
+    tasks = _plan_tasks(dynamic, other)
+    plan = StudyExecutor(max_workers).plan(tasks)
+    positions = [i for i, task in enumerate(tasks) if isinstance(task, EngineTask)]
+    workers = max_workers or 1
+    batches = [job for job in plan if isinstance(tasks[job[0]], EngineTask)]
+    singles = [job for job in plan if isinstance(tasks[job[0]], CallableTask)]
+    assert len(batches) == min(workers, dynamic)
+    assert sorted(batches) == [
+        tuple(positions[k::workers]) for k in range(min(workers, dynamic))
+    ]
+    assert singles == [
+        (i,) for i, task in enumerate(tasks) if isinstance(task, CallableTask)
+    ]
+    assert sorted(i for job in plan for i in job) == list(range(len(tasks)))
+    # The pool maps the plan in chunks of this size; no two batches share one.
+    chunksize = max(1, len(plan) // (4 * workers))
+    assert len({plan.index(batch) // chunksize for batch in batches}) == len(batches)
+
+
+def _study_entry_points():
+    """Every sweep entry point, each building (not running) a small study."""
+    scenario = sustained_scenario(duration_s=2.0, time_step_s=0.5)
+    query = OptimizationSpec(
+        name="min-tdp",
+        method="bisect",
+        objectives=(Objective("tdp_w", "min"),),
+        constraints=(Constraint("sustained_frequency_hz", ">=", 3.0e9),),
+        variables={"tdp_w": (35.0, 91.0)},
+    )
+    variations = skylake_process_variation()
+    return {
+        "Study": lambda **kw: Study(("darkgates",), _small_suite()[:1], **kw),
+        "over_tdp_levels": lambda **kw: Study.over_tdp_levels(
+            ("darkgates",), (35.0,), _small_suite()[:1], **kw
+        ),
+        "over_dynamics": lambda **kw: Study.over_dynamics(
+            ("darkgates",), (scenario,), **kw
+        ),
+        "over_population": lambda **kw: Study.over_population(
+            ("darkgates",), (scenario,), variations, 8, **kw
+        ),
+        "over_fleet": lambda **kw: Study.over_fleet(
+            ("darkgates",), ("datacenter",), 1, **kw
+        ),
+        "optimize": lambda **kw: Study.optimize(
+            ("darkgates",), query, demand=CpuDemand(active_cores=4), **kw
+        ),
+        "FleetStudy": lambda **kw: FleetStudy(("darkgates",), ("datacenter",), **kw),
+        "PopulationStudy": lambda **kw: PopulationStudy(
+            ("darkgates",), (scenario,), variations, 8, **kw
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        pytest.param({"max_workers": 0}, "max_workers", id="max_workers=0"),
+        pytest.param({"max_workers": -1}, "max_workers", id="max_workers=-1"),
+        pytest.param({"max_workers": True}, "max_workers", id="max_workers=True"),
+        pytest.param({"max_workers": "2"}, "max_workers", id="max_workers='2'"),
+        *(
+            pytest.param(
+                {"executor": name},
+                "executor names were removed",
+                id=f"executor={name!r}",
+            )
+            for name in ("serial", "batched", "process", "threads")
+        ),
+        pytest.param(
+            {"executor": PerCellExecutor(), "max_workers": 2},
+            "conflicts",
+            id="executor-object-with-max_workers",
+        ),
+        pytest.param(
+            {"executor": object()}, "run_tasks", id="executor-without-run_tasks"
+        ),
+    ],
+)
+def test_bad_execution_keywords_raise(kwargs, match):
+    for build in _study_entry_points().values():
+        with pytest.raises(ConfigurationError, match=match):
+            build(**kwargs)
+    with pytest.raises(ConfigurationError, match=match):
+        Study(request=SweepRequest(**kwargs))
+    if set(kwargs) == {"max_workers"}:
+        with pytest.raises(ConfigurationError, match="max_workers"):
+            StudyExecutor(**kwargs)
+
+
+def test_good_execution_keywords_build_every_entry_point():
+    oracle = PerCellExecutor()
+    for build in _study_entry_points().values():
+        build(max_workers=2)
+        build(max_workers=1)
+        build(executor=oracle)
+    assert SweepRequest(executor=oracle).resolve() is oracle
 
 
 def test_process_pool_four_tdp_sweep_with_caching():
@@ -159,7 +308,6 @@ def test_process_pool_four_tdp_sweep_with_caching():
         ("darkgates", "baseline"),
         (35.0, 45.0, 65.0, 91.0),
         suite,
-        executor="process",
         max_workers=2,
     )
     result = study.run()
@@ -168,7 +316,7 @@ def test_process_pool_four_tdp_sweep_with_caching():
     again = study.run()
     assert study.tasks_executed == 8 * len(suite)
     assert again == result
-    # Parity with the serial executor.
+    # Parity with the in-process default.
     serial = Study.over_tdp_levels(
         ("darkgates", "baseline"), (35.0, 45.0, 65.0, 91.0), suite
     ).run()
