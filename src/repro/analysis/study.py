@@ -49,6 +49,7 @@ from typing import (
 from repro.analysis.reporting import format_table
 from repro.common.codec import RESULT_SCHEMA_VERSION, check_schema
 from repro.common.errors import ConfigurationError
+from repro.common.validation import ensure_seed
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.sim.dynamics import BatchedDynamicsSimulator
 from repro.sim.metrics import RunResult
@@ -79,10 +80,26 @@ TASK_SUITE = "tasks"
 
 @dataclass(frozen=True)
 class EngineTask:
-    """One grid cell: run one workload on the system built from one spec."""
+    """One grid cell: run one workload on the system built from one spec.
+
+    Every cache lookup hashes the task, and its hash walks the whole spec
+    and workload, so the task computes it once and keeps it.  The kept
+    hash stays out of the pickle: tasks cross process pools, and string
+    hashes differ between interpreters.
+    """
 
     spec: SystemSpec
     workload: Workload
+
+    def __hash__(self) -> int:
+        cached: Optional[int] = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.spec, self.workload))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"spec": self.spec, "workload": self.workload}
 
 
 @dataclass(frozen=True)
@@ -300,6 +317,8 @@ class SweepRequest:
         """Reject bad or conflicting keywords with actionable errors."""
         where = f"{entry_point}()"
         _check_max_workers(self.max_workers, where)
+        if self.seed is not None:
+            ensure_seed(self.seed, f"{where}: seed")
         if self.executor is None:
             return
         if isinstance(self.executor, str):

@@ -11,6 +11,8 @@ names the offending parameter.
 from __future__ import annotations
 
 import math
+import numbers
+from typing import Any
 
 from repro.common.errors import ConfigurationError
 
@@ -41,6 +43,18 @@ def ensure_in_range(
             f"{name} must be in [{low!r}, {high!r}], got {value!r}"
         )
     return value
+
+
+def ensure_seed(value: Any, name: str = "seed") -> int:
+    """Return *value* as an ``int`` if it is an integer >= 0.
+
+    Python and numpy integers count; ``bool`` does not.  Seeds are hashed
+    into run IDs, so a ``"7"`` or ``7.0`` accepted here would file runs
+    that ``--seed 7`` never finds.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ConfigurationError(f"{name} must be an int >= 0, got {value!r}")
+    return int(value)
 
 
 def _ensure_finite(value: float, name: str) -> None:

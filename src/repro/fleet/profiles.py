@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.validation import ensure_in_range, ensure_positive
+from repro.common.validation import ensure_in_range, ensure_positive, ensure_seed
 from repro.fleet.arrivals import (
     ArrivalProcess,
     DiurnalArrivals,
@@ -160,8 +160,7 @@ class ScenarioGenerator:
 
     def compile(self, seed: int = 0, member: int = 0) -> DynamicScenario:
         """Compile ensemble member *member* of the profile under *seed*."""
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigurationError(f"seed must be an int >= 0, got {seed!r}")
+        seed = ensure_seed(seed)
         if not isinstance(member, int) or isinstance(member, bool) or member < 0:
             raise ConfigurationError(f"member must be an int >= 0, got {member!r}")
         profile = self.profile

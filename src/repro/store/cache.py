@@ -18,14 +18,15 @@ from __future__ import annotations
 import warnings
 from collections.abc import MutableMapping
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.analysis.study import CallableTask, EngineTask, StudyTask
 from repro.common.errors import ConfigurationError, StoreError
+from repro.common.validation import ensure_seed
 from repro.sim.engine import ENGINE_VERSION
 from repro.sim.metrics import RunResult
 from repro.store.artifacts import RunStore
-from repro.store.hashing import run_id_for_task
+from repro.store.hashing import CanonicalFragments, run_id_for_task
 from repro.store.manifest import (
     DEFAULT_TIER,
     RunManifest,
@@ -45,11 +46,12 @@ class StoreCache(MutableMapping[StudyTask, Any]):
     store:
         An existing :class:`RunStore` to share.
     seed:
-        Seed hashed into every run ID.  Pass the study's seed when the
-        engine tasks themselves are stochastic; deterministic sweeps (the
-        common case — dynamics, transients, steady-state grids) leave it
-        ``None``.  Population callable tasks already carry their seed in
-        their arguments, so it is hashed either way.
+        Seed hashed into every run ID: ``None`` or an integer >= 0.  Pass
+        the study's seed when the engine tasks themselves are stochastic;
+        deterministic sweeps (the common case — dynamics, transients,
+        steady-state grids) leave it ``None``.  Population callable tasks
+        already carry their seed in their arguments, so it is hashed
+        either way.
     tier:
         Storage tier stamped into the manifests this cache writes.
 
@@ -58,6 +60,8 @@ class StoreCache(MutableMapping[StudyTask, Any]):
     ``__iter__`` / ``__len__`` cover the tasks this session has touched
     (the store itself cannot reconstruct task objects from manifests);
     membership and item access consult the disk store transparently.
+    :attr:`written` and :attr:`served` list the runs this session put into
+    or read from the store, so an index update touches only those.
 
     The cache deliberately refuses to pickle: it would silently fork the
     in-memory layer across workers.  A :class:`StoreCache` belongs in the
@@ -75,10 +79,14 @@ class StoreCache(MutableMapping[StudyTask, Any]):
         tier: str = DEFAULT_TIER,
     ) -> None:
         self._store = store if store is not None else RunStore(root)
-        self._seed = seed
+        self._seed = None if seed is None else ensure_seed(seed)
         self._tier = tier
         self._memory: Dict[StudyTask, Any] = {}
         self._run_ids: Dict[StudyTask, str] = {}
+        self._fragments = CanonicalFragments()
+        # Run ID -> the manifest this session wrote, or None if it served
+        # the run from disk.
+        self._touched: Dict[str, Optional[RunManifest]] = {}
         self._unpersisted = 0
 
     # -- introspection -----------------------------------------------------------------
@@ -98,13 +106,31 @@ class StoreCache(MutableMapping[StudyTask, Any]):
         """Number of values this session kept memory-only (encode failures)."""
         return self._unpersisted
 
+    @property
+    def written(self) -> Tuple[RunManifest, ...]:
+        """Manifests of the runs this session wrote to the store."""
+        return tuple(
+            manifest for manifest in self._touched.values() if manifest is not None
+        )
+
+    @property
+    def served(self) -> Tuple[str, ...]:
+        """IDs of the runs this session read back from the store."""
+        return tuple(
+            run_id for run_id, manifest in self._touched.items() if manifest is None
+        )
+
     def run_id(self, task: StudyTask) -> str:
         """The content-addressed run ID this cache files *task* under
-        (computed once per task: tasks are frozen)."""
+        (computed once per task: tasks are frozen).  Descriptors shared
+        between tasks are rendered once per cache."""
         run_id = self._run_ids.get(task)
         if run_id is None:
             run_id = self._run_ids[task] = run_id_for_task(
-                task, seed=self._seed, engine_version=ENGINE_VERSION
+                task,
+                seed=self._seed,
+                engine_version=ENGINE_VERSION,
+                fragments=self._fragments,
             )
         return run_id
 
@@ -125,6 +151,7 @@ class StoreCache(MutableMapping[StudyTask, Any]):
             )
             raise KeyError(task) from None  # repro-lint: disable=RPR005 -- MutableMapping.__getitem__ protocol; a corrupt artifact must read as a cache miss
         self._memory[task] = value
+        self._touched[run_id] = None
         return value
 
     def __setitem__(self, task: StudyTask, value: Any) -> None:
@@ -139,11 +166,14 @@ class StoreCache(MutableMapping[StudyTask, Any]):
                 f"{error}",
                 stacklevel=2,
             )
+        else:
+            self._touched[manifest.run_id] = manifest
 
     def __delitem__(self, task: StudyTask) -> None:
         found = task in self._memory
         self._memory.pop(task, None)
         run_id = self.run_id(task)
+        self._touched.pop(run_id, None)
         if run_id in self._store:
             self._store.delete(run_id)
         elif not found:

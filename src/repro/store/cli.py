@@ -110,13 +110,13 @@ def _reject_stray_opt(args: argparse.Namespace) -> None:
         )
 
 
-def _report_tasks(store: RunStore, executed: int, total: int) -> int:
-    """Print the executed/served footer, re-index *store*; the exit code."""
+def _report_tasks(cache: StoreCache, executed: int, total: int) -> int:
+    """Print the executed/served footer, index *cache*'s runs; the exit code."""
     print(
         f"{executed} task(s) executed, "
-        f"{total - executed} served from the store ({store.root})"
+        f"{total - executed} served from the store ({cache.store.root})"
     )
-    indexed = RunIndex(store).rebuild()
+    indexed = RunIndex(cache.store).update(cache.written, cache.served)
     print(f"index: {indexed} run(s)")
     return 0
 
@@ -126,17 +126,16 @@ def _report_tasks(store: RunStore, executed: int, total: int) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _reject_stray_opt(args)
-    store = RunStore(args.store)
-    cache = StoreCache(store=store, seed=args.seed)
+    cache = StoreCache(args.store, seed=args.seed)
     if args.profile:
-        return _cmd_run_fleet(args, store, cache)
+        return _cmd_run_fleet(args, cache)
     if args.ensemble is not None:
         raise ConfigurationError(
             "--ensemble sizes a fleet scenario ensemble; pass --profile "
             "NAME to pick the fleet profile"
         )
     if args.population is not None:
-        return _cmd_run_population(args, store, cache)
+        return _cmd_run_population(args, cache)
     if args.shard_size is not None:
         raise ConfigurationError(
             "--shard-size streams a die population; pass --population N "
@@ -168,12 +167,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             study = Study(args.spec, suites, **kwargs)
     result = study.run()
     print(result.as_table())
-    return _report_tasks(store, study.tasks_executed, len(study))
+    return _report_tasks(cache, study.tasks_executed, len(study))
 
 
-def _cmd_run_fleet(
-    args: argparse.Namespace, store: RunStore, cache: StoreCache
-) -> int:
+def _cmd_run_fleet(args: argparse.Namespace, cache: StoreCache) -> int:
     """``run --profile NAME [--ensemble N]``: a seeded fleet QoS sweep.
 
     Each profile compiles into a seeded scenario ensemble (bit-identical
@@ -210,12 +207,10 @@ def _cmd_run_fleet(
             )
         )
     )
-    return _report_tasks(store, study.tasks_executed, study.tasks_total)
+    return _report_tasks(cache, study.tasks_executed, study.tasks_total)
 
 
-def _cmd_run_population(
-    args: argparse.Namespace, store: RunStore, cache: StoreCache
-) -> int:
+def _cmd_run_population(args: argparse.Namespace, cache: StoreCache) -> int:
     """``run --population N [--shard-size M]``: a die-population sweep.
 
     With ``--shard-size`` the streaming engine runs (one bounded-memory
@@ -281,7 +276,7 @@ def _cmd_run_population(
             for name, fraction in sorted(binning.yield_fractions.items())
         )
         print(f"yields[{binning.spec_name}]: {yields}")
-    return _report_tasks(store, study.tasks_executed, study.tasks_total)
+    return _report_tasks(cache, study.tasks_executed, study.tasks_total)
 
 
 def _parse_grid(text: str, what: str) -> List[float]:
@@ -331,8 +326,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.pmu.dvfs import CpuDemand
 
     _reject_stray_opt(args)
-    store = RunStore(args.store)
-    cache = StoreCache(store=store, seed=args.seed)
+    cache = StoreCache(args.store, seed=args.seed)
     kwargs = _sweep_kwargs(args, cache)
     if (args.target_ghz is None) == (args.population is None):
         raise ConfigurationError(
@@ -428,7 +422,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             )
     result = study.run()
     print(result.as_table())
-    return _report_tasks(store, study.tasks_executed, study.tasks_total)
+    return _report_tasks(cache, study.tasks_executed, study.tasks_total)
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:

@@ -7,17 +7,31 @@ darkgates vs baseline across the stored SPEC suite"* are answered by a
 query instead of a re-simulation.  The database is derived state: it can be
 dropped at any time and rebuilt purely from the on-disk manifests
 (:meth:`RunIndex.rebuild`), which is also how it recovers from corruption.
+A sweep keeps the index current with :meth:`RunIndex.update`, which
+touches only the sweep's own runs once a rebuild has completed the index.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.common.errors import StoreError
-from repro.store.artifacts import RunStore
+from repro.store.artifacts import RunStore, StoreCorruptionWarning
 from repro.store.manifest import RunManifest
 
 INDEX_FILENAME = "index.sqlite"
@@ -63,6 +77,15 @@ _UPSERT = (
     f"VALUES ({', '.join('?' for _ in _COLUMNS)})"
 )
 
+#: Run IDs bound per ``WHERE run_id IN (...)`` statement; stays under
+#: SQLite's 999-variable limit of builds older than 3.32.
+_MEMBERSHIP_CHUNK = 500
+
+#: ``PRAGMA user_version`` of an index that a rebuild completed.  The
+#: pragma commits with the rebuild's rows, so an index created by a query
+#: or an upsert, or left by a rebuild that failed, reads 0.
+_REBUILT = 1
+
 
 class RunIndex:
     """Queryable cross-run index of one store's manifests."""
@@ -84,6 +107,14 @@ class RunIndex:
     def exists(self) -> bool:
         """True when the database file has been materialised."""
         return self._path.exists()
+
+    def _rebuilt(self) -> bool:
+        """True when the index exists and a rebuild completed it."""
+        if not self.exists():
+            return False
+        with self._connect() as connection:
+            (version,) = connection.execute("PRAGMA user_version").fetchone()
+        return bool(version == _REBUILT)
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
@@ -115,6 +146,48 @@ class RunIndex:
             connection.executemany(_UPSERT, rows)
         return len(rows)
 
+    def update(self, written: Iterable[RunManifest], served: Sequence[str]) -> int:
+        """Upsert the rows of one sweep's runs; returns the indexed run count.
+
+        *written* manifests are upserted as given.  Of the *served* run
+        IDs, those the index lacks — their sweep's index update failed, or
+        another process wrote them — are found with one membership query
+        and upserted from their manifests (corrupt ones are skipped with a
+        warning, as in :meth:`rebuild`).  No other manifest is read, so
+        the cost does not grow with the store.  An index that no rebuild
+        completed (missing, created by a query or an upsert, or left by a
+        failed rebuild) is rebuilt instead.
+        """
+        if not self._rebuilt():
+            return self.rebuild()
+        rows = [self._row(manifest) for manifest in written]
+        with self._connect() as connection:
+            present: Set[str] = set()
+            for start in range(0, len(served), _MEMBERSHIP_CHUNK):
+                chunk = served[start : start + _MEMBERSHIP_CHUNK]
+                marks = ", ".join("?" for _ in chunk)
+                present.update(
+                    run_id
+                    for (run_id,) in connection.execute(
+                        f"SELECT run_id FROM runs WHERE run_id IN ({marks})",
+                        chunk,
+                    )
+                )
+            for run_id in served:
+                if run_id in present:
+                    continue
+                try:
+                    rows.append(self._row(self._store.load_manifest(run_id)))
+                except StoreError as error:
+                    warnings.warn(
+                        f"not indexing run {run_id}: {error}",
+                        StoreCorruptionWarning,
+                        stacklevel=2,
+                    )
+            connection.executemany(_UPSERT, rows)
+            (count,) = connection.execute("SELECT COUNT(*) FROM runs").fetchone()
+        return int(count)
+
     def rebuild(self) -> int:
         """Drop every row and re-index the store's manifests from disk.
 
@@ -129,6 +202,7 @@ class RunIndex:
             connection.executemany(
                 _UPSERT, [self._row(manifest) for manifest in manifests]
             )
+            connection.execute(f"PRAGMA user_version = {_REBUILT}")
         return len(manifests)
 
     def prune(self, run_ids: Iterable[str]) -> None:

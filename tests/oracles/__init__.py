@@ -5,7 +5,8 @@ Each oracle is the slow, obviously-correct path a fast path replaced:
 * :mod:`oracles.dynamics` — the per-run closed-loop stepper;
 * :mod:`oracles.population` — per-die population stepping;
 * :mod:`oracles.droop` — the per-stage RK4 droop integrator;
-* :mod:`oracles.study` — per-cell study execution.
+* :mod:`oracles.study` — per-cell study execution;
+* :mod:`oracles.hashing` — one render of the whole run-identity document.
 
 The equivalence tests and the speed harnesses in ``benchmarks/`` import
 them from here; the library itself never does.

@@ -5,14 +5,19 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from enum import Enum, IntEnum
+from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.study import CallableTask, EngineTask, Study, StudyResult
 from repro.common.errors import ConfigurationError, StoreError
-from repro.core.spec import get_spec
+from repro.core.spec import get_spec, spec_names
 from repro.fleet import ScenarioGenerator, fleet_profile
 from repro.sim.engine import ENGINE_VERSION, SimulationEngine
 from repro.sim.metrics import RESULT_SCHEMA_VERSION, RunResult
@@ -23,6 +28,7 @@ from repro.store import (
     StoreCache,
     StoreCorruptionWarning,
     canonical_json,
+    canonical_payload,
     decode_value,
     digest,
     encode_value,
@@ -38,6 +44,8 @@ from repro.variation.streaming import run_cell_shard
 from repro.workloads.dynamics import build_scenario, scenario_names
 from repro.workloads.energy import energy_star_scenario
 from repro.workloads.spec import spec_benchmark
+
+from oracles import hashing as oracle
 
 
 def _scenario(**overrides):
@@ -151,6 +159,218 @@ def test_store_cache_hashes_each_task_once(tmp_path, monkeypatch):
     study.run()
     assert study.tasks_executed == 2
     assert len(calls) == 2  # the lookup miss and the write share one ID
+
+
+# -- the whole-render oracle ---------------------------------------------------------------------
+
+
+class _Colour(Enum):
+    RED = "red"
+    BLUE = 2
+
+
+class _Level(IntEnum):  # an int first: both walkers keep the member itself
+    LOW = 1
+    HIGH = 3
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    weight: float
+    tags: Tuple[str, ...] = ()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FINITE,
+    st.just(-0.0),
+    st.text(max_size=4),
+    st.sampled_from(list(_Colour)),
+    st.sampled_from(list(_Level)),
+    st.integers(-(2**31), 2**31).map(np.int64),
+    _FINITE.map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+        st.builds(
+            _Leaf, _FINITE, st.lists(st.text(max_size=2), max_size=2).map(tuple)
+        ),
+        st.lists(_FINITE, max_size=3).map(np.array),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_PAYLOADS)
+def test_canonical_json_matches_the_isinstance_ladder(value):
+    assert canonical_json(value) == oracle.canonical_json(value)
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), [float("inf")], {1: "key"}, object(), _Leaf]
+)
+def test_canonical_payload_rejects_what_the_ladder_rejects(value):
+    with pytest.raises(ConfigurationError) as expected:
+        oracle.canonical_payload(value)
+    with pytest.raises(ConfigurationError, match=re.escape(str(expected.value))):
+        canonical_payload(value)
+
+
+_BUILDER_OPTIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        "time_step_s": st.sampled_from([0.01, 0.5, 1.0]),
+        "activity": st.floats(min_value=0.05, max_value=1.0),
+        "active_cores": st.integers(min_value=1, max_value=4),
+    },
+)
+#: A recipe builds one or more scenarios; building it twice gives equal
+#: but distinct objects.
+_SCENARIO_RECIPES = st.one_of(
+    st.tuples(
+        st.just("builder"),
+        st.sampled_from(["sustained", "burst", "sprint_and_rest"]),
+        _BUILDER_OPTIONS,
+    ),
+    st.tuples(
+        st.just("builder"),
+        st.sampled_from(["fleet-consumer", "fleet-datacenter", "fleet-graphics"]),
+        st.fixed_dictionaries(
+            {"seed": st.integers(0, 2**16), "member": st.integers(0, 7)}
+        ),
+    ),
+    st.tuples(
+        st.just("ensemble"),
+        st.sampled_from(["consumer", "datacenter", "graphics"]),
+        st.fixed_dictionaries(
+            {"seed": st.integers(0, 2**16), "count": st.integers(1, 3)}
+        ),
+    ),
+)
+_SPEC_RECIPES = st.tuples(
+    st.sampled_from(spec_names()),
+    st.sampled_from([35.0, 45.0, 65.0, 91.0])
+    | st.floats(min_value=10.0, max_value=120.0),
+)
+
+
+def _build_scenarios(recipe):
+    kind, name, options = recipe
+    if kind == "ensemble":
+        return list(ScenarioGenerator(fleet_profile(name)).ensemble(**options))
+    return [build_scenario(name, **options)]
+
+
+def _shard_task(spec, scenario, variations, binning, index, count, seed):
+    return CallableTask(
+        key=f"{spec.label}/{scenario.name}/shard{index}",
+        fn=run_cell_shard,
+        args=(
+            spec, scenario, variations, count, seed, index, 8, binning,
+            get_spec(spec.name),
+        ),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec_recipes=st.lists(_SPEC_RECIPES, min_size=1, max_size=3),
+    scenario_recipes=st.lists(_SCENARIO_RECIPES, min_size=1, max_size=3),
+    seed=st.none() | st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_store_cache_run_ids_match_the_whole_render_oracle(
+    tmp_path_factory, spec_recipes, scenario_recipes, seed, data
+):
+    """Memoised fragments give the oracle's IDs whether a task reuses a
+    descriptor object already rendered or names an equal, distinct one."""
+    specs = [get_spec(name, tdp_w=tdp) for name, tdp in spec_recipes]
+    scenarios = [
+        (recipe, index, scenario)
+        for recipe in scenario_recipes
+        for index, scenario in enumerate(_build_scenarios(recipe))
+    ]
+    variations, binning = skylake_process_variation(), skylake_binning_policy()
+    tasks = []
+    for _ in range(data.draw(st.integers(2, 12), label="tasks")):
+        i = data.draw(st.integers(0, len(specs) - 1), label="spec")
+        j = data.draw(st.integers(0, len(scenarios) - 1), label="scenario")
+        recipe, member, scenario = scenarios[j]
+        spec = specs[i]
+        if data.draw(st.booleans(), label="distinct copies"):
+            name, tdp = spec_recipes[i]
+            spec = get_spec(name, tdp_w=tdp)
+            scenario = _build_scenarios(recipe)[member]
+        if data.draw(st.booleans(), label="population shard"):
+            fresh = data.draw(st.booleans(), label="fresh variation model")
+            task = _shard_task(
+                spec,
+                scenario,
+                skylake_process_variation() if fresh else variations,
+                binning,
+                data.draw(st.integers(0, 3), label="shard"),
+                data.draw(st.integers(8, 64), label="dice"),
+                0 if seed is None else seed,
+            )
+        else:
+            task = EngineTask(spec, scenario)
+        tasks.append(task)
+    cache = StoreCache(tmp_path_factory.getbasetemp() / "ids", seed=seed)
+    for task in tasks:
+        pickled = pickle.dumps(task)
+        expected = oracle.run_id_for_task(
+            task, seed=seed, engine_version=ENGINE_VERSION
+        )
+        assert cache.run_id(task) == expected
+        assert (
+            run_id_for_task(task, seed=seed, engine_version=ENGINE_VERSION)
+            == expected
+        )
+        hash(task)
+        assert pickle.dumps(task) == pickled  # the kept hash never travels
+
+
+def test_task_fingerprint_matches_the_oracle():
+    member = ScenarioGenerator(fleet_profile("graphics")).ensemble(seed=3, count=1)[0]
+    spec = get_spec("darkgates", tdp_w=65.0)
+    for task in (
+        EngineTask(spec, member),
+        _shard_task(
+            spec, member, skylake_process_variation(), skylake_binning_policy(),
+            1, 16, 7,
+        ),
+    ):
+        assert task_fingerprint(task) == oracle.task_fingerprint(task)
+
+
+def test_engine_task_hash_stays_out_of_the_pickle():
+    task = _task()
+    pickled = pickle.dumps(task)
+    value = hash(task)
+    assert pickle.dumps(task) == pickled
+    clone = pickle.loads(pickled)
+    assert clone == task and hash(clone) == value
+
+
+@pytest.mark.parametrize("seed", ["7", True, 1.5, -1])
+def test_store_cache_rejects_bad_seeds(tmp_path, seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        StoreCache(tmp_path, seed=seed)
+
+
+def test_store_cache_accepts_numpy_integer_seeds(tmp_path):
+    cache = StoreCache(tmp_path, seed=np.int64(7))
+    assert cache.seed == 7 and type(cache.seed) is int
+    assert cache.run_id(_task()) == StoreCache(tmp_path, seed=7).run_id(_task())
 
 
 def _scenario_count(n):

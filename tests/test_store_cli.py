@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import sqlite3
+import warnings
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.engine import ENGINE_VERSION
 from repro.store import RunIndex, RunStore
@@ -223,3 +229,159 @@ def test_gc_dry_run_then_apply(store_root, capsys):
 
     assert main(["gc", "--all", "--apply"]) == 0
     assert len(store) == 0
+
+
+# -- the upsert-only index -----------------------------------------------------------------
+
+
+def _sweep(store, tdp):
+    argv = [arg if arg != "35" else tdp for arg in TINY_SWEEP]
+    return argv + ["--store", str(store)]
+
+
+def _index_rows(store):
+    index = RunIndex(RunStore(store))
+    if not index.exists():
+        return None
+    with sqlite3.connect(index.path) as connection:
+        return sorted(connection.execute("SELECT * FROM runs").fetchall())
+
+
+def _truncate_one_result(store, tdp):
+    for manifest in RunStore(store).iter_manifests():
+        if manifest.tdp_w == float(tdp):
+            path = RunStore(store).run_dir(manifest.run_id) / "result.json"
+            path.write_text(path.read_text()[:20])
+            return
+
+
+_INDEX_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "run",
+                "gc",
+                "gc-all",
+                "truncate",
+                "drop-index",
+                "query-index",
+                "failed-update",
+            ]
+        ),
+        st.sampled_from(["35", "91"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=_INDEX_STEPS)
+@example(steps=[("run", "35"), ("drop-index", "35"), ("failed-update", "91")])
+@example(steps=[("run", "35"), ("drop-index", "35"), ("query-index", "35"),
+                ("run", "91")])
+def test_upserted_index_equals_a_fresh_rebuild(tmp_path_factory, steps):
+    """After every completed ``run``, whatever came before it, the rows
+    ``run`` left in the index are the rows a full rebuild writes.  A
+    ``failed-update`` step is a ``run`` whose index transaction fails,
+    then the same ``run`` again; ``query-index`` queries the index, which
+    creates an empty one when it is missing."""
+    store = tmp_path_factory.mktemp("store")
+    for step, tdp in steps:
+        if step == "gc":
+            assert main(["gc", "--apply", "--store", str(store)]) == 0
+            continue
+        if step == "gc-all":
+            assert main(["gc", "--all", "--apply", "--store", str(store)]) == 0
+            continue
+        if step == "drop-index":
+            RunIndex(RunStore(store)).path.unlink(missing_ok=True)
+            continue
+        if step == "query-index":
+            RunIndex(RunStore(store)).count()
+            continue
+        if step == "truncate":
+            _truncate_one_result(store, tdp)
+        elif step == "failed-update":
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(RunIndex, "_connect", _commit_fails)
+                with pytest.raises(sqlite3.OperationalError):
+                    main(_sweep(store, tdp))
+        output = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(output):
+            warnings.simplefilter("ignore")  # the truncated run re-runs
+            assert main(_sweep(store, tdp)) == 0
+        upserted = _index_rows(store)
+        assert f"index: {len(upserted)} run(s)" in output.getvalue()
+        assert RunIndex(RunStore(store)).rebuild() == len(upserted)
+        assert _index_rows(store) == upserted
+
+
+_connect = RunIndex._connect
+
+
+@contextlib.contextmanager
+def _commit_fails(index):
+    """``RunIndex._connect`` whose every write transaction fails to commit."""
+    with _connect(index) as connection:
+        yield connection
+        if connection.in_transaction:
+            raise sqlite3.OperationalError("disk I/O error")
+
+
+def test_warm_run_reads_no_manifest(store_root, monkeypatch, capsys):
+    assert main(TINY_SWEEP) == 0
+    reads = []
+    for name in ("iter_manifests", "load_manifest"):
+        original = getattr(RunStore, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            reads.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(RunStore, name, counted)
+    assert main(TINY_SWEEP) == 0
+    assert "0 task(s) executed, 2 served" in capsys.readouterr().out
+    assert reads == []
+
+
+def test_run_heals_served_runs_the_index_lacks(store_root, capsys):
+    """Runs written without an index update (a failed update, another
+    process) gain their rows when a later ``run`` serves them."""
+    main(TINY_SWEEP)
+    index = RunIndex(RunStore(store_root))
+    index.prune(manifest.run_id for manifest in index.query())
+    assert index.count() == 0
+    capsys.readouterr()
+    assert main(TINY_SWEEP) == 0
+    assert "index: 2 run(s)" in capsys.readouterr().out
+    assert index.count() == 2
+
+
+def test_run_rebuilds_an_index_no_rebuild_completed(store_root, capsys):
+    """An index a query created, or a failed rebuild left, is not trusted:
+    the next ``run`` rebuilds it, so it also lists the other sweep's runs."""
+    other = [arg if arg != "35" else "91" for arg in TINY_SWEEP]
+    main(TINY_SWEEP)
+    main(other)
+    index = RunIndex(RunStore(store_root))
+    index.path.unlink()
+    assert index.count() == 0 and index.exists()
+    capsys.readouterr()
+    assert main(TINY_SWEEP) == 0
+    assert "index: 4 run(s)" in capsys.readouterr().out
+    index.path.unlink()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunIndex, "_connect", _commit_fails)
+        with pytest.raises(sqlite3.OperationalError):
+            index.rebuild()
+    assert index.exists() and index.count() == 0
+    assert main(TINY_SWEEP) == 0
+    assert "index: 4 run(s)" in capsys.readouterr().out
+
+
+def test_run_rejects_a_negative_seed(store_root, capsys):
+    argv = [arg if arg != "7" else "-1" for arg in TINY_SWEEP]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (store_root / "runs").exists()

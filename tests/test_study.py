@@ -279,6 +279,10 @@ def _study_entry_points():
         pytest.param(
             {"executor": object()}, "run_tasks", id="executor-without-run_tasks"
         ),
+        *(
+            pytest.param({"seed": seed}, "seed", id=f"seed={seed!r}")
+            for seed in ("7", True, 1.5, -1)
+        ),
     ],
 )
 def test_bad_execution_keywords_raise(kwargs, match):
