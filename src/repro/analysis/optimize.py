@@ -59,10 +59,7 @@ from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.pmu.dvfs import CpuDemand
-from repro.sim.operating_point import (
-    frequency_ceiling_hz,
-    sustained_operating_point,
-)
+from repro.pmu.pcode import Pcode
 from repro.variation.binning import (
     SCRAP_BIN,
     BinningPolicy,
@@ -435,13 +432,27 @@ def _static_probe(spec: SystemSpec, demand: CpuDemand) -> Dict[str, float]:
     Returns plain JSON scalars so the run store persists probe results
     through its ``json`` codec.
     """
-    point = sustained_operating_point(build_engine(spec).pcode, demand)
+    point = build_engine(spec).pcode.resolve_cpu_operating_point(demand)
     return {
         "sustained_frequency_hz": float(point.frequency_hz),
         "package_power_w": float(point.package_power_w),
         "voltage_v": float(point.voltage_v),
         "junction_temperature_c": float(point.junction_temperature_c),
     }
+
+
+def frequency_ceiling_hz(pcode: Pcode, demand: CpuDemand) -> float:
+    """The Vmax/Iccmax-limited frequency ceiling of *demand* on *pcode*.
+
+    The highest candidate frequency feasible regardless of TDP or thermals
+    — no power budget can sustain more.  Returns ``0.0`` when no bin is
+    electrically feasible at all.
+    """
+    table = pcode.dvfs_policy.candidate_table(demand)
+    feasible = np.asarray(table.vmax_ok) & np.asarray(table.iccmax_ok)
+    if not feasible.any():
+        return 0.0
+    return float(np.asarray(table.frequencies_hz)[feasible].max())
 
 
 def _population_probe(

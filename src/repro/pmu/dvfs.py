@@ -16,7 +16,7 @@ the granularity effects the paper calls out in Section 3 and Section 7.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -108,6 +108,13 @@ class OperatingPoint:
         """Operating frequency in GHz."""
         return self.frequency_hz / 1e9
 
+
+#: The sustained power/temperature fixed point: every bin starts at this
+#: junction temperature and takes this many power -> temperature updates,
+#: in the static walk (:meth:`DvfsPolicy.resolve`) and on candidate tables
+#: (:func:`resolve_sustained_bins`) alike.
+FIXED_POINT_START_C = 60.0
+FIXED_POINT_ITERATIONS = 3
 
 #: Leakage contributions sharing one exponential law: (kt, reference
 #: temperature, kv, per-bin leakage at the reference temperature).  The
@@ -555,6 +562,22 @@ class StackedCandidateTables:
         )
 
 
+@dataclass(frozen=True)
+class SustainedBin:
+    """One demand's sustained (TDP-table) fixed point on its candidate table.
+
+    ``power_temperature_c`` is the junction temperature the fixed point's
+    last package power was computed at; ``junction_temperature_c`` is the
+    temperature that power settles the junction at.  The static walk
+    reports the same pair.
+    """
+
+    bin_index: int
+    limiting: LimitingFactor
+    power_temperature_c: float
+    junction_temperature_c: float
+
+
 def resolve_sustained_bins(
     package_power_at: Callable[[np.ndarray], np.ndarray],
     vmax_ok: np.ndarray,
@@ -563,29 +586,28 @@ def resolve_sustained_bins(
     resistance_c_per_w: Union[float, np.ndarray],
     ambient_c: float,
     tjmax_c: float,
-    start_temperature_c: float = 60.0,
-    iterations: int = 3,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sustained (TDP-table) bins of a ``(rows, bins)`` candidate grid.
 
     Replicates :meth:`DvfsPolicy.resolve`'s semantics on table arrays:
-    every bin runs the power/temperature fixed point (``iterations`` steps
-    from ``start_temperature_c``, the junction clamped at Tjmax), the
-    highest bin satisfying Vmax, TDP and Iccmax at its own fixed point
-    wins, and the reported limit is whatever stops the next bin up
-    (``FREQUENCY_GRID`` at the top; an infeasible grid reports bin 0 with
-    the first limit it violates, checked Vmax, then power, then Iccmax).
+    every bin runs the power/temperature fixed point
+    (:data:`FIXED_POINT_ITERATIONS` steps from :data:`FIXED_POINT_START_C`,
+    the junction clamped at Tjmax), the highest bin satisfying Vmax, TDP
+    and Iccmax at its own fixed point wins, and the reported limit is
+    whatever stops the next bin up (``FREQUENCY_GRID`` at the top; an
+    infeasible grid reports bin 0 with the first limit it violates, checked
+    Vmax, then power, then Iccmax).
 
-    Shared by a single system, varied or not (one row), and the population
-    fast path (one row per die): both feed the same element-wise
-    arithmetic, so the sustained bins agree bit for bit.  Returns ``(bin index, limiting
-    code, fixed-point power, fixed-point temperature)``; the latter two are
-    per-bin arrays.
+    Shared by a single system, varied or not (one row, through
+    :meth:`DvfsPolicy.sustained_bin`), and the population fast path (one
+    row per die): both feed the same element-wise arithmetic, so the
+    sustained bins agree bit for bit.  Returns ``(bin index, limiting
+    code, temperature of the last power evaluation, fixed-point
+    temperature)``; the latter two are per-bin arrays.
     """
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
-    temperature = np.full(vmax_ok.shape, start_temperature_c, dtype=float)
-    for _ in range(iterations):
+    temperature = np.full(vmax_ok.shape, FIXED_POINT_START_C, dtype=float)
+    for _ in range(FIXED_POINT_ITERATIONS):
+        power_temperature = temperature
         power = package_power_at(temperature)
         temperature = np.minimum(tjmax_c, ambient_c + resistance_c_per_w * power)
     power_ok = power <= tdp_w + 1e-9
@@ -613,7 +635,7 @@ def resolve_sustained_bins(
         LIMITING_FACTOR_CODES[LimitingFactor.FREQUENCY_GRID],
         limiting,
     )
-    return index, limiting, power, temperature
+    return index, limiting, power_temperature, temperature
 
 
 class DvfsPolicy:
@@ -630,16 +652,15 @@ class DvfsPolicy:
         power-gated and keep leaking at the shared rail voltage).
     graphics_idle_power_w:
         Power attributed to the (idle) graphics engine during CPU workloads.
-    thermal_iterations:
-        Fixed-point iterations of the power/temperature loop.
     die_variation:
         Optional :class:`~repro.variation.sampler.DieVariation` of the
         specific die this policy drives.  When set, candidate tables are
         built nominally and re-referenced through
-        :meth:`CandidateTable.varied`, and :meth:`resolve` runs the
-        table-based sustained fixed point — the exact arithmetic the
-        population fast path vectorizes, so one varied die resolves
-        identically whether it runs alone or inside a population.
+        :meth:`CandidateTable.varied`, and :meth:`resolve` reads the
+        table-based sustained fixed point (:meth:`sustained_bin`) — the
+        exact arithmetic the population fast path vectorizes, so one varied
+        die resolves identically whether it runs alone or inside a
+        population.
     """
 
     def __init__(
@@ -648,19 +669,16 @@ class DvfsPolicy:
         vf_curve: VfCurve,
         bypass_mode: bool,
         graphics_idle_power_w: float = 0.05,
-        thermal_iterations: int = 3,
         die_variation: Optional["DieVariation"] = None,
     ) -> None:
-        if thermal_iterations < 1:
-            raise ConfigurationError("thermal_iterations must be >= 1")
         self._processor = processor
         self._vf_curve = vf_curve
         self._bypass_mode = bypass_mode
         self._graphics_idle_power_w = graphics_idle_power_w
-        self._thermal_iterations = thermal_iterations
         self._thermal_model = processor.thermal_model()
         self._die_variation = die_variation
         self._candidate_tables: Dict[CpuDemand, CandidateTable] = {}
+        self._sustained_bins: Dict[CpuDemand, SustainedBin] = {}
 
     # -- public API -----------------------------------------------------------------------
 
@@ -674,13 +692,13 @@ class DvfsPolicy:
         """The die variation this policy is re-referenced to (if any)."""
         return self._die_variation
 
-    @property
-    def thermal_iterations(self) -> int:
-        """Fixed-point iterations of the power/temperature loop."""
-        return self._thermal_iterations
-
     def resolve(self, demand: CpuDemand) -> OperatingPoint:
-        """Highest-performance operating point satisfying every limit."""
+        """Highest-performance operating point satisfying every limit.
+
+        Nominal silicon walks the frequency grid downwards, evaluating each
+        bin's fixed point on its own; a varied die reads its table fixed
+        point (:meth:`sustained_bin`).  Both pick the same bin and limit.
+        """
         if demand.active_cores > self._processor.core_count:
             raise ConfigurationError(
                 f"demand asks for {demand.active_cores} cores but the processor "
@@ -787,17 +805,22 @@ class DvfsPolicy:
         index, limiting = table.select(limit, temperature_c)
         return table.operating_point(index, temperature_c, limiting)
 
-    def _resolve_varied(self, demand: CpuDemand) -> OperatingPoint:
-        """Sustained operating point of a varied die, from its table.
+    def sustained_bin(self, demand: CpuDemand) -> SustainedBin:
+        """The sustained fixed point of *demand* on its candidate table (cached).
 
-        Runs the shared table-based fixed point
-        (:func:`resolve_sustained_bins`) on the die's varied candidate
-        table — one-row usage of the arithmetic the population fast path
-        vectorizes.
+        Solved once per demand by :func:`resolve_sustained_bins` on the
+        table :meth:`candidate_table` returns — the table the dynamics
+        engine steps on — and stored next to it.
         """
+        sustained = self._sustained_bins.get(demand)
+        if sustained is None:
+            sustained = self._sustained_bins[demand] = self._solve_sustained(demand)
+        return sustained
+
+    def _solve_sustained(self, demand: CpuDemand) -> SustainedBin:
         table = self.candidate_table(demand)
         limits = self._thermal_model.limits
-        index, code, power, temperature = resolve_sustained_bins(
+        index, code, power_temperature, temperature = resolve_sustained_bins(
             lambda t: table.package_power_w(t[0])[None, :],
             table.vmax_ok[None, :],
             table.iccmax_ok[None, :],
@@ -805,14 +828,26 @@ class DvfsPolicy:
             self._thermal_model.thermal_resistance_c_per_w,
             limits.ambient_c,
             limits.tjmax_c,
-            iterations=self._thermal_iterations,
         )
         bin_index = int(index[0])
-        return table.operating_point(
-            bin_index,
-            float(temperature[0, bin_index]),
-            LIMITING_FACTOR_ORDER[int(code[0])],
+        return SustainedBin(
+            bin_index=bin_index,
+            limiting=LIMITING_FACTOR_ORDER[int(code[0])],
+            power_temperature_c=float(power_temperature[0, bin_index]),
+            junction_temperature_c=float(temperature[0, bin_index]),
         )
+
+    def _resolve_varied(self, demand: CpuDemand) -> OperatingPoint:
+        """Sustained operating point of a varied die, from its table.
+
+        Like the static walk, the powers are the fixed point's last power
+        evaluation and the junction temperature is the one it settles at.
+        """
+        sustained = self.sustained_bin(demand)
+        point = self.candidate_table(demand).operating_point(
+            sustained.bin_index, sustained.power_temperature_c, sustained.limiting
+        )
+        return replace(point, junction_temperature_c=sustained.junction_temperature_c)
 
     def _build_candidate_table(self, demand: CpuDemand) -> CandidateTable:
         die = self._processor.die
@@ -902,9 +937,9 @@ class DvfsPolicy:
         # voltage for a typical workload.
         vr_voltage = self._vf_curve.required_voltage_v(frequency_hz, demand.active_cores)
         voltage = self._vf_curve.power_voltage_v(frequency_hz, demand.active_cores)
-        temperature = 60.0
+        temperature = FIXED_POINT_START_C
         cores_power = idle_power = uncore_power = package_power = 0.0
-        for _ in range(self._thermal_iterations):
+        for _ in range(FIXED_POINT_ITERATIONS):
             cores_power = self._active_cores_power_w(
                 frequency_hz, voltage, demand, temperature
             )

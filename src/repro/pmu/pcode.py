@@ -155,7 +155,8 @@ class Pcode:
 
         Exposed for the closed-loop dynamics engine, which re-resolves
         operating points per time step against the policy's candidate
-        tables rather than the sustained fixed point.
+        tables and latches the sustained fixed point the policy stores per
+        demand.
         """
         return self._dvfs
 

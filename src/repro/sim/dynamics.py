@@ -21,13 +21,15 @@ closing the loop between four firmware/physics subsystems every step:
    idle power both cools the die and re-banks the turbo budget.
 
 Once a sustained stretch exhausts the turbo budget (the EWMA reaches PL1),
-the firmware latches the *sustained* operating point — the one the static
-:meth:`~repro.pmu.dvfs.DvfsPolicy.resolve` computes from the TDP tables —
-until an idle gap re-banks enough budget.  This reproduces the paper's
-TDP-limited behaviour exactly: a long constant-demand scenario converges to
-the same 100 MHz bin (and thermal fixed point) the steady-state resolver
-reports, while low-TDP configurations show the PL2-burst-then-throttle
-transient on the way there.
+the firmware latches the *sustained* operating point — the TDP-table fixed
+point :meth:`~repro.pmu.dvfs.DvfsPolicy.sustained_bin` solves on the
+candidate table the run steps on, the bin the static
+:meth:`~repro.pmu.dvfs.DvfsPolicy.resolve` reports — until an idle gap
+re-banks enough budget.  This reproduces the paper's TDP-limited behaviour
+exactly: a long constant-demand scenario converges to the same 100 MHz bin
+(and thermal fixed point) the steady-state resolver reports, while low-TDP
+configurations show the PL2-burst-then-throttle transient on the way
+there.
 
 Every run steps through one lockstep loop (``_lockstep``) as numpy arrays.
 The per-run Python stepper it is asserted bit-identical with lives in
@@ -51,17 +53,13 @@ from repro.pmu.dvfs import (
     LimitingFactor,
     StackedCandidateTables,
     die_voltage_offsets,
+    resolve_sustained_bins,
 )
 from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import BatchedTurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import BatchedThermalModel, TransientThermalModel
 from repro.sim.metrics import DynamicRunResult, encode_cstates
-from repro.sim.operating_point import (
-    SustainedPoint,
-    resolve_sustained_bins,
-    sustained_table_point,
-)
 from repro.workloads.dynamics import AUTO_CSTATE, DynamicPhase, DynamicScenario
 
 if TYPE_CHECKING:
@@ -130,28 +128,6 @@ def resolve_idle_state(pcode: Pcode, phase: DynamicPhase) -> PackageCState:
     if state is PackageCState.C0:
         raise ConfigurationError(f"idle phase {phase.name!r} cannot pin package C0")
     return state if state.depth <= deepest.depth else deepest
-
-
-class SustainedPointCache:
-    """Sustained (TDP-table) points, each resolved once per (pcode, demand).
-
-    A resolve runs the static thermal fixed-point search (about 1 ms); a
-    sweep asks for the same few points thousands of times.  Systems key by
-    identity (:class:`~repro.pmu.pcode.Pcode` defines no equality).
-    """
-
-    def __init__(self) -> None:
-        self._points: Dict[Tuple[Pcode, CpuDemand], SustainedPoint] = {}
-
-    def get(
-        self, pcode: Pcode, demand: CpuDemand, table: CandidateTable
-    ) -> SustainedPoint:
-        """*pcode*'s sustained point for *demand*; *table* is its candidate table."""
-        key = (pcode, demand)
-        point = self._points.get(key)
-        if point is None:
-            point = self._points[key] = sustained_table_point(pcode, demand, table)
-        return point
 
 
 # -- the lockstep loop -----------------------------------------------------------------
@@ -557,11 +533,6 @@ class BatchedDynamicsSimulator:
     per-run oracle in ``tests/oracles/dynamics.py``.
     """
 
-    def __init__(self) -> None:
-        #: Sustained points of every batch this simulator steps, so a
-        #: sweep resolves each (system, demand) once.
-        self.sustained_points = SustainedPointCache()
-
     # -- public API --------------------------------------------------------------------
 
     def run_batch(
@@ -589,8 +560,8 @@ class BatchedDynamicsSimulator:
 
     # -- precompute --------------------------------------------------------------------
 
+    @staticmethod
     def _plan(
-        self,
         pcode: Pcode,
         scenario: DynamicScenario,
         tables: List[CandidateTable],
@@ -612,7 +583,7 @@ class BatchedDynamicsSimulator:
             if slot is None:
                 slot = table_slots[id(table)] = len(tables)
                 tables.append(table)
-            sustained = self.sustained_points.get(pcode, demand, table)
+            sustained = pcode.dvfs_policy.sustained_bin(demand)
             code = LIMITING_FACTOR_CODES[sustained.limiting]
             phases.append((slot, True, sustained.bin_index, code, 0.0, _C0_NAME))
         slots, active, bins, codes, idle_w, cstates = zip(*phases)

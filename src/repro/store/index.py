@@ -82,8 +82,8 @@ _UPSERT = (
 _MEMBERSHIP_CHUNK = 500
 
 #: ``PRAGMA user_version`` of an index that a rebuild completed.  The
-#: pragma commits with the rebuild's rows, so an index created by a query
-#: or an upsert, or left by a rebuild that failed, reads 0.
+#: pragma commits with the rebuild's rows, so an index created by a query,
+#: or left by a rebuild that failed, reads 0.
 _REBUILT = 1
 
 
@@ -134,18 +134,6 @@ class RunIndex:
         data = manifest.to_dict()
         return tuple(data[column] for column in _COLUMNS)
 
-    def upsert(self, manifest: RunManifest) -> None:
-        """Insert or replace one run row."""
-        with self._connect() as connection:
-            connection.execute(_UPSERT, self._row(manifest))
-
-    def upsert_many(self, manifests: Iterable[RunManifest]) -> int:
-        """Insert or replace many run rows; returns the count."""
-        rows = [self._row(manifest) for manifest in manifests]
-        with self._connect() as connection:
-            connection.executemany(_UPSERT, rows)
-        return len(rows)
-
     def update(self, written: Iterable[RunManifest], served: Sequence[str]) -> int:
         """Upsert the rows of one sweep's runs; returns the indexed run count.
 
@@ -155,8 +143,8 @@ class RunIndex:
         and upserted from their manifests (corrupt ones are skipped with a
         warning, as in :meth:`rebuild`).  No other manifest is read, so
         the cost does not grow with the store.  An index that no rebuild
-        completed (missing, created by a query or an upsert, or left by a
-        failed rebuild) is rebuilt instead.
+        completed (missing, created by a query, or left by a failed
+        rebuild) is rebuilt instead.
         """
         if not self._rebuilt():
             return self.rebuild()

@@ -6,26 +6,22 @@ Python loop, one step at a time, with the scalar models
 :class:`~repro.power.thermal.TransientThermalModel`,
 :meth:`~repro.pmu.dvfs.CandidateTable.select`).
 ``BatchedDynamicsSimulator.run_batch`` and ``run_population`` must
-reproduce its trajectories bit for bit.  It reads its loop start, idle
-states and sustained points from :mod:`repro.sim.dynamics`, the same
-precompute the lockstep engine uses.
+reproduce its trajectories bit for bit.  It reads its loop start and
+idle states from :mod:`repro.sim.dynamics` and its sustained points from
+:meth:`~repro.pmu.dvfs.DvfsPolicy.sustained_bin`, the same precompute the
+lockstep engine uses.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.pmu.dvfs import LIMITING_FACTOR_CODES, LimitingFactor
 from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import TurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import TransientThermalModel
-from repro.sim.dynamics import (
-    SustainedPointCache,
-    _loop_start,
-    phase_step_counts,
-    resolve_idle_state,
-)
+from repro.sim.dynamics import _loop_start, phase_step_counts, resolve_idle_state
 from repro.sim.metrics import DynamicRunResult, encode_cstates
 from repro.workloads.dynamics import DynamicPhase, DynamicScenario
 
@@ -66,22 +62,10 @@ class DynamicsSimulator:
     pcode:
         The firmware-configured system (provides the DVFS policy, the
         C-state power model, the TDP, and the thermal design limits).
-    sustained_points:
-        The cache sustained points are read through.  Pass a
-        :class:`~repro.sim.dynamics.BatchedDynamicsSimulator`'s
-        ``sustained_points`` to share its resolves; a fresh cache by
-        default.
     """
 
-    def __init__(
-        self,
-        pcode: Pcode,
-        sustained_points: Optional[SustainedPointCache] = None,
-    ) -> None:
+    def __init__(self, pcode: Pcode) -> None:
         self._pcode = pcode
-        self._sustained_points = (
-            SustainedPointCache() if sustained_points is None else sustained_points
-        )
 
     @property
     def pcode(self) -> Pcode:
@@ -153,7 +137,7 @@ class DynamicsSimulator:
     ):
         demand = phase.demand()
         table = self._pcode.dvfs_policy.candidate_table(demand)
-        sustained = self._sustained_points.get(self._pcode, demand, table)
+        sustained = self._pcode.dvfs_policy.sustained_bin(demand)
 
         def step(
             temperature: float, burst_armed: bool, dt: float

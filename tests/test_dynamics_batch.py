@@ -26,10 +26,12 @@ from repro.pmu.dvfs import (
     LIMITING_FACTOR_ORDER,
     CandidateTable,
     CpuDemand,
+    DvfsPolicy,
     LimitingFactor,
     StackedCandidateTables,
 )
-from repro.sim import dynamics
+from repro.pmu.fuses import FuseSet
+from repro.pmu.pcode import Pcode
 from repro.sim.dynamics import BatchedDynamicsSimulator, _ActiveSegment
 from repro.workloads.dynamics import (
     DynamicPhase,
@@ -57,9 +59,9 @@ SCENARIOS = (
 )
 
 
-def _reference(simulator, pcode, scenario):
-    """The oracle's run, reading sustained points through *simulator*'s cache."""
-    return DynamicsSimulator(pcode, simulator.sustained_points).run(scenario)
+def _reference(pcode, scenario):
+    """The oracle's run of *scenario* on *pcode*."""
+    return DynamicsSimulator(pcode).run(scenario)
 
 
 def _assert_equivalent(reference, batched):
@@ -92,7 +94,7 @@ def test_batched_matches_reference_on_tdp_sweep(darkgates_pcode, baseline_pcode)
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        _assert_equivalent(_reference(simulator, pcode, scenario), result)
+        _assert_equivalent(_reference(pcode, scenario), result)
 
 
 def test_batched_handles_heterogeneous_runs(darkgates_pcode, baseline_pcode):
@@ -123,7 +125,7 @@ def test_batched_handles_heterogeneous_runs(darkgates_pcode, baseline_pcode):
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        _assert_equivalent(_reference(simulator, pcode, scenario), result)
+        _assert_equivalent(_reference(pcode, scenario), result)
 
 
 def test_batched_all_idle_batch(baseline_pcode):
@@ -134,7 +136,7 @@ def test_batched_all_idle_batch(baseline_pcode):
     )
     simulator = BatchedDynamicsSimulator()
     (batched,) = simulator.run_batch([(baseline_pcode(35.0), scenario)])
-    _assert_equivalent(_reference(simulator, baseline_pcode(35.0), scenario), batched)
+    _assert_equivalent(_reference(baseline_pcode(35.0), scenario), batched)
     assert set(batched.frequencies_hz) == {0.0}
 
 
@@ -161,54 +163,82 @@ def test_engine_rejects_unknown_dynamics_method():
             engine.run_dynamic_scenario(SCENARIOS[0], method=method)
 
 
-# -- sustained-point cache -------------------------------------------------------------
+# -- sustained points: one table fixed point per (policy, demand) ----------------------
 
 
 def test_sustained_points_resolve_once_per_system_and_demand(
-    monkeypatch, darkgates_pcode, baseline_pcode
+    monkeypatch, desktop_processor, mobile_processor
 ):
-    """A batch resolves each (pcode, demand) once; repeat batches resolve none.
+    """A batch solves each (policy, demand) once; repeat batches solve none.
 
     The grid repeats demands within runs (sprint cycles), across runs
-    (one scenario on both systems' demands) and across batches, so a cache
-    dropped, kept per run or kept per batch each resolves more often.
-    The oracle reads through the same cache and resolves nothing either.
+    (one scenario on both systems' demands) and across batches, so a fixed
+    point that is not stored, or stored per run or per batch, is solved
+    more often.  The oracle reads the same stored fixed points and solves
+    nothing either.
     """
-    resolves = []
-    resolve = dynamics.sustained_table_point
+    solves = []
+    solve = DvfsPolicy._solve_sustained
 
-    def counting(pcode, demand, table=None):
-        resolves.append((pcode, demand))
-        return resolve(pcode, demand, table)
+    def counting(policy, demand):
+        solves.append((policy, demand))
+        return solve(policy, demand)
 
-    monkeypatch.setattr(dynamics, "sustained_table_point", counting)
+    monkeypatch.setattr(DvfsPolicy, "_solve_sustained", counting)
+    # New systems: the session's shared ones may already hold fixed points.
     pairs = [
         (pcode, scenario)
-        for pcode in (darkgates_pcode(35.0), baseline_pcode(91.0))
+        for pcode in (
+            Pcode(desktop_processor(35.0), FuseSet.darkgates_desktop()),
+            Pcode(mobile_processor(91.0), FuseSet.legacy_desktop()),
+        )
         for scenario in SCENARIOS
     ]
     active = [
-        (pcode, phase.demand())
+        (pcode.dvfs_policy, phase.demand())
         for pcode, scenario in pairs
         for phase in scenario.phases
         if not phase.is_idle
     ]
     distinct = set(active)
     per_run = {
-        (run, pcode, phase.demand())
+        (run, pcode.dvfs_policy, phase.demand())
         for run, (pcode, scenario) in enumerate(pairs)
         for phase in scenario.phases
         if not phase.is_idle
     }
     assert len(active) > len(per_run) > len(distinct)
 
-    simulator = BatchedDynamicsSimulator()
-    simulator.run_batch(pairs)
-    assert sorted(map(repr, resolves)) == sorted(map(repr, distinct))
-    simulator.run_batch(pairs)
+    BatchedDynamicsSimulator().run_batch(pairs)
+    assert sorted(map(repr, solves)) == sorted(map(repr, distinct))
+    BatchedDynamicsSimulator().run_batch(pairs)
     for pcode, scenario in pairs:
-        _reference(simulator, pcode, scenario)
-    assert len(resolves) == len(distinct)
+        _reference(pcode, scenario)
+    assert len(solves) == len(distinct)
+
+
+def test_lockstep_engine_and_oracle_never_run_the_static_walk(
+    monkeypatch, desktop_processor, mobile_processor
+):
+    """Sustained bins come from the table fixed point, never ``resolve``."""
+
+    def walk(policy, demand):
+        raise AssertionError("the static DVFS walk ran")
+
+    monkeypatch.setattr(DvfsPolicy, "resolve", walk)
+    # New systems, so their fixed points are solved with the walk disabled.
+    pairs = [
+        (pcode, scenario)
+        for tdp_w in (35.0, 91.0)
+        for pcode in (
+            Pcode(desktop_processor(tdp_w), FuseSet.darkgates_desktop()),
+            Pcode(mobile_processor(tdp_w), FuseSet.legacy_desktop()),
+        )
+        for scenario in SCENARIOS
+    ]
+    batched = BatchedDynamicsSimulator().run_batch(pairs)
+    for (pcode, scenario), result in zip(pairs, batched):
+        _assert_equivalent(_reference(pcode, scenario), result)
 
 
 # -- Study wiring ----------------------------------------------------------------------
@@ -468,7 +498,7 @@ def test_batched_matches_reference_with_padded_tables():
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        _assert_equivalent(_reference(simulator, pcode, scenario), result)
+        _assert_equivalent(_reference(pcode, scenario), result)
 
 
 def test_stacked_tables_reject_empty():
@@ -549,7 +579,7 @@ def test_random_scenarios_bin_and_cstate_exact(
     simulator = BatchedDynamicsSimulator()
     batched = simulator.run_batch(pairs)
     for (pcode, scenario), result in zip(pairs, batched):
-        reference = _reference(simulator, pcode, scenario)
+        reference = _reference(pcode, scenario)
         assert np.array_equal(reference.frequencies_hz, result.frequencies_hz)
         assert np.array_equal(reference.package_cstates, result.package_cstates)
         assert np.array_equal(reference.limiting_factors, result.limiting_factors)

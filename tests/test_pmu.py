@@ -6,11 +6,17 @@ factory fixtures in ``conftest.py``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.core.spec import get_spec, spec_names
 from repro.pmu.dvfs import CpuDemand, LimitingFactor
 from repro.pmu.fuses import FuseSet, PowerDeliveryMode, firmware_area_overhead_fraction
+from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import TurboTable
 
 
@@ -227,6 +233,38 @@ def test_resolve_at_frequency_monotonic_in_power_limit(dvfs_policy):
 def test_resolve_at_rejects_oversized_demand(dvfs_policy):
     with pytest.raises(ConfigurationError):
         dvfs_policy(91.0, False).candidate_table(CpuDemand(active_cores=8))
+
+
+@lru_cache(maxsize=None)
+def _registered_pcode(name: str, tdp_w: float) -> Pcode:
+    return get_spec(name, tdp_w=tdp_w).build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(spec_names()),
+    tdp_w=st.sampled_from((10.0, 15.0, 25.0, 35.0, 45.0, 65.0, 91.0, 125.0, 200.0)),
+    activity=st.floats(min_value=0.0, max_value=1.0),
+    memory_intensity=st.floats(min_value=0.0, max_value=1.0),
+    data=st.data(),
+)
+def test_static_walk_and_table_fixed_point_pick_the_same_bin(
+    name, tdp_w, activity, memory_intensity, data
+):
+    """``resolve``'s grid walk lands on the stored table fixed point's bin.
+
+    The dynamics engine latches the table fixed point as the sustained
+    point, so it must be the frequency and limit the static walk reports.
+    """
+    pcode = _registered_pcode(name, tdp_w)
+    cores = data.draw(st.integers(min_value=1, max_value=pcode.processor.core_count))
+    demand = CpuDemand(cores, activity, memory_intensity)
+    policy = pcode.dvfs_policy
+    point = policy.resolve(demand)
+    sustained = policy.sustained_bin(demand)
+    table = policy.candidate_table(demand)
+    assert point.frequency_hz == table.frequencies_hz[sustained.bin_index]
+    assert point.limiting_factor is sustained.limiting
 
 
 # -- turbo table ------------------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.reporting import format_sku_table
 from repro.common.errors import ConfigurationError
-from repro.core.spec import SKU_BUILDERS, get_spec
+from repro.core.spec import SKU_BUILDERS, get_spec, spec_names
 from repro.pmu.cstates import PackageCState
 from repro.pmu.dvfs import CpuDemand, die_voltage_offsets
 from repro.soc.skus import SKU_DESCRIPTIONS, describe_sku, sku_descriptions
@@ -261,6 +261,41 @@ def test_varied_spec_resolves_slower_when_leaky_and_slow():
     nominal_point = spec.build().resolve_cpu_operating_point(demand)
     varied_point = varied.resolve_cpu_operating_point(demand)
     assert varied_point.frequency_hz < nominal_point.frequency_hz
+
+
+@pytest.mark.parametrize("name", spec_names())
+def test_nominal_die_resolves_like_the_nominal_system(name):
+    """A die at nominal settings reports the nominal system's operating point.
+
+    The static walk reports the powers of the fixed point's last power
+    evaluation and the junction temperature that power settles at; the
+    varied path must report the same pair, not re-evaluate the powers at
+    the settled temperature.
+    """
+    for tdp_w in (15.0, 25.0, 35.0, 45.0, 65.0, 91.0, 125.0):
+        spec = get_spec(name, tdp_w=tdp_w)
+        nominal = spec.build()
+        die = spec.variant(die_variation=DieVariation()).build()
+        for cores in range(1, nominal.processor.core_count + 1):
+            for activity, memory_intensity in ((0.3, 0.0), (0.62, 0.2), (1.0, 0.6)):
+                demand = CpuDemand(cores, activity, memory_intensity)
+                expected = nominal.resolve_cpu_operating_point(demand)
+                point = die.resolve_cpu_operating_point(demand)
+                assert point.frequency_hz == expected.frequency_hz
+                assert point.voltage_v == expected.voltage_v
+                assert point.limiting_factor is expected.limiting_factor
+                assert point.junction_temperature_c == pytest.approx(
+                    expected.junction_temperature_c, rel=0.0, abs=1e-9
+                )
+                for power in (
+                    "package_power_w",
+                    "cores_power_w",
+                    "idle_cores_power_w",
+                    "uncore_power_w",
+                ):
+                    assert getattr(point, power) == pytest.approx(
+                        getattr(expected, power), rel=1e-12, abs=0.0
+                    ), (tdp_w, demand, power)
 
 
 # -- binning ---------------------------------------------------------------------------
