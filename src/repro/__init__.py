@@ -148,7 +148,7 @@ from repro.workloads.spec import (
     spec_cpu2006_suite,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "SystemSpec",

@@ -640,7 +640,11 @@ class OptimizationStudy:
 
     @property
     def tasks_total(self) -> int:
-        """Probe tasks declared across all solve rounds so far."""
+        """Probe tasks declared across all solve rounds so far.
+
+        A warm :meth:`run` served from the stored result declares no probe
+        and counts that result as one task (served, not executed).
+        """
         return self._tasks_total
 
     @property
@@ -662,6 +666,7 @@ class OptimizationStudy:
         if cache is not None and result_task in cache:
             cached = cache[result_task]
             if isinstance(cached, OptimizationResult):
+                self._tasks_total += 1
                 return cached
         method = self._spec.method
         if method == "bisect":

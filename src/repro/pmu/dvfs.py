@@ -10,8 +10,11 @@ every platform limit for the current demand:
 * **Iccmax (EDC)** — worst-case instantaneous current must stay within the
   VR's electrical design current.
 
-The resolution walks the 100 MHz frequency grid downwards, which reproduces
-the granularity effects the paper calls out in Section 3 and Section 7.1.
+Every bin of the 100 MHz frequency grid is evaluated at its own sustained
+power/temperature fixed point (:func:`resolve_sustained_bins` on the
+demand's :class:`CandidateTable`), and the highest bin that meets every
+limit wins, which reproduces the granularity effects the paper calls out in
+Section 3 and Section 7.1.
 """
 
 from __future__ import annotations
@@ -109,10 +112,9 @@ class OperatingPoint:
         return self.frequency_hz / 1e9
 
 
-#: The sustained power/temperature fixed point: every bin starts at this
-#: junction temperature and takes this many power -> temperature updates,
-#: in the static walk (:meth:`DvfsPolicy.resolve`) and on candidate tables
-#: (:func:`resolve_sustained_bins`) alike.
+#: The sustained power/temperature fixed point
+#: (:func:`resolve_sustained_bins`): every bin starts at this junction
+#: temperature and takes this many power -> temperature updates.
 FIXED_POINT_START_C = 60.0
 FIXED_POINT_ITERATIONS = 3
 
@@ -186,8 +188,8 @@ class CandidateTable:
     power, the Vmax/Iccmax verdicts) are evaluated once per demand and only
     the exponential leakage temperature terms are applied per step.  Leakage
     contributions are grouped by their ``(kt, T_ref)`` law, which keeps the
-    per-step work at a handful of vectorized operations while reproducing
-    :meth:`DvfsPolicy.resolve`'s power arithmetic exactly.
+    per-step work at a handful of vectorized operations.  The sustained
+    point :meth:`DvfsPolicy.resolve` reports is read off the same table.
     """
 
     frequencies_hz: np.ndarray
@@ -299,46 +301,7 @@ class CandidateTable:
             vmax_v=self.vmax_v,
         )
 
-    # -- selection ---------------------------------------------------------------------
-
-    def select(
-        self,
-        power_limit_w: float,
-        temperature_c: float,
-        package_power_w: Optional[np.ndarray] = None,
-    ) -> Tuple[int, LimitingFactor]:
-        """Highest bin satisfying every limit at the instantaneous state.
-
-        Returns the chosen bin index and the limit that stops the next bin
-        up (mirroring :meth:`DvfsPolicy.resolve`'s reporting: the top bin
-        reports ``FREQUENCY_GRID``; an infeasible grid reports the first
-        limit the lowest bin violates, checked Vmax, then power, then
-        Iccmax).  Callers that already hold this temperature's per-bin
-        power vector may pass it as *package_power_w* to skip recomputing
-        the leakage terms.
-        """
-        power = (
-            self.package_power_w(temperature_c)
-            if package_power_w is None
-            else package_power_w
-        )
-        power_ok = power <= power_limit_w + 1e-9
-        allowed = self.vmax_ok & self.iccmax_ok & power_ok
-        if not allowed.any():
-            return 0, self._blocking_limit(0, power_ok)
-        index = int(np.max(np.nonzero(allowed)[0]))
-        if index == len(self.frequencies_hz) - 1:
-            return index, LimitingFactor.FREQUENCY_GRID
-        return index, self._blocking_limit(index + 1, power_ok)
-
-    def _blocking_limit(self, index: int, power_ok: np.ndarray) -> LimitingFactor:
-        if not self.vmax_ok[index]:
-            return LimitingFactor.VMAX
-        if not power_ok[index]:
-            return LimitingFactor.TDP
-        if not self.iccmax_ok[index]:
-            return LimitingFactor.ICCMAX
-        return LimitingFactor.NONE
+    # -- materialisation ---------------------------------------------------------------
 
     def operating_point(
         self,
@@ -568,8 +531,8 @@ class SustainedBin:
 
     ``power_temperature_c`` is the junction temperature the fixed point's
     last package power was computed at; ``junction_temperature_c`` is the
-    temperature that power settles the junction at.  The static walk
-    reports the same pair.
+    temperature that power settles the junction at;
+    :meth:`DvfsPolicy.resolve` reports that pair.
     """
 
     bin_index: int
@@ -589,8 +552,8 @@ def resolve_sustained_bins(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sustained (TDP-table) bins of a ``(rows, bins)`` candidate grid.
 
-    Replicates :meth:`DvfsPolicy.resolve`'s semantics on table arrays:
-    every bin runs the power/temperature fixed point
+    The DVFS firmware's sustained choice on table arrays: every bin runs
+    the power/temperature fixed point
     (:data:`FIXED_POINT_ITERATIONS` steps from :data:`FIXED_POINT_START_C`,
     the junction clamped at Tjmax), the highest bin satisfying Vmax, TDP
     and Iccmax at its own fixed point wins, and the reported limit is
@@ -656,11 +619,9 @@ class DvfsPolicy:
         Optional :class:`~repro.variation.sampler.DieVariation` of the
         specific die this policy drives.  When set, candidate tables are
         built nominally and re-referenced through
-        :meth:`CandidateTable.varied`, and :meth:`resolve` reads the
-        table-based sustained fixed point (:meth:`sustained_bin`) — the
-        exact arithmetic the population fast path vectorizes, so one varied
-        die resolves identically whether it runs alone or inside a
-        population.
+        :meth:`CandidateTable.varied` — the exact arithmetic the population
+        fast path vectorizes, so one varied die resolves identically whether
+        it runs alone or inside a population.
     """
 
     def __init__(
@@ -693,65 +654,17 @@ class DvfsPolicy:
         return self._die_variation
 
     def resolve(self, demand: CpuDemand) -> OperatingPoint:
-        """Highest-performance operating point satisfying every limit.
+        """Highest-performance sustained operating point satisfying every limit.
 
-        Nominal silicon walks the frequency grid downwards, evaluating each
-        bin's fixed point on its own; a varied die reads its table fixed
-        point (:meth:`sustained_bin`).  Both pick the same bin and limit.
+        Reads the table fixed point (:meth:`sustained_bin`): the powers are
+        the fixed point's last power evaluation and the junction
+        temperature is the one that power settles at.
         """
-        if demand.active_cores > self._processor.core_count:
-            raise ConfigurationError(
-                f"demand asks for {demand.active_cores} cores but the processor "
-                f"has {self._processor.core_count}"
-            )
-        if self._die_variation is not None:
-            return self._resolve_varied(demand)
-        grid = self._vf_curve.frequency_grid
-        chosen: Optional[OperatingPoint] = None
-        limiting = LimitingFactor.FREQUENCY_GRID
-        for frequency in grid.descending():
-            verdict, point = self._evaluate(frequency, demand)
-            if verdict is LimitingFactor.NONE:
-                chosen = point
-                break
-            limiting = verdict
-        if chosen is None:
-            # Even the lowest bin violates a limit; report the lowest bin with
-            # the limit that failed (real firmware would throttle below Pn,
-            # but the evaluation never reaches that regime).
-            _, point = self._evaluate(grid.min_hz, demand)
-            return OperatingPoint(
-                frequency_hz=point.frequency_hz,
-                voltage_v=point.voltage_v,
-                package_power_w=point.package_power_w,
-                cores_power_w=point.cores_power_w,
-                idle_cores_power_w=point.idle_cores_power_w,
-                uncore_power_w=point.uncore_power_w,
-                limiting_factor=limiting,
-                junction_temperature_c=point.junction_temperature_c,
-            )
-        # Identify what stops the next bin up (more informative than NONE).
-        if chosen.frequency_hz >= grid.max_hz:
-            limiting = LimitingFactor.FREQUENCY_GRID
-        else:
-            next_frequency = grid.step_up(chosen.frequency_hz)
-            verdict, _ = self._evaluate(next_frequency, demand)
-            limiting = verdict if verdict is not LimitingFactor.NONE else LimitingFactor.NONE
-        return OperatingPoint(
-            frequency_hz=chosen.frequency_hz,
-            voltage_v=chosen.voltage_v,
-            package_power_w=chosen.package_power_w,
-            cores_power_w=chosen.cores_power_w,
-            idle_cores_power_w=chosen.idle_cores_power_w,
-            uncore_power_w=chosen.uncore_power_w,
-            limiting_factor=limiting,
-            junction_temperature_c=chosen.junction_temperature_c,
+        sustained = self.sustained_bin(demand)
+        point = self.candidate_table(demand).operating_point(
+            sustained.bin_index, sustained.power_temperature_c, sustained.limiting
         )
-
-    def package_power_w(self, frequency_hz: float, demand: CpuDemand) -> float:
-        """Sustained package power at a specific frequency for *demand*."""
-        _, point = self._evaluate(frequency_hz, demand, enforce_limits=False)
-        return point.package_power_w
+        return replace(point, junction_temperature_c=sustained.junction_temperature_c)
 
     # -- instantaneous (closed-loop) resolution --------------------------------------------
 
@@ -787,24 +700,6 @@ class DvfsPolicy:
             self._candidate_tables[demand] = table
         return table
 
-    def resolve_at(
-        self,
-        demand: CpuDemand,
-        temperature_c: float,
-        power_limit_w: Optional[float] = None,
-    ) -> OperatingPoint:
-        """Best operating point at a *pinned* temperature and power limit.
-
-        Unlike :meth:`resolve`, which iterates power and temperature to their
-        sustained fixed point, this treats the junction temperature as state
-        (the dynamics engine owns it) and takes the instantaneous power limit
-        from the turbo budget rather than the static TDP.
-        """
-        limit = self._processor.tdp_w if power_limit_w is None else power_limit_w
-        table = self.candidate_table(demand)
-        index, limiting = table.select(limit, temperature_c)
-        return table.operating_point(index, temperature_c, limiting)
-
     def sustained_bin(self, demand: CpuDemand) -> SustainedBin:
         """The sustained fixed point of *demand* on its candidate table (cached).
 
@@ -836,18 +731,6 @@ class DvfsPolicy:
             power_temperature_c=float(power_temperature[0, bin_index]),
             junction_temperature_c=float(temperature[0, bin_index]),
         )
-
-    def _resolve_varied(self, demand: CpuDemand) -> OperatingPoint:
-        """Sustained operating point of a varied die, from its table.
-
-        Like the static walk, the powers are the fixed point's last power
-        evaluation and the junction temperature is the one it settles at.
-        """
-        sustained = self.sustained_bin(demand)
-        point = self.candidate_table(demand).operating_point(
-            sustained.bin_index, sustained.power_temperature_c, sustained.limiting
-        )
-        return replace(point, junction_temperature_c=sustained.junction_temperature_c)
 
     def _build_candidate_table(self, demand: CpuDemand) -> CandidateTable:
         die = self._processor.die
@@ -928,71 +811,6 @@ class DvfsPolicy:
         )
 
     # -- internals -------------------------------------------------------------------------
-
-    def _evaluate(
-        self, frequency_hz: float, demand: CpuDemand, enforce_limits: bool = True
-    ) -> tuple[LimitingFactor, OperatingPoint]:
-        # The VR is programmed to the fully-guardbanded voltage (checked
-        # against Vmax below); the power estimate uses the effective silicon
-        # voltage for a typical workload.
-        vr_voltage = self._vf_curve.required_voltage_v(frequency_hz, demand.active_cores)
-        voltage = self._vf_curve.power_voltage_v(frequency_hz, demand.active_cores)
-        temperature = FIXED_POINT_START_C
-        cores_power = idle_power = uncore_power = package_power = 0.0
-        for _ in range(FIXED_POINT_ITERATIONS):
-            cores_power = self._active_cores_power_w(
-                frequency_hz, voltage, demand, temperature
-            )
-            idle_power = self._idle_cores_power_w(voltage, demand, temperature)
-            uncore_power = self._processor.die.uncore.package_c0_power_w(
-                demand.memory_intensity
-            )
-            package_power = (
-                cores_power + idle_power + uncore_power + self._graphics_idle_power_w
-            )
-            temperature = min(
-                self._processor.tjmax_c,
-                self._thermal_model.junction_temperature_c(package_power),
-            )
-        point = OperatingPoint(
-            frequency_hz=frequency_hz,
-            voltage_v=vr_voltage,
-            package_power_w=package_power,
-            cores_power_w=cores_power,
-            idle_cores_power_w=idle_power,
-            uncore_power_w=uncore_power,
-            limiting_factor=LimitingFactor.NONE,
-            junction_temperature_c=temperature,
-        )
-        if not enforce_limits:
-            return LimitingFactor.NONE, point
-        if vr_voltage > self._vf_curve.vmax_v + 1e-9:
-            return LimitingFactor.VMAX, point
-        if package_power > self._processor.tdp_w + 1e-9:
-            return LimitingFactor.TDP, point
-        if self._virus_current_a(frequency_hz, vr_voltage, demand) > self._processor.die.iccmax_a:
-            return LimitingFactor.ICCMAX, point
-        return LimitingFactor.NONE, point
-
-    def _active_cores_power_w(
-        self, frequency_hz: float, voltage_v: float, demand: CpuDemand, temperature_c: float
-    ) -> float:
-        total = 0.0
-        for core in self._processor.die.cores[: demand.active_cores]:
-            total += core.active_power_w(
-                frequency_hz, voltage_v, demand.activity, temperature_c
-            )
-        return total
-
-    def _idle_cores_power_w(
-        self, voltage_v: float, demand: CpuDemand, temperature_c: float
-    ) -> float:
-        idle_cores = self._processor.die.cores[demand.active_cores :]
-        gated = not self._bypass_mode
-        return sum(
-            core.idle_power_w(voltage_v, gated=gated, temperature_c=temperature_c)
-            for core in idle_cores
-        )
 
     def _virus_current_a(
         self, frequency_hz: float, voltage_v: float, demand: CpuDemand

@@ -14,8 +14,8 @@ closing the loop between four firmware/physics subsystems every step:
    a thermal throttle caps the next step's power so Tjmax is never crossed.
 3. **DVFS re-resolution** — every step picks the highest 100 MHz bin that
    satisfies Vmax, Iccmax and the *instantaneous* power limit at the
-   *current* junction temperature, the choice
-   :meth:`~repro.pmu.dvfs.CandidateTable.select` makes.
+   *current* junction temperature, on the demand's
+   :class:`~repro.pmu.dvfs.CandidateTable`.
 4. **Package C-states** — idle gaps enter the state the break-even ladder
    allows for their duration (clamped at the fused deepest state), and the
    idle power both cools the die and re-banks the turbo budget.
@@ -23,7 +23,7 @@ closing the loop between four firmware/physics subsystems every step:
 Once a sustained stretch exhausts the turbo budget (the EWMA reaches PL1),
 the firmware latches the *sustained* operating point — the TDP-table fixed
 point :meth:`~repro.pmu.dvfs.DvfsPolicy.sustained_bin` solves on the
-candidate table the run steps on, the bin the static
+candidate table the run steps on, the bin
 :meth:`~repro.pmu.dvfs.DvfsPolicy.resolve` reports — until an idle gap
 re-banks enough budget.  This reproduces the paper's TDP-limited behaviour
 exactly: a long constant-demand scenario converges to the same 100 MHz bin
@@ -216,8 +216,8 @@ class _ActiveSegment:
         self._dynamic_w = bins_major(stacked.active_dynamic_w[rows])
         self._bin_range = np.arange(edge)[:, None]
         # Blocking-limit code of each bin, indexed by the (per-step) power
-        # verdict at that bin; mirrors CandidateTable._blocking_limit's
-        # precedence: Vmax first, then power (TDP), then Iccmax, then NONE.
+        # verdict at that bin, in resolve_sustained_bins' precedence: Vmax
+        # first, then power (TDP), then Iccmax, then NONE.
         self._blocking_codes = np.stack(
             [
                 np.where(vmax_ok, _CODE_TDP, _CODE_VMAX),
@@ -313,10 +313,10 @@ class _ActiveSegment:
             lo, hi = 0, self.edge
             package, power_ok, allowed = self._evaluate(scale, limit_w, lo, hi)
         self.window = (lo, hi)
-        # Bin selection (CandidateTable.select): highest statically-feasible
-        # bin under the instantaneous power limit.  The mul/max form picks
-        # the highest allowed index and falls back to 0 when nothing is
-        # allowed, matching the scalar path's infeasible-grid handling.
+        # Bin selection: highest statically-feasible bin under the
+        # instantaneous power limit.  The mul/max form picks the highest
+        # allowed index and falls back to 0 when nothing is allowed, the
+        # infeasible-grid report of resolve_sustained_bins.
         any_allowed = allowed.any(axis=0)
         index = (allowed * self._bin_range[lo:hi]).max(axis=0)
         if self.windowed:

@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 #: or model change alters the numbers a run produces: stored runs from the
 #: old engine then miss naturally (and ``python -m repro gc`` collects
 #: them) instead of serving outdated physics as warm cache hits.
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 
 class SimulationEngine:

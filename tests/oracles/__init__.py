@@ -3,6 +3,8 @@
 Each oracle is the slow, obviously-correct path a fast path replaced:
 
 * :mod:`oracles.dynamics` — the per-run closed-loop stepper;
+* :mod:`oracles.dvfs` — the static DVFS grid walk and scalar per-step bin
+  selection;
 * :mod:`oracles.population` — per-die population stepping;
 * :mod:`oracles.droop` — the per-stage RK4 droop integrator;
 * :mod:`oracles.study` — per-cell study execution;

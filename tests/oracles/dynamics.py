@@ -4,7 +4,7 @@
 Python loop, one step at a time, with the scalar models
 (:class:`~repro.pmu.turbo.TurboBudgetManager`,
 :class:`~repro.power.thermal.TransientThermalModel`,
-:meth:`~repro.pmu.dvfs.CandidateTable.select`).
+:func:`oracles.dvfs.select`).
 ``BatchedDynamicsSimulator.run_batch`` and ``run_population`` must
 reproduce its trajectories bit for bit.  It reads its loop start and
 idle states from :mod:`repro.sim.dynamics` and its sustained points from
@@ -24,6 +24,8 @@ from repro.power.thermal import TransientThermalModel
 from repro.sim.dynamics import _loop_start, phase_step_counts, resolve_idle_state
 from repro.sim.metrics import DynamicRunResult, encode_cstates
 from repro.workloads.dynamics import DynamicPhase, DynamicScenario
+
+from oracles.dvfs import select
 
 
 class _TraceRecorder:
@@ -147,8 +149,8 @@ class DynamicsSimulator:
             exhausted = False
             if burst_armed:
                 budget = turbo.power_budget_w(dt)  # already PL2-clamped
-                index, limiting = table.select(
-                    min(budget, thermal_cap), temperature, package_power_w=powers
+                index, limiting = select(
+                    table, min(budget, thermal_cap), temperature, package_power_w=powers
                 )
                 if limiting is LimitingFactor.TDP and thermal_cap < budget:
                     limiting = LimitingFactor.THERMAL
@@ -165,8 +167,11 @@ class DynamicsSimulator:
                 # Bank exhausted: burst bins are off the table; the ceiling
                 # is the sustained (TDP-table) bin, still subject to the
                 # instantaneous PL2/thermal envelope.
-                index, limiting = table.select(
-                    min(limits.pl2_w, thermal_cap), temperature, package_power_w=powers
+                index, limiting = select(
+                    table,
+                    min(limits.pl2_w, thermal_cap),
+                    temperature,
+                    package_power_w=powers,
                 )
                 if limiting is LimitingFactor.TDP and thermal_cap < limits.pl2_w:
                     limiting = LimitingFactor.THERMAL

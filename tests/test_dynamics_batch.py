@@ -7,7 +7,7 @@ limiting-factor and package C-state traces, and bit-identical float traces
 (every equivalence check ends on full dataclass equality).  The suite
 covers the deterministic acceptance grids, heterogeneous and padded
 batches, the engine/Study wiring, the segment's windowed bin search
-against ``CandidateTable.select`` (including a test for each of its
+against ``oracles.dvfs.select`` (including a test for each of its
 guards), and a hypothesis sweep over random scenarios.
 """
 
@@ -42,6 +42,7 @@ from repro.workloads.dynamics import (
 )
 from repro.workloads.spec import spec_cpu2006_base_suite
 
+from oracles.dvfs import select
 from oracles.dynamics import DynamicsSimulator
 from oracles.study import PerCellExecutor
 
@@ -220,13 +221,13 @@ def test_sustained_points_resolve_once_per_system_and_demand(
 def test_lockstep_engine_and_oracle_never_run_the_static_walk(
     monkeypatch, desktop_processor, mobile_processor
 ):
-    """Sustained bins come from the table fixed point, never ``resolve``."""
+    """Sustained bins come from the stored table fixed point, never ``resolve``."""
 
-    def walk(policy, demand):
-        raise AssertionError("the static DVFS walk ran")
+    def resolve(policy, demand):
+        raise AssertionError("DvfsPolicy.resolve ran")
 
-    monkeypatch.setattr(DvfsPolicy, "resolve", walk)
-    # New systems, so their fixed points are solved with the walk disabled.
+    monkeypatch.setattr(DvfsPolicy, "resolve", resolve)
+    # New systems, so their fixed points are solved with resolve disabled.
     pairs = [
         (pcode, scenario)
         for tdp_w in (35.0, 91.0)
@@ -300,7 +301,7 @@ def _select_segment(tables):
     """An all-active segment over *tables*, its sustained bins at the top.
 
     Resolved armed and without a thermal cap, a segment's (frequency,
-    power, limiting) is exactly ``CandidateTable.select`` at the chosen
+    power, limiting) is exactly ``oracles.dvfs.select`` at the chosen
     bin, so the lockstep resolution is pinned against the scalar oracle.
     """
     stacked = StackedCandidateTables.from_tables(tables)
@@ -330,7 +331,7 @@ def _assert_resolves_like_select(segment, tables, temperature, limit):
         np.zeros(runs),
     )
     for row, table in enumerate(tables):
-        index, limiting = table.select(limit, temperature)
+        index, limiting = select(table, limit, temperature)
         assert frequency[row] == table.frequencies_hz[index]
         assert power[row] == table.package_power_w(temperature)[index]
         assert LIMITING_FACTOR_ORDER[int(codes[row])] is limiting
@@ -439,7 +440,7 @@ def test_segment_failing_the_check_resolves_like_select(
     table = _unchecked_table(dynamic_w, idle_reference_w, iccmax_ok)
     segment = _select_segment([table])
     assert not segment.windowed
-    assert table.select(high_limit, 60.0)[0] == 4
+    assert select(table, high_limit, 60.0)[0] == 4
     for limit in (2.6, 2.6, 2.6, high_limit):
         _assert_resolves_like_select(segment, [table], 60.0, limit)
         assert segment.window == (0, segment.edge)

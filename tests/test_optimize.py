@@ -407,7 +407,8 @@ class TestStoreIntegration:
         )
         warm_result = warm.run()
         assert warm_result == cold_result
-        assert warm.tasks_total == 0
+        # The stored result is the one task, served without a probe.
+        assert warm.tasks_total == 1
         assert warm.tasks_executed == 0
 
     def test_changed_query_misses_the_short_circuit(self, tmp_path):

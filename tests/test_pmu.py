@@ -19,6 +19,8 @@ from repro.pmu.fuses import FuseSet, PowerDeliveryMode, firmware_area_overhead_f
 from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import TurboTable
 
+from oracles import dvfs as oracle
+
 
 # -- fuses -------------------------------------------------------------------------------------
 
@@ -180,13 +182,23 @@ def test_dvfs_bypass_mode_has_idle_core_power(dvfs_policy):
     assert gated_point.idle_cores_power_w < 0.1
 
 
-def test_dvfs_package_power_helper_matches_resolution(dvfs_policy):
-    policy = dvfs_policy(45.0, False)
+def test_dvfs_package_power_helper_matches_resolution(baseline_pcode):
+    pcode = baseline_pcode(45.0)
     demand = CpuDemand(active_cores=4, activity=0.65)
-    point = policy.resolve(demand)
-    assert policy.package_power_w(point.frequency_hz, demand) == pytest.approx(
-        point.package_power_w, rel=1e-6
-    )
+    point = pcode.resolve_cpu_operating_point(demand)
+    assert oracle.package_power_w(
+        pcode, point.frequency_hz, demand
+    ) == pytest.approx(point.package_power_w, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["darkgates", "baseline"])
+def test_all_core_resolve_reports_idle_power_as_float(name):
+    """With no idle core the idle power is the float 0.0, never an int."""
+    pcode = _registered_pcode(name, 35.0)
+    demand = CpuDemand(active_cores=pcode.processor.core_count)
+    point = pcode.resolve_cpu_operating_point(demand)
+    assert type(point.idle_cores_power_w) is float
+    assert point.idle_cores_power_w == 0.0
 
 
 def test_dvfs_junction_temperature_below_tjmax(dvfs_policy, mobile_processor):
@@ -201,13 +213,14 @@ def test_candidate_table_matches_static_power_arithmetic(dvfs_policy):
     policy = dvfs_policy(45.0, False)
     demand = CpuDemand(active_cores=4, activity=0.65)
     point = policy.resolve(demand)
-    at_static = policy.resolve_at(
+    at_static = oracle.resolve_at(
+        policy,
         demand,
         temperature_c=point.junction_temperature_c,
         power_limit_w=45.0,
     )
     assert at_static.frequency_hz == pytest.approx(point.frequency_hz, abs=1e-3)
-    # The static resolver reports the power of its penultimate thermal
+    # The sustained point reports the power of its penultimate thermal
     # iterate, so the pinned-temperature power agrees only to the fixed
     # point's convergence tolerance.
     assert at_static.package_power_w == pytest.approx(point.package_power_w, rel=1e-3)
@@ -224,7 +237,9 @@ def test_resolve_at_frequency_monotonic_in_power_limit(dvfs_policy):
     policy = dvfs_policy(35.0, False)
     demand = CpuDemand(active_cores=4, activity=0.65)
     frequencies = [
-        policy.resolve_at(demand, temperature_c=60.0, power_limit_w=limit).frequency_hz
+        oracle.resolve_at(
+            policy, demand, temperature_c=60.0, power_limit_w=limit
+        ).frequency_hz
         for limit in (15.0, 25.0, 35.0, 60.0)
     ]
     assert frequencies == sorted(frequencies)
@@ -251,20 +266,31 @@ def _registered_pcode(name: str, tdp_w: float) -> Pcode:
 def test_static_walk_and_table_fixed_point_pick_the_same_bin(
     name, tdp_w, activity, memory_intensity, data
 ):
-    """``resolve``'s grid walk lands on the stored table fixed point's bin.
+    """The per-bin grid walk lands on ``resolve``'s table fixed point.
 
-    The dynamics engine latches the table fixed point as the sustained
-    point, so it must be the frequency and limit the static walk reports.
+    ``resolve`` reads the fixed point the policy stores per demand, the
+    one the dynamics engine latches; the walk evaluates each bin's fixed
+    point on its own from the scalar models.  They must pick the same bin
+    and limit, and agree on powers and temperature to rounding.
     """
     pcode = _registered_pcode(name, tdp_w)
     cores = data.draw(st.integers(min_value=1, max_value=pcode.processor.core_count))
     demand = CpuDemand(cores, activity, memory_intensity)
-    policy = pcode.dvfs_policy
-    point = policy.resolve(demand)
-    sustained = policy.sustained_bin(demand)
-    table = policy.candidate_table(demand)
-    assert point.frequency_hz == table.frequencies_hz[sustained.bin_index]
-    assert point.limiting_factor is sustained.limiting
+    walked = oracle.static_walk(pcode, demand)
+    point = pcode.dvfs_policy.resolve(demand)
+    assert walked.frequency_hz == point.frequency_hz
+    assert walked.voltage_v == point.voltage_v
+    assert walked.limiting_factor is point.limiting_factor
+    for field in (
+        "package_power_w",
+        "cores_power_w",
+        "idle_cores_power_w",
+        "uncore_power_w",
+        "junction_temperature_c",
+    ):
+        assert getattr(walked, field) == pytest.approx(
+            getattr(point, field), rel=1e-14, abs=0.0
+        ), field
 
 
 # -- turbo table ------------------------------------------------------------------------------------

@@ -106,6 +106,20 @@ def test_optimize_static_probe_rejects_opt(store_root, capsys):
     assert not any(RunStore(store_root).iter_manifests())
 
 
+def test_warm_optimize_counts_the_stored_result_as_served(store_root, capsys):
+    argv = [
+        "optimize", "--spec", "darkgates", "--spec", "baseline",
+        "--target-ghz", "3.0", "--tdp-grid", "10:91:5", "--cores", "4",
+    ]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "0 served from the store" in cold
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    assert "0 task(s) executed, 1 served from the store" in warm
+    assert warm.split("\n")[:-3] == cold.split("\n")[:-3]
+
+
 def test_summarize_and_index(store_root, capsys):
     main(TINY_SWEEP)
     capsys.readouterr()
