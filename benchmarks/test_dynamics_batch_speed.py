@@ -128,6 +128,9 @@ def test_dynamics_batch_speedup(benchmark):
     )
 
     total_steps = sum(len(r.times_s) for r in reference)
+    # Absolute lockstep cost: every step of the longest run is one step of
+    # the whole batch.
+    lockstep_steps = max(len(r.times_s) for r in batched)
     payload = {
         "grid": {
             "specs": list(SPEC_NAMES),
@@ -139,6 +142,8 @@ def test_dynamics_batch_speedup(benchmark):
         "reference_s": reference_s,
         "batched_s": batched_s,
         "speedup_batched_vs_reference": speedup,
+        "batched_us_per_lockstep_step": batched_s / lockstep_steps * 1e6,
+        "batched_run_steps_per_s": total_steps / batched_s,
         "bin_exact": bin_exact,
         "max_abs_dtemperature_c": max_dtemp_c,
         "max_abs_dpower_w": max_dpower_w,
@@ -150,6 +155,10 @@ def test_dynamics_batch_speedup(benchmark):
     print(f"grid: {len(pairs)} runs, {total_steps} steps total")
     print(f"reference (per-run loop): {reference_s * 1e3:8.1f} ms")
     print(f"batched (lockstep):       {batched_s * 1e3:8.1f} ms  ({speedup:.1f}x)")
+    print(
+        f"per lockstep step:        {batched_s / lockstep_steps * 1e6:8.1f} us"
+        f"  ({total_steps / batched_s:,.0f} run-steps/s)"
+    )
     print(f"max |dT| vs reference:    {max_dtemp_c:.2e} C")
     print(f"max |dP| vs reference:    {max_dpower_w:.2e} W")
     print(f"timing artifact:          {OUTPUT_PATH}")

@@ -19,9 +19,10 @@ Section 3 and Section 7.1.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -123,6 +124,20 @@ FIXED_POINT_ITERATIONS = 3
 #: voltage coefficient ``kv`` rides along so die variation can re-reference
 #: the group to a shifted rail voltage without rebuilding it from models.
 LeakageGroup = Tuple[float, float, float, np.ndarray]
+
+#: Distinct demands whose candidate table and sustained bin one
+#: :class:`DvfsPolicy` keeps, least recently used out first.  A static
+#: spec-base plus spec-rate sweep touches 56 demands per policy; an evicted
+#: entry rebuilds to the same arrays.
+DEMAND_CACHE_SIZE = 256
+
+
+def _remember(cache: "OrderedDict[Any, Any]", key: Any, value: Any) -> None:
+    """Store *value*, dropping the least recently used entry past the bound."""
+    cache[key] = value
+    if len(cache) > DEMAND_CACHE_SIZE:
+        cache.popitem(last=False)
+
 
 #: Per-core current the power-gate IR-drop guardband is sized for (matches
 #: the guardband model's ``per_core_virus_current_a`` default: the gate
@@ -638,8 +653,8 @@ class DvfsPolicy:
         self._graphics_idle_power_w = graphics_idle_power_w
         self._thermal_model = processor.thermal_model()
         self._die_variation = die_variation
-        self._candidate_tables: Dict[CpuDemand, CandidateTable] = {}
-        self._sustained_bins: Dict[CpuDemand, SustainedBin] = {}
+        self._candidate_tables = OrderedDict[CpuDemand, CandidateTable]()
+        self._sustained_bins = OrderedDict[CpuDemand, SustainedBin]()
 
     # -- public API -----------------------------------------------------------------------
 
@@ -674,6 +689,7 @@ class DvfsPolicy:
         One table per demand supports the dynamics engine: voltages, dynamic
         power and the Vmax/Iccmax verdicts are fixed per bin, so a time step
         only has to apply the leakage temperature terms and pick a bin.
+        The policy keeps the tables of :data:`DEMAND_CACHE_SIZE` demands.
         """
         if demand.active_cores > self._processor.core_count:
             raise ConfigurationError(
@@ -697,19 +713,24 @@ class DvfsPolicy:
                     vr_offset_v=vr_offset,
                     power_offset_v=power_offset,
                 )
-            self._candidate_tables[demand] = table
+            _remember(self._candidate_tables, demand, table)
+        else:
+            self._candidate_tables.move_to_end(demand)
         return table
 
     def sustained_bin(self, demand: CpuDemand) -> SustainedBin:
         """The sustained fixed point of *demand* on its candidate table (cached).
 
-        Solved once per demand by :func:`resolve_sustained_bins` on the
-        table :meth:`candidate_table` returns — the table the dynamics
-        engine steps on — and stored next to it.
+        Solved by :func:`resolve_sustained_bins` on the table
+        :meth:`candidate_table` returns — the table the dynamics engine
+        steps on — and kept for as many demands as the tables.
         """
         sustained = self._sustained_bins.get(demand)
         if sustained is None:
-            sustained = self._sustained_bins[demand] = self._solve_sustained(demand)
+            sustained = self._solve_sustained(demand)
+            _remember(self._sustained_bins, demand, sustained)
+        else:
+            self._sustained_bins.move_to_end(demand)
         return sustained
 
     def _solve_sustained(self, demand: CpuDemand) -> SustainedBin:

@@ -15,7 +15,7 @@ the budget back to the sustained (TDP) level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -147,7 +147,9 @@ class BatchedTurboBudgetManager:
     One manager tracks one *grid* of closed-loop runs, each with its own
     PL1/PL2 pair, EWMA window and time step.  The arithmetic matches the
     scalar manager expression for expression, so batched budget/accounting
-    trajectories are bit-identical to per-run stepping.
+    trajectories are bit-identical to per-run stepping.  The per-run
+    averages belong to the caller (the lockstep loop keeps them in its
+    trace rows, starting from :attr:`initial_average_w`).
 
     Parameters
     ----------
@@ -169,18 +171,15 @@ class BatchedTurboBudgetManager:
             raise ConfigurationError(
                 "limits, time_step_s and initial_average_w must align"
             )
+        averages = np.array(initial_average_w, dtype=float)
+        if (averages < 0).any():
+            raise ConfigurationError("initial_average_w must be >= 0")
+        self._initial_average_w = averages
         self._pl1_w = np.array([limit.pl1_w for limit in limits], dtype=float)
         self._pl2_w = np.array([limit.pl2_w for limit in limits], dtype=float)
         self._meter = BatchedEwmaMeter(
-            tau_s=[limit.tau_s for limit in limits],
-            time_step_s=time_step_s,
-            initial_average_w=initial_average_w,
+            tau_s=[limit.tau_s for limit in limits], time_step_s=time_step_s
         )
-
-    @property
-    def pl1_w(self) -> np.ndarray:
-        """Per-run sustained power limits."""
-        return self._pl1_w
 
     @property
     def pl2_w(self) -> np.ndarray:
@@ -188,17 +187,17 @@ class BatchedTurboBudgetManager:
         return self._pl2_w
 
     @property
-    def average_power_w(self) -> np.ndarray:
-        """Present per-run EWMAs of accounted package power."""
-        return self._meter.average_w
+    def initial_average_w(self) -> np.ndarray:
+        """Per-run EWMAs of package power at t=0."""
+        return self._initial_average_w
 
-    def power_budget_w(self) -> np.ndarray:
+    def power_budget_w(self, average_w: np.ndarray) -> np.ndarray:
         """Per-run package power the next step may draw (PL2-clamped)."""
-        pl1_bound = self._meter.max_power_keeping_average_w(self._pl1_w)
+        pl1_bound = self._meter.max_power_keeping_average_w(average_w, self._pl1_w)
         return np.minimum(self._pl2_w, pl1_bound)
 
     def account(
-        self, power_w: np.ndarray, active: Optional[np.ndarray] = None
+        self, average_w: np.ndarray, power_w: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Record one step of per-run *power_w*; returns the new averages."""
-        return self._meter.update(power_w, active=active)
+        """The per-run averages after one step of *power_w*, in *out*."""
+        return self._meter.update(average_w, power_w, out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -223,8 +223,11 @@ class BatchedEwmaMeter:
     Each run keeps its own time step and averaging window, so the per-run
     retention factor is a constant of the run; it is precomputed with the
     same ``math.exp(-dt / tau)`` expression the scalar meter evaluates every
-    step, which keeps a batched trajectory bit-identical to stepping each
-    run through its own :class:`EwmaPowerMeter`.
+    step (and ``1.0 - keep`` with it), which keeps a batched trajectory
+    bit-identical to stepping each run through its own
+    :class:`EwmaPowerMeter`.  The averages belong to the caller (the
+    lockstep loop keeps them in its trace rows): :meth:`update` writes the
+    next ones into the caller's *out* row.
 
     Parameters
     ----------
@@ -232,53 +235,31 @@ class BatchedEwmaMeter:
         Per-run averaging-window time constants.
     time_step_s:
         Per-run (constant) simulation steps.
-    initial_average_w:
-        Per-run averages at t=0.
     """
 
-    def __init__(
-        self,
-        tau_s: Sequence[float],
-        time_step_s: Sequence[float],
-        initial_average_w: Sequence[float],
-    ) -> None:
+    def __init__(self, tau_s: Sequence[float], time_step_s: Sequence[float]) -> None:
         taus = np.asarray(tau_s, dtype=float)
         steps = np.asarray(time_step_s, dtype=float)
-        averages = np.asarray(initial_average_w, dtype=float)
-        if not (taus.shape == steps.shape == averages.shape):
+        if taus.shape != steps.shape:
             raise ConfigurationError("batched EWMA inputs must share one shape")
         if (taus <= 0).any() or (steps <= 0).any():
             raise ConfigurationError("tau_s and time_step_s must be positive")
-        if (averages < 0).any():
-            raise ConfigurationError("initial_average_w must be >= 0")
         self._keep = np.array(
             [math.exp(-dt / tau) for dt, tau in zip(steps, taus)], dtype=float
         )
-        self._average_w = averages.copy()
-
-    @property
-    def average_w(self) -> np.ndarray:
-        """Present per-run moving averages (a live view; do not mutate)."""
-        return self._average_w
+        self._blend = 1.0 - self._keep
+        self._zero = np.zeros_like(self._keep)
 
     def update(
-        self, power_w: np.ndarray, active: Optional[np.ndarray] = None
+        self, average_w: np.ndarray, power_w: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Account one step of per-run constant *power_w*; returns the averages.
+        """The averages after one step of per-run constant *power_w*, in *out*."""
+        np.multiply(average_w, self._keep, out=out)
+        return np.add(out, power_w * self._blend, out=out)
 
-        Runs where *active* is False (already past the end of their
-        timeline) keep their average untouched.
-        """
-        keep = self._keep
-        updated = self._average_w * keep + power_w * (1.0 - keep)
-        if active is not None:
-            updated = np.where(active, updated, self._average_w)
-        self._average_w = updated
-        return updated
-
-    def max_power_keeping_average_w(self, limit_w: np.ndarray) -> np.ndarray:
+    def max_power_keeping_average_w(
+        self, average_w: np.ndarray, limit_w: np.ndarray
+    ) -> np.ndarray:
         """Per-run largest next-step power keeping the average <= *limit_w*."""
-        keep = self._keep
-        return np.maximum(
-            0.0, (limit_w - self._average_w * keep) / (1.0 - keep)
-        )
+        bound = (limit_w - average_w * self._keep) / self._blend
+        return np.maximum(self._zero, bound)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -191,8 +191,11 @@ class BatchedThermalModel:
     Each run has its own (constant) time step, thermal resistance and
     capacitance, so the per-run exponential decay factor is a constant; it
     is precomputed with the same ``math.exp(-dt / tau)`` the scalar model
-    evaluates every step, which keeps a batched trajectory bit-identical to
-    stepping each run through its own :class:`TransientThermalModel`.
+    evaluates every step (and ``1.0 - decay`` with it), which keeps a
+    batched trajectory bit-identical to stepping each run through its own
+    :class:`TransientThermalModel`.  The temperatures belong to the caller
+    (the lockstep loop keeps them in its trace rows): :meth:`step` writes
+    the next ones into the caller's *out* row.
 
     Parameters
     ----------
@@ -220,12 +223,8 @@ class BatchedThermalModel:
             [model.steady_state.thermal_resistance_c_per_w for model in models],
             dtype=float,
         )
-        self._decay = np.array(
-            [
-                math.exp(-dt / model.time_constant_s)
-                for model, dt in zip(models, steps)
-            ],
-            dtype=float,
+        self._set_decay(
+            [math.exp(-dt / model.time_constant_s) for model, dt in zip(models, steps)]
         )
 
     @classmethod
@@ -256,39 +255,26 @@ class BatchedThermalModel:
         batch._ambient_c = np.full(resistance.shape, ambient_c, dtype=float)
         batch._tjmax_c = np.full(resistance.shape, tjmax_c, dtype=float)
         batch._resistance_c_per_w = resistance
-        batch._decay = np.array(
-            [
-                math.exp(-time_step_s / (r * capacitance_j_per_c))
-                for r in resistance
-            ],
-            dtype=float,
+        batch._set_decay(
+            [math.exp(-time_step_s / (r * capacitance_j_per_c)) for r in resistance]
         )
         return batch
 
-    @property
-    def ambient_c(self) -> np.ndarray:
-        """Per-run design ambient temperatures."""
-        return self._ambient_c
+    def _set_decay(self, decay: Sequence[float]) -> None:
+        self._decay = np.array(decay, dtype=float)
+        self._blend = 1.0 - self._decay
+        self._zero = np.zeros_like(self._decay)
 
     def step(
-        self,
-        temperature_c: np.ndarray,
-        power_w: np.ndarray,
-        active: Optional[np.ndarray] = None,
+        self, temperature_c: np.ndarray, power_w: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Per-run junction temperature after one step of constant *power_w*.
-
-        Runs where *active* is False keep their temperature untouched.
-        """
+        """Per-run junction temperature after one step of *power_w*, in *out*."""
         target = self._ambient_c + self._resistance_c_per_w * power_w
-        updated = target + (temperature_c - target) * self._decay
-        if active is not None:
-            updated = np.where(active, updated, temperature_c)
-        return updated
+        np.multiply(np.subtract(temperature_c, target, out=out), self._decay, out=out)
+        return np.add(target, out, out=out)
 
     def max_power_keeping_tjmax_w(self, temperature_c: np.ndarray) -> np.ndarray:
         """Per-run largest next-step power that keeps T <= Tjmax."""
-        decay = self._decay
-        target_ceiling = (self._tjmax_c - temperature_c * decay) / (1.0 - decay)
+        target_ceiling = (self._tjmax_c - temperature_c * self._decay) / self._blend
         power = (target_ceiling - self._ambient_c) / self._resistance_c_per_w
-        return np.maximum(0.0, power)
+        return np.maximum(self._zero, power)

@@ -136,12 +136,14 @@ def resolve_idle_state(pcode: Pcode, phase: DynamicPhase) -> PackageCState:
 #: Trace code of the active package state.
 _C0_NAME = PackageCState.C0.value
 
-_CODE_VMAX = LIMITING_FACTOR_CODES[LimitingFactor.VMAX]
-_CODE_TDP = LIMITING_FACTOR_CODES[LimitingFactor.TDP]
-_CODE_ICCMAX = LIMITING_FACTOR_CODES[LimitingFactor.ICCMAX]
-_CODE_THERMAL = LIMITING_FACTOR_CODES[LimitingFactor.THERMAL]
-_CODE_FREQUENCY_GRID = LIMITING_FACTOR_CODES[LimitingFactor.FREQUENCY_GRID]
-_CODE_NONE = LIMITING_FACTOR_CODES[LimitingFactor.NONE]
+#: Limiting-factor codes as int8 scalars: a segment's per-bin code tables
+#: are then built without (bins, runs) int64 temporaries.
+_CODE_VMAX = np.int8(LIMITING_FACTOR_CODES[LimitingFactor.VMAX])
+_CODE_TDP = np.int8(LIMITING_FACTOR_CODES[LimitingFactor.TDP])
+_CODE_ICCMAX = np.int8(LIMITING_FACTOR_CODES[LimitingFactor.ICCMAX])
+_CODE_THERMAL = np.int8(LIMITING_FACTOR_CODES[LimitingFactor.THERMAL])
+_CODE_FREQUENCY_GRID = np.int8(LIMITING_FACTOR_CODES[LimitingFactor.FREQUENCY_GRID])
+_CODE_NONE = np.int8(LIMITING_FACTOR_CODES[LimitingFactor.NONE])
 
 #: Window margins of :meth:`_ActiveSegment.resolve`: bins evaluated below
 #: the lower of the previous step's lowest top bin and the lowest sustained
@@ -157,19 +159,23 @@ class _ActiveSegment:
     point and activity are fixed, so the per-step work reduces to the
     temperature/budget-dependent arithmetic in :meth:`resolve` — a flat
     sequence of vectorized operations replicating the per-run stepper
-    expression for expression.
+    expression for expression, written into buffers the segment owns and
+    into the caller's trace rows.
 
     The constructor prepares a windowed bin search:
 
     * **Trim.**  No selection lands above the highest statically (Vmax and
-      Iccmax) feasible bin of any run, and the limit report probes at most
-      one bin above the selection, so only bins ``0 .. top feasible + 1``
-      are kept (``edge`` is the trimmed bin count).
+      Iccmax) feasible bin of any active run, and the limit report probes
+      at most one bin above the selection, so only bins ``0 .. top
+      feasible + 1`` are kept (``edge`` is the trimmed bin count).
     * **Bins-major layout.**  Every per-bin matrix is stored ``(bins,
       runs)``, so a window of bins is a contiguous row slice.
     * **Padding groups dropped.**  An all-zero leakage group with ``kt ==
       0`` (stacking padding) has a scale of exactly 1 and adds exactly
       ``+0.0``, so leaving it out changes no bit.
+    * **Idle runs.**  A run idling in this segment allows no bin, and its
+      bin 0 reads 0 Hz, code NONE and exactly *idle_power_w* (default 0 W;
+      its other power terms are zeroed), so a step needs no activity mask.
     * **The check** (``windowed``).  For every run, static feasibility must
       be a prefix of the bins, and the dynamic and every leakage reference
       power must never decrease over that prefix (padded bins lie beyond
@@ -181,12 +187,18 @@ class _ActiveSegment:
 
     :meth:`resolve` then evaluates only bins ``[lo, hi)``: from one below
     the lower of the previous step's lowest top bin and the lowest
-    sustained bin, to two above the previous step's highest top bin.  The
-    window is accepted when both ends show that every answer lies inside:
-    ``lo == 0`` or every run allows bin ``lo``, and ``hi == edge`` or no run
-    allows bin ``hi - 1``.  Otherwise — and on every step of a segment that
-    fails the check — the same code evaluates the whole trimmed range.
-    Either way the results are bit-identical to evaluating every bin.
+    sustained bin, to two above the previous step's highest top bin.  One
+    ``argmin`` counts each run's allowed prefix there (the row above the
+    window is cleared first; row ``edge`` is never written).  The window is
+    accepted when the counts show that every answer lies inside: ``lo ==
+    0`` or every run allows bin ``lo``, and ``hi == edge`` or no run allows
+    bin ``hi - 1``.  Otherwise — and on every step of a segment that fails
+    the check, where a ``max`` finds the highest allowed bin — the same code
+    evaluates the whole trimmed range.  Either way the results are
+    bit-identical to evaluating every bin.  The rest of the step reads each
+    run's ``top``, the bin above its highest allowed one (0 when none is
+    allowed): the probe whose blocking limit it reports, one above the bin
+    it selects (bin 0 when none is allowed).
     """
 
     def __init__(
@@ -197,44 +209,61 @@ class _ActiveSegment:
         active: np.ndarray,
         sustained_bin: np.ndarray,
         sustained_code: np.ndarray,
+        idle_power_w: Optional[np.ndarray] = None,
     ) -> None:
-        self._run_axis = run_axis
-        self._active = active
-        self._all_active = bool(active.all())
-        static_ok = stacked.vmax_ok[rows] & stacked.iccmax_ok[rows]
+        runs, idle = len(rows), ~active
+        static_ok = stacked.vmax_ok[rows] & stacked.iccmax_ok[rows] & active[:, None]
         feasible_bins = np.flatnonzero(static_ok.any(axis=0))
         top_feasible = int(feasible_bins[-1]) if len(feasible_bins) else -1
         self.edge = edge = min(static_ok.shape[1], top_feasible + 2)
 
         def bins_major(matrix: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray(matrix[:, :edge].T)
+            out = np.ascontiguousarray(matrix[:, :edge].T)
+            out[:, idle] = 0
+            return out
+
+        def per_bin(values: np.ndarray) -> np.ndarray:
+            # A same-shape add costs half a broadcast one at batch widths.
+            return bins_major(np.repeat(values[:, None], edge, axis=1))
 
         vmax_ok = bins_major(stacked.vmax_ok[rows])
         iccmax_ok = bins_major(stacked.iccmax_ok[rows])
         self._static_ok = vmax_ok & iccmax_ok
-        self._frequencies_hz = bins_major(stacked.frequencies_hz[rows])
+        self._frequencies_hz = bins_major(stacked.frequencies_hz[rows]).ravel()
         self._dynamic_w = bins_major(stacked.active_dynamic_w[rows])
-        self._bin_range = np.arange(edge)[:, None]
-        # Blocking-limit code of each bin, indexed by the (per-step) power
-        # verdict at that bin, in resolve_sustained_bins' precedence: Vmax
-        # first, then power (TDP), then Iccmax, then NONE.
-        self._blocking_codes = np.stack(
-            [
-                np.where(vmax_ok, _CODE_TDP, _CODE_VMAX),
-                np.where(
-                    vmax_ok,
-                    np.where(iccmax_ok, _CODE_NONE, _CODE_ICCMAX),
-                    _CODE_VMAX,
-                ),
-            ]
-        )
+        self._uncore_w = per_bin(stacked.uncore_power_w[rows])
+        self._graphics_w = per_bin(stacked.graphics_idle_power_w[rows])
+        if idle_power_w is not None:
+            self._graphics_w[:, idle] = idle_power_w[idle]
+        self._bin_above = np.arange(1, edge + 1)[:, None]
+        # Limiting code at the probe bin, in resolve_sustained_bins'
+        # precedence (Vmax first, then power, then Iccmax, then NONE): when
+        # the probe fails the power limit, fails it with the thermal cap
+        # binding, or passes it.  A probe past a run's last bin means its
+        # top bin is allowed.  An armed run spends its turbo bank when its
+        # probe fails the power limit at most one bin above its sustained
+        # bin (the selection at or below it).
+        codes = np.full((3, edge + 1, runs), _CODE_FREQUENCY_GRID, dtype=np.int8)
+        blocked = np.where(iccmax_ok, _CODE_NONE, _CODE_ICCMAX)
+        for verdict, code in enumerate((_CODE_TDP, _CODE_THERMAL, blocked)):
+            codes[verdict, :edge] = np.where(vmax_ok, code, _CODE_VMAX)
+        probe = np.arange(edge + 1)[:, None]
+        codes[:, probe > stacked.bin_counts[rows] - 1] = _CODE_FREQUENCY_GRID
+        codes[:, :, idle] = _CODE_NONE
+        self._fail_codes, self._thermal_codes, self._pass_codes = codes.reshape(3, -1)
+        spends = (codes[0] == _CODE_TDP) & (probe <= sustained_bin + 1)
+        self._keeps_bank = ~spends.ravel()
         # Leakage laws.  An all-zero group with kt == 0 is stacking padding:
         # its scale is exactly 1 and it adds exactly +0.0, so it is left out.
         def laws(
             kt: np.ndarray, reference_c: np.ndarray, reference_w: np.ndarray
         ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
             return [
-                (kt[rows, g], reference_c[rows, g], bins_major(reference_w[rows, g]))
+                (
+                    np.where(active, kt[rows, g], 0.0),
+                    reference_c[rows, g],
+                    bins_major(reference_w[rows, g]),
+                )
                 for g in range(reference_w.shape[1])
                 if kt[rows, g].any() or reference_w[rows, g, :edge].any()
             ]
@@ -248,19 +277,26 @@ class _ActiveSegment:
         # Active and idle laws share one exp evaluation: scale row g belongs
         # to the g-th kept law, active laws first.
         kept = active_laws + idle_laws
-        shape = (len(kept), len(rows))
+        shape = (len(kept), runs)
         self._kt = np.array([law[0] for law in kept]).reshape(shape)
         self._reference_c = np.array([law[1] for law in kept]).reshape(shape)
         self._leakage_w = (
             list(enumerate(law[2] for law in active_laws)),
             list(enumerate((law[2] for law in idle_laws), start=len(active_laws))),
         )
-        self._uncore_w = stacked.uncore_power_w[rows]
-        self._graphics_w = stacked.graphics_idle_power_w[rows]
-        self._last_bin = stacked.bin_counts[rows] - 1
-        self._sustained_bin = sustained_bin
-        self._sustained_code = sustained_code
+        # Per-run operands (a Python scalar slows each ufunc call it enters)
+        # and the step's buffers.
+        self._run_axis = run_axis
+        self._runs = np.full(runs, runs)
+        self._tolerance = np.full(runs, 1e-9)
+        self._sustained_flat = sustained_bin * runs + run_axis
+        self._sustained_code = sustained_code.astype(np.int8)
+        self._clamp_from = np.where(sustained_bin == 0, 0, sustained_bin + 1)
         self._lowest_sustained = int(sustained_bin.min())
+        self._package = np.empty((edge, runs))
+        self._leakage = np.empty((edge, runs))
+        self._power_ok = np.zeros((edge + 1, runs), dtype=bool)
+        self._allowed = np.zeros((edge + 1, runs), dtype=bool)
         # The check: feasibility never resumes after a gap, and no reference
         # power falls from one feasible bin to the next.
         resumes = self._static_ok[1:] & ~self._static_ok[:-1]
@@ -274,94 +310,104 @@ class _ActiveSegment:
 
     def _evaluate(
         self, scale: np.ndarray, limit_w: np.ndarray, lo: int, hi: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Package power, power verdict and allowed mask of bins ``[lo, hi)``."""
+    ) -> np.ndarray:
+        """Package power, power verdict and allowed mask of bins ``[lo, hi)``.
+
+        Written to rows ``lo .. hi - 1`` of the buffers; returns the allowed
+        rows ``lo .. hi``, the last of them False.
+        """
         # Per-bin package power, replicating CandidateTable.package_power_w
         # term by term: (dynamic + active leakage) + idle leakage, then
         # uncore, then graphics.  Each split's leakage groups are summed
         # *before* being added — the scalar path's association.
-        package = self._dynamic_w[lo:hi]
+        package = self._package[lo:hi]
+        total = self._dynamic_w[lo:hi]
         for laws in self._leakage_w:
             leakage = None
             for g, reference_w in laws:
-                term = reference_w[lo:hi] * scale[g]
-                leakage = term if leakage is None else leakage + term
+                if leakage is None:
+                    leakage = self._leakage[lo:hi]
+                    np.multiply(reference_w[lo:hi], scale[g], out=leakage)
+                else:
+                    np.add(leakage, reference_w[lo:hi] * scale[g], out=leakage)
             if leakage is not None:
-                package = package + leakage
-        package = (package + self._uncore_w) + self._graphics_w
-        power_ok = package <= limit_w
-        return package, power_ok, self._static_ok[lo:hi] & power_ok
+                total = np.add(total, leakage, out=package)
+        np.add(total, self._uncore_w[lo:hi], out=package)
+        np.add(package, self._graphics_w[lo:hi], out=package)
+        power_ok = np.less_equal(package, limit_w, out=self._power_ok[lo:hi])
+        np.logical_and(self._static_ok[lo:hi], power_ok, out=self._allowed[lo:hi])
+        if hi < self.edge:
+            self._allowed[hi] = False
+        return self._allowed[lo : hi + 1]
+
+    def _count(
+        self, scale: np.ndarray, limit_w: np.ndarray, lo: int, hi: int
+    ) -> Tuple[np.ndarray, int, int]:
+        """Each run's count of allowed bins in ``[lo, hi)``, and the extremes."""
+        count = self._evaluate(scale, limit_w, lo, hi).argmin(axis=0)
+        return count, int(count[count.argmin()]), int(count[count.argmax()])
 
     def resolve(
         self,
         temperature_c: np.ndarray,
-        power_limit_w: np.ndarray,
-        armed: np.ndarray,
-        budget_w: np.ndarray,
-        pl2_w: np.ndarray,
+        envelope_w: np.ndarray,
         thermal_cap_w: np.ndarray,
-        idle_power_w: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One lockstep DVFS resolution: (frequency, power, limiting, exhausted)."""
+        armed: np.ndarray,
+        frequency_hz: np.ndarray,
+        power_w: np.ndarray,
+        limiting: np.ndarray,
+    ) -> np.ndarray:
+        """One lockstep DVFS resolution, written into the trace rows.
+
+        Each run draws under ``min(envelope, thermal cap)``: *envelope_w* is
+        an armed run's EWMA budget and an exhausted run's PL2.  Fills
+        *frequency_hz*, *power_w* and *limiting*; returns which runs keep
+        their turbo bank.
+        """
         scale = np.exp(self._kt * (temperature_c - self._reference_c))
-        limit_w = power_limit_w + 1e-9
+        limit_w = np.minimum(envelope_w, thermal_cap_w) + self._tolerance
         lo, hi = self._next_window
-        package, power_ok, allowed = self._evaluate(scale, limit_w, lo, hi)
-        bottom_holds = lo == 0 or allowed[0].all()
-        top_holds = hi == self.edge or not allowed[-1].any()
-        if not (bottom_holds and top_holds):
-            lo, hi = 0, self.edge
-            package, power_ok, allowed = self._evaluate(scale, limit_w, lo, hi)
-        self.window = (lo, hi)
-        # Bin selection: highest statically-feasible bin under the
-        # instantaneous power limit.  The mul/max form picks the highest
-        # allowed index and falls back to 0 when nothing is allowed, the
-        # infeasible-grid report of resolve_sustained_bins.
-        any_allowed = allowed.any(axis=0)
-        index = (allowed * self._bin_range[lo:hi]).max(axis=0)
         if self.windowed:
-            low = min(int(index.min()), self._lowest_sustained)
+            top, fewest, most = self._count(scale, limit_w, lo, hi)
+            # Unless every run allows bin lo and none bin hi - 1, retry all.
+            if (lo and not fewest) or (hi < self.edge and most == hi - lo):
+                lo, hi = 0, self.edge
+                top, fewest, most = self._count(scale, limit_w, lo, hi)
+            if lo:
+                top += lo
+            low = min(max(lo + fewest - 1, 0), self._lowest_sustained)
             self._next_window = (
                 max(0, low - _WINDOW_BELOW),
-                min(self.edge, int(index.max()) + _WINDOW_ABOVE + 1),
+                min(self.edge, max(lo + most - 1, 0) + _WINDOW_ABOVE + 1),
             )
-        probe = np.where(any_allowed, np.minimum(index + 1, self._last_bin), 0)
-        probe_ok = power_ok[probe - lo, self._run_axis]
-        limiting = self._blocking_codes[probe_ok.view(np.int8), probe, self._run_axis]
-        limiting = np.where(
-            any_allowed & (index == self._last_bin), _CODE_FREQUENCY_GRID, limiting
-        )
-        # A power-limited verdict is thermal when the thermal cap was the
-        # binding half of the min(budget, cap) envelope.
-        compare = np.where(armed, budget_w, pl2_w)
-        limiting = np.where(
-            (limiting == _CODE_TDP) & (thermal_cap_w < compare),
-            _CODE_THERMAL,
-            limiting,
-        )
-        # Armed runs whose power-limited search decays onto (or below) the
-        # sustained bin have spent the turbo bank; exhausted runs latch the
+        else:
+            allowed = self._evaluate(scale, limit_w, lo, hi)[:-1]
+            top = (allowed * self._bin_above).max(axis=0)
+        self.window = (lo, hi)
+        flat = top * self._runs + self._run_axis
+        # The probe's blocking limit; a power-limited verdict is thermal when
+        # the thermal cap was the binding half of the envelope.
+        passed = self._power_ok.ravel().take(flat)
+        self._fail_codes.take(flat, out=limiting, mode="clip")
+        thermal = thermal_cap_w < envelope_w
+        np.copyto(limiting, self._thermal_codes.take(flat), where=thermal)
+        np.copyto(limiting, self._pass_codes.take(flat), where=passed)
+        # Exhausted runs whose search reaches the sustained bin latch the
         # sustained (TDP-table) point until an idle gap re-banks budget.
-        exhausted = armed & (limiting >= _CODE_TDP) & (index <= self._sustained_bin)
-        clamp = ~armed & (index >= self._sustained_bin)
-        index = np.where(clamp, self._sustained_bin, index)
-        limiting = np.where(clamp, self._sustained_code, limiting)
-        frequency = self._frequencies_hz[index, self._run_axis]
-        power = package[index - lo, self._run_axis]
-        if not self._all_active:
-            exhausted = exhausted & self._active
-            frequency = np.where(self._active, frequency, 0.0)
-            power = np.where(self._active, power, idle_power_w)
-            limiting = np.where(self._active, limiting, _CODE_NONE)
-        return frequency, power, limiting, exhausted
+        clamp = (top >= self._clamp_from) > armed
+        np.copyto(limiting, self._sustained_code, where=clamp)
+        # Selected: the highest allowed bin, or bin 0 (the infeasible-grid
+        # report of resolve_sustained_bins) when none is allowed.
+        selected = np.maximum(flat - self._runs, self._run_axis)
+        np.copyto(selected, self._sustained_flat, where=clamp)
+        self._frequencies_hz.take(selected, out=frequency_hz, mode="clip")
+        self._package.ravel().take(selected, out=power_w, mode="clip")
+        return passed | self._keeps_bank.take(flat)
 
 
 #: One stretch of the lockstep grid over which no run changes phase:
-#: ``(steps, alive, segment, idle_power_w)``.  Runs outside *alive* have
-#: ended and keep their state (``None``: every run is alive); *segment*
-#: resolves the active runs (``None``: every run idles), and the runs it
-#: leaves inactive draw *idle_power_w*.
-_Segment = Tuple[int, Optional[np.ndarray], Optional[_ActiveSegment], np.ndarray]
+#: ``(steps, segment, idle_power_w)``; with no *segment* every run idles.
+_Segment = Tuple[int, Optional[_ActiveSegment], np.ndarray]
 
 
 def _lockstep(
@@ -377,15 +423,16 @@ def _lockstep(
 
     The one lockstep step behind :meth:`BatchedDynamicsSimulator.run_batch`
     and :meth:`BatchedDynamicsSimulator.run_population`, replicating the
-    per-run stepper expression for expression for every run.
-    Each segment is dropped before the next is pulled, so a generator that
-    builds segments on demand (``run_batch``'s) keeps one
-    :class:`_ActiveSegment` alive at a time.
+    per-run stepper expression for expression for every run.  Each step
+    writes its trace rows in place and reads the previous temperature and
+    average rows back as its state.  A run past the end of its timeline
+    idles at 0 W; those rows are never read.  Each segment is dropped
+    before the next is pulled, so a generator that builds segments on
+    demand (``run_batch``'s) keeps one :class:`_ActiveSegment` alive at a
+    time.
     """
     n_runs = len(temperature)
     pl2_w = turbo.pl2_w
-    idle_frequency = np.zeros(n_runs)
-    idle_limiting = np.full(n_runs, _CODE_NONE, dtype=np.int8)
     # Step-major trace layout: each step writes one contiguous row.
     traces = {
         "frequency_hz": np.zeros((total_steps, n_runs)),
@@ -394,37 +441,33 @@ def _lockstep(
         "average_w": np.zeros((total_steps, n_runs)),
         "limiting": np.full((total_steps, n_runs), _CODE_NONE, dtype=np.int8),
     }
+    frequency_hz, power_w, temperature_c, average_w, limiting = traces.values()
+    average = turbo.initial_average_w
     start = 0
-    for steps, alive, segment, idle_power_w in segments:
+    for steps, segment, idle_power_w in segments:
+        if segment is None:
+            power_w[start : start + steps] = idle_power_w
         for t in range(start, start + steps):
+            power = power_w[t]
             if segment is not None:
                 thermal_cap = thermal.max_power_keeping_tjmax_w(temperature)
-                budget = turbo.power_budget_w()
                 # Armed runs draw up to the EWMA budget; exhausted runs are
                 # ceilinged by instantaneous PL2 — both under the thermal cap.
-                limit = np.where(
-                    armed,
-                    np.minimum(budget, thermal_cap),
-                    np.minimum(pl2_w, thermal_cap),
+                envelope = np.where(armed, turbo.power_budget_w(average), pl2_w)
+                banked = segment.resolve(
+                    temperature, envelope, thermal_cap, armed,
+                    frequency_hz[t], power, limiting[t],
                 )
-                frequency, power, limiting, exhausted = segment.resolve(
-                    temperature, limit, armed, budget, pl2_w, thermal_cap,
-                    idle_power_w,
-                )
+            average = turbo.account(average, power, out=average_w[t])
+            temperature = thermal.step(temperature, power, out=temperature_c[t])
+            # Runs re-arm once the average falls to the re-bank threshold;
+            # armed runs stay armed until they spend the bank.
+            rearm = average <= rebank_threshold_w
+            if segment is None:
+                armed = rearm | armed
             else:
-                frequency, power, limiting = idle_frequency, idle_power_w, idle_limiting
-                exhausted = None
-            average = turbo.account(power, active=alive)
-            temperature = thermal.step(temperature, power, active=alive)
-            rebank = np.where(average <= rebank_threshold_w, True, armed)
-            if exhausted is not None:
-                rebank = np.where(exhausted, False, rebank)
-            armed = rebank if alive is None else np.where(alive, rebank, armed)
-            traces["frequency_hz"][t] = frequency
-            traces["power_w"][t] = power
-            traces["temperature_c"][t] = temperature
-            traces["average_w"][t] = average
-            traces["limiting"][t] = limiting
+                np.copyto(rearm, banked, where=armed)
+                armed = rearm
         start += steps
         segment = None  # freed before the next segment is built
     return traces
@@ -650,8 +693,8 @@ class BatchedDynamicsSimulator:
         1)`` matrix, so a segment gathers every run's values in one indexing
         step: a run's phase is the count of its phase ends at or before the
         segment start (ends are padded with ``total_steps``, where no
-        segment starts).  A run past its last end lands on the padding —
-        inactive, table row 0, zero idle power — and is masked as not alive.
+        segment starts).  A run past its last end lands on the padding:
+        it idles at 0 W on table row 0.
         """
         run_axis = np.arange(len(plans))
         width = max(len(plan.phase_ends) for plan in plans) + 1
@@ -669,12 +712,11 @@ class BatchedDynamicsSimulator:
         sustained_bin = per_phase("sustained_bin", 0)
         sustained_code = per_phase("sustained_code", _CODE_NONE)
         idle_power_w = per_phase("idle_power_w", 0.0)
-        n_steps = np.array([plan.n_steps for plan in plans])
         bounds = sorted({0, *ends.ravel().tolist()})
         for t0, t1 in zip(bounds[:-1], bounds[1:]):
             phase = np.count_nonzero(ends <= t0, axis=1)
-            alive = t0 < n_steps
             active = is_active[run_axis, phase]
+            idle_power = idle_power_w[run_axis, phase]
             segment = None  # freed before the next segment is built
             if stacked is not None and active.any():
                 segment = _ActiveSegment(
@@ -684,13 +726,9 @@ class BatchedDynamicsSimulator:
                     active,
                     sustained_bin[run_axis, phase],
                     sustained_code[run_axis, phase],
+                    idle_power,
                 )
-            yield (
-                int(t1 - t0),
-                None if alive.all() else alive,
-                segment,
-                idle_power_w[run_axis, phase],
-            )
+            yield int(t1 - t0), segment, idle_power
 
     # -- the population (die-variation) fast path --------------------------------------
 
@@ -782,7 +820,7 @@ class BatchedDynamicsSimulator:
                         population.leakage_kt_delta_per_c,
                     )
                 )
-                segments.append((steps, None, None, idle_power))
+                segments.append((steps, None, idle_power))
                 cstates.append(state.value)
                 continue
             demand = phase.demand()
@@ -810,7 +848,7 @@ class BatchedDynamicsSimulator:
                     sustained_bin, sustained_code,
                 )
                 by_demand[demand] = segment
-            segments.append((steps, None, segment, zeros))
+            segments.append((steps, segment, zeros))
             cstates.append(_C0_NAME)
 
         total_steps = sum(counts)

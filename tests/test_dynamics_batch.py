@@ -33,6 +33,8 @@ from repro.pmu.dvfs import (
 from repro.pmu.fuses import FuseSet
 from repro.pmu.pcode import Pcode
 from repro.sim.dynamics import BatchedDynamicsSimulator, _ActiveSegment
+from repro.variation.distributions import skylake_process_variation
+from repro.variation.sampler import DiePopulationSampler
 from repro.workloads.dynamics import (
     DynamicPhase,
     DynamicScenario,
@@ -141,8 +143,57 @@ def test_batched_all_idle_batch(baseline_pcode):
     assert set(batched.frequencies_hz) == {0.0}
 
 
+def test_batch_with_no_feasible_bin_matches_reference():
+    """A guardband past Vmax leaves no feasible bin: segments trim to bin 0.
+
+    Each run idles while the other is active, so those one-bin segments
+    also carry idle runs.
+    """
+    pcode = get_spec("darkgates", tdp_w=35.0, guardband_offset_v=0.6).build()
+    table = pcode.dvfs_policy.candidate_table(CpuDemand(active_cores=4))
+    assert not (table.vmax_ok & table.iccmax_ok).any()
+    pairs = [
+        (pcode, burst_scenario(idle_lead_s=1.0, burst_s=2.0, time_step_s=0.1)),
+        (pcode, sprint_and_rest_scenario(sprint_s=1.0, rest_s=1.0, time_step_s=0.1)),
+    ]
+    batched = BatchedDynamicsSimulator().run_batch(pairs)
+    for (pcode, scenario), result in zip(pairs, batched):
+        _assert_equivalent(_reference(pcode, scenario), result)
+
+
 def test_empty_batch_returns_empty_list():
     assert BatchedDynamicsSimulator().run_batch([]) == []
+
+
+def _trace_bytes(traces):
+    return [
+        traces.frequencies_hz.tobytes(),
+        traces.package_powers_w.tobytes(),
+        traces.temperatures_c.tobytes(),
+        traces.average_powers_w.tobytes(),
+        traces.limiting_codes.tobytes(),
+    ]
+
+
+def test_later_calls_leave_earlier_traces_untouched(darkgates_pcode, baseline_pcode):
+    """Every call steps into trace matrices of its own.
+
+    The lockstep step writes its rows in place and ``run_population`` hands
+    its matrices back uncopied, so a buffer shared between calls would
+    silently rewrite an earlier shard or batch.
+    """
+    simulator = BatchedDynamicsSimulator()
+    population = DiePopulationSampler(skylake_process_variation()).sample(64, seed=5)
+    pcode = darkgates_pcode(65.0)
+    shard = simulator.run_population(pcode, SCENARIOS[1], population.slice(0, 32))
+    before = _trace_bytes(shard)
+    simulator.run_population(pcode, SCENARIOS[1], population.slice(32, 64))
+    assert _trace_bytes(shard) == before
+
+    batch = simulator.run_batch([(pcode, scenario) for scenario in SCENARIOS])
+    before = [_trace_bytes(result) for result in batch]
+    simulator.run_batch([(baseline_pcode(35.0), scenario) for scenario in SCENARIOS])
+    assert [_trace_bytes(result) for result in batch] == before
 
 
 # -- engine wiring ---------------------------------------------------------------------
@@ -321,14 +372,16 @@ def _assert_resolves_like_select(segment, tables, temperature, limit):
     runs = len(tables)
     temperatures = np.full(runs, float(temperature))
     limits = np.full(runs, float(limit))
-    frequency, power, codes, _ = segment.resolve(
+    frequency, power = np.empty(runs), np.empty(runs)
+    codes = np.empty(runs, dtype=np.int8)
+    segment.resolve(
         temperatures,
         limits,
-        np.ones(runs, dtype=bool),
-        limits,
-        limits,
         np.full(runs, np.inf),
-        np.zeros(runs),
+        np.ones(runs, dtype=bool),
+        frequency,
+        power,
+        codes,
     )
     for row, table in enumerate(tables):
         index, limiting = select(table, limit, temperature)

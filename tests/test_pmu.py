@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.core.spec import get_spec, spec_names
-from repro.pmu.dvfs import CpuDemand, LimitingFactor
+from repro.pmu.dvfs import DEMAND_CACHE_SIZE, CpuDemand, LimitingFactor
 from repro.pmu.fuses import FuseSet, PowerDeliveryMode, firmware_area_overhead_fraction
 from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import TurboTable
@@ -248,6 +248,31 @@ def test_resolve_at_frequency_monotonic_in_power_limit(dvfs_policy):
 def test_resolve_at_rejects_oversized_demand(dvfs_policy):
     with pytest.raises(ConfigurationError):
         dvfs_policy(91.0, False).candidate_table(CpuDemand(active_cores=8))
+
+
+def test_policy_caches_stay_bounded_and_evicted_demands_resolve_the_same():
+    """2,000 distinct demands keep at most DEMAND_CACHE_SIZE entries per cache.
+
+    Every answer equals a fresh policy's, and the earliest demands, long
+    evicted, rebuild to the answers they first gave.
+    """
+    spec = get_spec("darkgates", tdp_w=35.0)
+    policy = spec.build().dvfs_policy
+    demands = [
+        CpuDemand(active_cores=1 + i % 4, activity=0.1 + 0.8 * i / 2000)
+        for i in range(2000)
+    ]
+    assert len(set(demands)) == len(demands)
+    answers = [(policy.resolve(d), policy.sustained_bin(d)) for d in demands]
+    assert len(policy._candidate_tables) <= DEMAND_CACHE_SIZE
+    assert len(policy._sustained_bins) <= DEMAND_CACHE_SIZE
+    fresh = spec.build().dvfs_policy
+    for demand, (point, sustained) in zip(demands, answers):
+        assert fresh.resolve(demand) == point
+        assert fresh.sustained_bin(demand) == sustained
+    for demand, (point, sustained) in zip(demands[:8], answers):
+        assert policy.resolve(demand) == point
+        assert policy.sustained_bin(demand) == sustained
 
 
 @lru_cache(maxsize=None)
