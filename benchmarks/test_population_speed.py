@@ -41,7 +41,9 @@ from repro.variation.sampler import DiePopulationSampler
 from repro.variation.streaming import (
     ShardPlan,
     merge_binning_shards,
+    merge_cell_shards,
     run_binning_shard,
+    run_cell_shard,
 )
 from repro.workloads.dynamics import burst_scenario
 
@@ -254,25 +256,34 @@ def test_population_streaming_matches_fast():
 def test_population_streaming_memory_gauge():
     """64k-die tracemalloc gauge: streaming peak is O(shard), not O(dice).
 
-    The artifact's ``peak_mb`` key is the headline memory gauge gated by
-    ``perf_track.py`` (growth beyond the baseline fails CI); the monolithic
-    reference is named ``monolithic_peak_mb`` so it never wins the headline
-    scan.
+    The streaming side is the study's shard path, as ``method="streaming"``
+    runs it: ``run_cell_shard`` over every shard, then ``merge_cell_shards``.
+    The monolithic side steps the whole population in one ``run_population``
+    call.  The artifact's ``peak_mb`` key is the headline memory gauge gated
+    by ``perf_track.py`` (growth beyond the baseline fails CI); the
+    monolithic reference is named ``monolithic_peak_mb`` so it never wins
+    the headline scan.
     """
     spec = resolve_spec("darkgates").variant(tdp_w=TDP_W)
     engine = build_engine(spec)
     scenario = _scenario()
-    sampler = DiePopulationSampler(skylake_process_variation())
-    population = sampler.sample(MEMORY_DICE, seed=SEED)
+    model = skylake_process_variation()
+    binning = skylake_binning_policy()
+    population = DiePopulationSampler(model).sample(MEMORY_DICE, seed=SEED)
+    plan = ShardPlan(count=MEMORY_DICE, shard_size=MEMORY_SHARD_SIZE)
 
-    # Warm shared caches (candidate tables, engine state) with a sliver so
+    def shard(index: int):
+        return run_cell_shard(
+            spec, scenario, model, MEMORY_DICE, SEED, index,
+            MEMORY_SHARD_SIZE, binning,
+        )
+
+    # Warm shared caches (candidate tables, engine state) with one shard so
     # first-touch allocations do not pollute either gauge.
-    engine.run_population(scenario, population.slice(0, 64))
+    shard(0)
 
     streaming_peak = _traced_peak_mb(
-        lambda: engine.run_population(
-            scenario, population, shard_size=MEMORY_SHARD_SIZE
-        )
+        lambda: merge_cell_shards([shard(i) for i in range(plan.n_shards)])
     )
     monolithic_peak = _traced_peak_mb(
         lambda: engine.run_population(scenario, population)
@@ -280,7 +291,7 @@ def test_population_streaming_memory_gauge():
     ratio = monolithic_peak / streaming_peak
 
     print()
-    print(f"memory: {MEMORY_DICE} dice, shard {MEMORY_SHARD_SIZE}")
+    print(f"memory: {MEMORY_DICE} dice, {plan.n_shards} shards of {MEMORY_SHARD_SIZE}")
     print(f"streaming peak:   {streaming_peak:8.1f} MB")
     print(f"monolithic peak:  {monolithic_peak:8.1f} MB  ({ratio:.1f}x)")
 

@@ -1,13 +1,15 @@
 """The import-layering contract checker (RPR008/RPR009).
 
-Builds the *runtime* module-level import graph of the package — imports
-inside ``if TYPE_CHECKING:`` blocks and inside function bodies do not
-execute at import time, so they are exempt — then checks two properties:
+Collects the *runtime* imports of the package — imports inside
+``if TYPE_CHECKING:`` blocks never execute, so they are exempt — then
+checks two properties:
 
-* every edge points at the importer's own layer or lower, per the
-  ``layers`` declaration in pyproject.toml (RPR008);
-* the graph is acyclic (RPR009), reported per strongly-connected
-  component so one cycle produces one coherent set of findings.
+* every import, module-level or deferred into a function body, points at
+  the importer's own layer or lower, per the ``layers`` declaration in
+  pyproject.toml (RPR008);
+* the module-level graph is acyclic (RPR009), reported per
+  strongly-connected component so one cycle produces one coherent set of
+  findings.  A deferred same-layer import may break a cycle.
 
 The package root modules (``repro/__init__.py``, ``repro/__main__.py``)
 are the public facade re-exporting every layer and are exempt from the
@@ -46,12 +48,14 @@ def module_name_for(path: Path, package: str) -> Optional[str]:
 
 @dataclass
 class ModuleImports:
-    """Runtime module-level imports of one module."""
+    """Runtime imports of one module."""
 
     module: str
     path: str
-    #: imported module -> first line importing it
+    #: imported module -> first module-level line importing it
     edges: Dict[str, int] = field(default_factory=dict)
+    #: imported module -> first line importing it inside a function body
+    deferred: Dict[str, int] = field(default_factory=dict)
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -86,46 +90,49 @@ def collect_runtime_imports(
     *,
     is_package: bool = False,
 ) -> ModuleImports:
-    """Module-level runtime imports of *tree* that stay inside *package*."""
+    """Runtime imports of *tree* inside *package*: module level (class
+    bodies included) in ``edges``, function bodies in ``deferred``."""
     imports = ModuleImports(module=module, path=path)
     prefix = package + "."
 
-    def record(target: Optional[str], line: int) -> None:
+    def record(target: Optional[str], line: int, into: Dict[str, int]) -> None:
         if target is None:
             return
         if target == package or target.startswith(prefix):
-            imports.edges.setdefault(target, line)
+            into.setdefault(target, line)
 
-    def walk(statements: Sequence[ast.stmt]) -> None:
+    def walk(statements: Sequence[ast.stmt], into: Dict[str, int]) -> None:
         for statement in statements:
             if isinstance(statement, ast.Import):
                 for alias in statement.names:
-                    record(alias.name, statement.lineno)
+                    record(alias.name, statement.lineno, into)
             elif isinstance(statement, ast.ImportFrom):
                 if statement.level:
                     record(
                         _resolve_relative(module, is_package, statement),
                         statement.lineno,
+                        into,
                     )
                 else:
-                    record(statement.module, statement.lineno)
+                    record(statement.module, statement.lineno, into)
             elif isinstance(statement, ast.If):
                 if not _is_type_checking_test(statement.test):
-                    walk(statement.body)
-                walk(statement.orelse)
+                    walk(statement.body, into)
+                walk(statement.orelse, into)
             elif isinstance(statement, ast.Try):
-                walk(statement.body)
+                walk(statement.body, into)
                 for handler in statement.handlers:
-                    walk(handler.body)
-                walk(statement.orelse)
-                walk(statement.finalbody)
+                    walk(handler.body, into)
+                walk(statement.orelse, into)
+                walk(statement.finalbody, into)
             elif isinstance(statement, (ast.With, ast.For, ast.While)):
-                walk(statement.body)
-                walk(getattr(statement, "orelse", []))
+                walk(statement.body, into)
+                walk(getattr(statement, "orelse", []), into)
             elif isinstance(statement, ast.ClassDef):
-                # Class bodies execute at import time; function bodies do not.
-                walk(statement.body)
-    walk(tree.body)
+                walk(statement.body, into)
+            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(statement.body, imports.deferred)
+    walk(tree.body, imports.edges)
     return imports
 
 
@@ -224,11 +231,13 @@ def check_layering(
                     )
                 )
             continue
-        for target, line in sorted(entry.edges.items()):
+        # A module-level import's line outranks a deferred one's.
+        for target, line in sorted({**entry.deferred, **entry.edges}.items()):
             target_pkg = _top_subpackage(target, package)
             if target_pkg is None:
-                if target == package:
-                    # Importing the facade from inside pulls in every layer.
+                if target == package and target in entry.edges:
+                    # Importing the facade from inside pulls in every layer
+                    # (a function body only runs once the root has loaded).
                     findings.setdefault(entry.path, []).append(
                         Finding(
                             line,

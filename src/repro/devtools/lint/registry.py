@@ -159,13 +159,14 @@ suppressed with a rationale naming the protocol.
             """
 The package layering (`[tool.repro-lint].layers` in pyproject.toml)
 declares the order common -> devtools/power/pdn/soc/reliability/pmu/
-workloads -> sim -> core/variation/analysis -> store: a module may
-import its own layer or lower, never higher.  RPR008 fires on a module-level runtime import that points
-up the stack, and on any package the contract does not assign a layer.
-Imports inside `if TYPE_CHECKING:` blocks and inside function bodies are
-exempt — they do not execute at import time, which is the graph the
-contract constrains.  The package root (`repro/__init__.py`,
-`repro/__main__.py`) is the public facade and re-exports every layer.
+workloads -> sim -> fleet -> core/variation/analysis -> store: a module
+may import its own layer or lower, never higher.  RPR008 fires on a runtime
+import that points up the stack, and on any package the contract does not
+assign a layer.  An import deferred into a function body counts too: it
+creates the same dependency, it only runs later.  Imports inside
+`if TYPE_CHECKING:` blocks are exempt: they never execute.
+The package root (`repro/__init__.py`, `repro/__main__.py`) is the public
+facade and re-exports every layer.
 """,
         ),
         _rule(

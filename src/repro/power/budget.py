@@ -245,7 +245,8 @@ class BatchedEwmaMeter:
         if (taus <= 0).any() or (steps <= 0).any():
             raise ConfigurationError("tau_s and time_step_s must be positive")
         self._keep = np.array(
-            [math.exp(-dt / tau) for dt, tau in zip(steps, taus)], dtype=float
+            [math.exp(-dt / tau) for dt, tau in zip(steps.tolist(), taus.tolist())],
+            dtype=float,
         )
         self._blend = 1.0 - self._keep
         self._zero = np.zeros_like(self._keep)

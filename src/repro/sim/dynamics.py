@@ -64,7 +64,6 @@ from repro.workloads.dynamics import AUTO_CSTATE, DynamicPhase, DynamicScenario
 
 if TYPE_CHECKING:
     from repro.variation.sampler import DiePopulation
-    from repro.variation.streaming import StreamingCellShard
 
 
 def phase_step_counts(scenario: DynamicScenario) -> List[int]:
@@ -737,8 +736,7 @@ class BatchedDynamicsSimulator:
         pcode: Pcode,
         scenario: DynamicScenario,
         population: "DiePopulation",
-        shard_size: Optional[int] = None,
-    ) -> "PopulationRunTraces | StreamingCellShard":
+    ) -> PopulationRunTraces:
         """Step one scenario across an entire die population in lockstep.
 
         *pcode* is the **nominal** system; the population's per-die silicon
@@ -756,27 +754,16 @@ class BatchedDynamicsSimulator:
         :class:`~repro.sim.metrics.DynamicRunResult`'s int8 limiting and
         C-state codes.
 
-        With *shard_size* unset (the default), the whole population steps
-        at once and the full ``(steps, dice)``
-        :class:`PopulationRunTraces` matrices come back.  With
-        *shard_size* set, the population streams through fixed-size die
-        shards instead: each shard's matrices are condensed into the
-        bounded accumulators of :mod:`repro.variation.streaming` and
-        dropped before the next shard runs, so peak memory is O(shard) —
-        the return value is the merged
-        :class:`~repro.variation.streaming.StreamingCellShard`.
-        Shard-infeasible configurations (``shard_size < 1``,
-        ``shard_size > count``) raise :class:`ConfigurationError` with
-        actionable messages.
+        The whole population steps at once and the full ``(steps, dice)``
+        :class:`PopulationRunTraces` matrices come back.  To bound memory,
+        step one die range at a time: the streaming population study's
+        shard task (``run_cell_shard``) samples a shard, runs it here and
+        condenses the traces before the next shard runs.
         """
         if pcode.die_variation is not None:
             raise ConfigurationError(
                 "run_population needs the nominal system; per-die variation "
                 "comes from the population"
-            )
-        if shard_size is not None:
-            return self._run_population_streaming(
-                pcode, scenario, population, int(shard_size)
             )
         count = population.count
         processor = pcode.processor
@@ -876,43 +863,6 @@ class BatchedDynamicsSimulator:
             cstate_codes=np.repeat(cstate_codes, counts),
             cstate_names=cstate_names,
         )
-
-    def _run_population_streaming(
-        self,
-        pcode: Pcode,
-        scenario: DynamicScenario,
-        population: "DiePopulation",
-        shard_size: int,
-    ) -> "StreamingCellShard":
-        """Stream the population through fixed-size shards, O(shard) memory.
-
-        Each shard's full trace matrices exist only long enough to condense
-        into the mergeable accumulators of
-        :mod:`repro.variation.streaming`; the merged accumulator is
-        returned.  The per-shard dynamics are the ordinary lockstep fast
-        path, so every shard's numbers are bit-identical to the
-        monolithic run's corresponding die columns.
-        """
-        # Deferred import: sim must not depend on variation at module
-        # level (layering contract); the streaming accumulators live in
-        # the variation layer because they understand populations.
-        from repro.variation.streaming import (
-            ShardPlan,
-            condense_population_traces,
-            merge_cell_shards,
-        )
-
-        plan = ShardPlan(count=population.count, shard_size=shard_size)
-        shards = []
-        for index in range(plan.n_shards):
-            start, stop = plan.shard_bounds(index)
-            traces = self.run_population(
-                pcode, scenario, population.slice(start, stop)
-            )
-            shards.append(
-                condense_population_traces(pcode, scenario, traces, index)
-            )
-        return merge_cell_shards(shards)
 
     # -- result materialisation --------------------------------------------------------
 

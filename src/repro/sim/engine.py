@@ -10,7 +10,7 @@ transient droop).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.common.errors import ConfigurationError
 from repro.pdn.droop import DroopSimulator
@@ -42,7 +42,6 @@ from repro.workloads.dynamics import DynamicScenario
 
 if TYPE_CHECKING:
     from repro.variation.sampler import DiePopulation
-    from repro.variation.streaming import StreamingCellShard
 
 #: Version stamp of the simulation engine, hashed into content-addressed
 #: run IDs and recorded in run-store manifests.  Bump it whenever an engine
@@ -196,25 +195,20 @@ class SimulationEngine:
         return result
 
     def run_population(
-        self,
-        scenario: DynamicScenario,
-        population: DiePopulation,
-        shard_size: Optional[int] = None,
-    ) -> PopulationRunTraces | StreamingCellShard:
+        self, scenario: DynamicScenario, population: DiePopulation
+    ) -> PopulationRunTraces:
         """Step a dynamic scenario across a whole die population in lockstep.
 
         *population* is a :class:`~repro.variation.sampler.DiePopulation`;
         the engine must be built from the nominal spec (per-die silicon
         knobs are injected as stacked arrays — see
         :meth:`~repro.sim.dynamics.BatchedDynamicsSimulator.run_population`).
-        Returns :class:`~repro.sim.dynamics.PopulationRunTraces`, or — when
-        *shard_size* streams the run through fixed-size die shards — the
-        merged bounded-memory
-        :class:`~repro.variation.streaming.StreamingCellShard`.
+        Returns the full ``(steps, dice)``
+        :class:`~repro.sim.dynamics.PopulationRunTraces`; bounded-memory
+        streaming is the population study's shard task
+        (``run_cell_shard``).
         """
-        return self._dynamics.run_population(
-            self._pcode, scenario, population, shard_size=shard_size
-        )
+        return self._dynamics.run_population(self._pcode, scenario, population)
 
     # -- energy scenarios ------------------------------------------------------------------
 

@@ -247,7 +247,7 @@ def _cmd_run_population(args: argparse.Namespace, cache: StoreCache) -> int:
         p5, p50, p95 = cell.sustained_quantiles_ghz((5.0, 50.0, 95.0))
         rows.append(
             [
-                cell.spec.label if cell.spec is not None else "-",
+                cell.spec.label,
                 cell.scenario_name,
                 f"{p5:.3f}",
                 f"{p50:.3f}",

@@ -202,25 +202,6 @@ class DiePopulation:
         """Iterate the population die by die."""
         return (self.die(index) for index in range(self._count))
 
-    def slice(self, start: int, stop: int) -> "DiePopulation":
-        """Dice ``[start, stop)`` as a new population (seed not carried).
-
-        The slice's seed is unset on purpose: a sub-range is replayable via
-        ``(parent seed, start, stop)`` — recording the parent seed alone
-        would claim the slice equals a fresh ``sample(stop - start, seed)``.
-        """
-        if not 0 <= start < stop <= self._count:
-            raise ConfigurationError(
-                f"bad population slice [{start}, {stop}): indices must "
-                f"satisfy 0 <= start < stop <= count ({self._count})"
-            )
-        return DiePopulation(
-            {
-                name: getattr(self, name)[start:stop]
-                for name in NOMINAL_PARAMETERS
-            }
-        )
-
     def specs(self, base_spec: "Any") -> List["Any"]:
         """The reference-path materialisation: one spec variant per die.
 

@@ -33,9 +33,10 @@ condensed per fixed-size die shard:
   shard contributing twice raises.
 
 :class:`~repro.variation.population.PopulationStudy` with
-``method="streaming"`` fans one :class:`StreamingCellShard` task per (cell,
-shard) plus one binning task per (base spec, shard) through the Study
-executor machinery and merges the results into the ordinary
+``method="streaming"`` (the CLI's ``--shard-size``) is the one streaming
+pipeline: it fans one :func:`run_cell_shard` task per (cell, shard) plus
+one binning task per (base spec, shard) through the Study executor
+machinery and merges the results into the ordinary
 :class:`~repro.variation.population.PopulationResult` shape.
 """
 
@@ -78,7 +79,7 @@ class ShardPlan:
     """How a ``count``-die population splits into fixed-size shards.
 
     Construction validates shard feasibility with actionable errors — the
-    error path shared by :meth:`BatchedDynamicsSimulator.run_population`,
+    error path shared by the shard tasks,
     :class:`~repro.variation.population.PopulationStudy` and the CLI.
     """
 
@@ -117,12 +118,6 @@ class ShardPlan:
             )
         start = index * self.shard_size
         return start, min(start + self.shard_size, self.count)
-
-    def bounds(self) -> Tuple[Tuple[int, int], ...]:
-        """Every shard's ``[start, stop)`` range, in shard order."""
-        return tuple(
-            self.shard_bounds(index) for index in range(self.n_shards)
-        )
 
 
 # -- exact weighted percentiles --------------------------------------------------------
@@ -556,15 +551,11 @@ class StreamingCellResult(Codec):
     * ``power_percentiles_w``, ``temperature_percentiles_c`` and the
       per-die summaries carry the one-bin-width error bound recorded in
       ``quantile_error_bounds``.
-
-    ``spec`` is ``None`` for cells finalized straight from the dynamics
-    engine (``run_population(..., shard_size=N)``), which runs below the
-    spec layer; study cells always carry their owning spec.
     """
 
     kind: ClassVar[str] = "streaming_cell"
 
-    spec: Optional[SystemSpec]
+    spec: SystemSpec
     scenario_name: str
     time_step_s: float
     pl1_w: float
@@ -641,7 +632,7 @@ class StreamingCellShard(Codec):
     resolution — never by the population size.
     """
 
-    spec: Optional[SystemSpec]
+    spec: SystemSpec
     scenario_name: str
     time_step_s: float
     pl1_w: float
@@ -792,9 +783,9 @@ def condense_population_traces(
     scenario: DynamicScenario,
     traces: Any,
     shard_index: int,
-    spec: Optional[SystemSpec] = None,
-    binning: Optional[BinningPolicy] = None,
-    population: Optional[DiePopulation] = None,
+    spec: SystemSpec,
+    binning: BinningPolicy,
+    population: DiePopulation,
     binning_pcode: Optional[Pcode] = None,
 ) -> StreamingCellShard:
     """Condense one shard's raw lockstep traces into bounded accumulators.
@@ -802,9 +793,9 @@ def condense_population_traces(
     Mirrors the in-memory ``_cell_from_matrices`` condensation exactly where
     exactness is promised (active rows, the sustained tail, limiting
     counts); continuous metrics land in the deterministic histogram grids of
-    :func:`_cell_histogram_specs`.  When *binning* and *population* are
-    given, per-bin sustained accumulators are built from the shard's bin
-    assignments measured on *binning_pcode* (default: *pcode*) — pass the
+    :func:`_cell_histogram_specs`.  Per-bin sustained accumulators are
+    built from the bin assignments of the shard's *population* under
+    *binning*, measured on *binning_pcode* (default: *pcode*) — pass the
     **base** spec's pcode to match the in-memory path, whose bin join uses
     the base design's candidate table (Fmax feasibility shifts with TDP, so
     a TDP variant's own table would bin edge dice differently).
@@ -832,20 +823,15 @@ def condense_population_traces(
         sustained = np.zeros(count)
         final_counts[LimitingFactor.NONE.value] = count
     by_bin: Dict[str, ScalarAccumulator] = {}
-    if binning is not None:
-        if population is None:
-            raise ConfigurationError(
-                "per-bin sustained accumulators need the shard population"
+    measured_on = binning_pcode if binning_pcode is not None else pcode
+    assignments = binning.assign(die_metrics(measured_on, population))
+    for index, name in enumerate((*binning.bin_names, SCRAP_BIN)):
+        selector = -1 if name == SCRAP_BIN else index
+        members = assignments == selector
+        if members.any():
+            by_bin[name] = ScalarAccumulator.from_values(
+                sustained_spec, sustained[members], shard_index
             )
-        measured_on = binning_pcode if binning_pcode is not None else pcode
-        assignments = binning.assign(die_metrics(measured_on, population))
-        for index, name in enumerate((*binning.bin_names, SCRAP_BIN)):
-            selector = -1 if name == SCRAP_BIN else index
-            members = assignments == selector
-            if members.any():
-                by_bin[name] = ScalarAccumulator.from_values(
-                    sustained_spec, sustained[members], shard_index
-                )
     return StreamingCellShard(
         spec=spec,
         scenario_name=traces.scenario_name,

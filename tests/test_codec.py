@@ -24,10 +24,10 @@ from repro.analysis.optimize import OptimizationResult
 from repro.analysis.study import StudyResult
 from repro.common import codec
 from repro.common.codec import RESULT_SCHEMA_VERSION, registered_types
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, StoreError
 from repro.core.spec import SystemSpec
 from repro.sim import metrics
-from repro.store.artifacts import decode_value, encode_value
+from repro.store.artifacts import RunStore, decode_value, encode_value
 from repro.variation.binning import BinningPolicy
 from repro.variation.population import PopulationResult
 from repro.variation.streaming import ScalarAccumulator, StreamingCellShard
@@ -106,6 +106,20 @@ def test_parent_store_artifacts_decode(tag, samples):
     value = samples["artifacts"][tag]
     assert encode_value(value)["codec"] == tag
     assert same(decode_value(ARTIFACTS[tag]), value)
+
+
+@pytest.mark.parametrize("tag", ["streaming_cell", "streaming_shard"])
+def test_streaming_payloads_require_a_spec(tag, tmp_path):
+    artifact = dict(ARTIFACTS[tag], value={**ARTIFACTS[tag]["value"], "spec": None})
+    with pytest.raises(ConfigurationError, match="SystemSpec payload"):
+        decode_value(artifact)
+    # In a store the payload reads as a corrupt run, which the cache re-runs.
+    store = RunStore(tmp_path)
+    run_id = "0" * 64
+    store.run_dir(run_id).mkdir(parents=True)
+    (store.run_dir(run_id) / "result.json").write_text(json.dumps(artifact))
+    with pytest.raises(StoreError, match="does not decode"):
+        store.load_value(run_id)
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))

@@ -183,11 +183,12 @@ def test_later_calls_leave_earlier_traces_untouched(darkgates_pcode, baseline_pc
     silently rewrite an earlier shard or batch.
     """
     simulator = BatchedDynamicsSimulator()
-    population = DiePopulationSampler(skylake_process_variation()).sample(64, seed=5)
+    sampler = DiePopulationSampler(skylake_process_variation())
     pcode = darkgates_pcode(65.0)
-    shard = simulator.run_population(pcode, SCENARIOS[1], population.slice(0, 32))
+    first, second = sampler.sample_range(0, 32, 5), sampler.sample_range(32, 64, 5)
+    shard = simulator.run_population(pcode, SCENARIOS[1], first)
     before = _trace_bytes(shard)
-    simulator.run_population(pcode, SCENARIOS[1], population.slice(32, 64))
+    simulator.run_population(pcode, SCENARIOS[1], second)
     assert _trace_bytes(shard) == before
 
     batch = simulator.run_batch([(pcode, scenario) for scenario in SCENARIOS])

@@ -147,9 +147,9 @@ layers = [
 
 @pytest.fixture()
 def layered_tree(tmp_path):
-    """A synthetic package with one upward import, one cycle, one stray
-    package, one bare-root import, and exempt TYPE_CHECKING/deferred
-    imports."""
+    """A synthetic package with one upward import, one upward import
+    deferred into a function, one cycle, one stray package, one bare-root
+    import, and an exempt TYPE_CHECKING import."""
     (tmp_path / "pyproject.toml").write_text(LAYERED_PYPROJECT)
     package = tmp_path / "src" / "fake"
     files = {
@@ -200,8 +200,9 @@ def test_layering_contract_findings(layered_tree):
     by_code = {}
     for diagnostic in report.diagnostics:
         by_code.setdefault(diagnostic.code, []).append(diagnostic)
-    # One upward import, one bare-root import, one unassigned package.
-    assert len(by_code["RPR008"]) == 3
+    # One upward import, one deferred upward import, one bare-root import,
+    # one unassigned package.
+    assert len(by_code["RPR008"]) == 4
     messages = "\n".join(d.message for d in by_code["RPR008"])
     assert "declared order is base -> mid -> top" in messages
     assert "imports the package root 'fake'" in messages
@@ -212,10 +213,15 @@ def test_layering_contract_findings(layered_tree):
         "fake.mid.a -> fake.mid.b -> fake.mid.a" in d.message
         for d in by_code["RPR009"]
     )
-    # TYPE_CHECKING-gated and function-deferred imports are exempt.
+    # TYPE_CHECKING-gated imports are exempt; deferring an upward import
+    # into a function body does not hide it.
     flagged = {d.path for d in report.diagnostics}
     assert not any("typed.py" in path for path in flagged)
-    assert not any("deferred.py" in path for path in flagged)
+    (deferred,) = [d for d in report.diagnostics if "deferred.py" in d.path]
+    assert deferred.code == "RPR008" and deferred.line == 2
+    assert "fake.base.deferred (layer 0: 'base') imports fake.top.widget" in (
+        deferred.message
+    )
     # The package-root facade may re-export across layers.
     assert not any(path.endswith("fake/__init__.py") for path in flagged)
 
@@ -226,7 +232,14 @@ def test_layering_clean_when_order_respected(layered_tree):
     (package / "mid" / "a.py").write_text(
         "from .b import helper_b\ndef helper_a():\n    return helper_b\n"
     )
-    (package / "mid" / "b.py").write_text("def helper_b():\n    return 2\n")
+    # Same-layer imports deferred into a function body are legal, even
+    # where they close a cycle: RPR009 checks the module-level graph only.
+    (package / "mid" / "b.py").write_text(
+        "def helper_b():\n    from fake.mid.a import helper_a\n    return helper_a\n"
+    )
+    (package / "base" / "deferred.py").write_text(
+        "def lazily():\n    from fake.base.util import helper\n    return helper\n"
+    )
     (package / "top" / "widget.py").write_text(
         "from fake.base.util import helper\nclass Widget:\n    pass\n"
     )

@@ -43,7 +43,6 @@ from repro.variation.streaming import (
     TraceCounts,
     TraceHistogram,
     TraceValueCounts,
-    condense_population_traces,
     merge_binning_shards,
     merge_cell_shards,
     run_binning_shard,
@@ -70,8 +69,13 @@ def scenario():
 
 
 @pytest.fixture(scope="module")
-def engine():
-    return build_engine(resolve_spec("darkgates").variant(tdp_w=65.0))
+def spec():
+    return resolve_spec("darkgates").variant(tdp_w=65.0)
+
+
+@pytest.fixture(scope="module")
+def engine(spec):
+    return build_engine(spec)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +91,26 @@ def monolithic(engine, scenario, population):
 
 
 @pytest.fixture(scope="module")
-def streamed(engine, scenario, population):
-    return engine.run_population(scenario, population, shard_size=SHARD)
+def shards(spec, scenario):
+    """The study's shard tasks over the ``population`` fixture's dice."""
+    return [
+        run_cell_shard(
+            spec,
+            scenario,
+            skylake_process_variation(),
+            DICE,
+            SEED,
+            index,
+            SHARD,
+            skylake_binning_policy(),
+        )
+        for index in range(ShardPlan(count=DICE, shard_size=SHARD).n_shards)
+    ]
+
+
+@pytest.fixture(scope="module")
+def streamed(shards):
+    return merge_cell_shards(shards)
 
 
 # -- sampler shard determinism ---------------------------------------------------------
@@ -116,11 +138,16 @@ def test_sample_prefix_is_stable_across_population_sizes():
 
 
 def test_population_slice_validates_bounds(population):
-    window = population.slice(4, 20)
+    sampler = DiePopulationSampler(skylake_process_variation())
+    window = sampler.sample_range(4, 20, SEED)
     assert window.count == 16
-    for bad in ((-1, 4), (4, 4), (8, 4), (0, DICE + 1)):
-        with pytest.raises(ConfigurationError):
-            population.slice(*bad)
+    for parameter in NOMINAL_PARAMETERS:
+        np.testing.assert_array_equal(
+            window.column(parameter), population.column(parameter)[4:20]
+        )
+    for bad in ((-1, 4), (4, 4), (8, 4)):
+        with pytest.raises(ConfigurationError, match="bad die range"):
+            sampler.sample_range(*bad, SEED)
 
 
 # -- shard plans -----------------------------------------------------------------------
@@ -129,7 +156,9 @@ def test_population_slice_validates_bounds(population):
 def test_shard_plan_bounds_partition_the_population():
     plan = ShardPlan(count=100, shard_size=32)
     assert plan.n_shards == 4
-    assert plan.bounds() == ((0, 32), (32, 64), (64, 96), (96, 100))
+    assert [plan.shard_bounds(index) for index in range(plan.n_shards)] == [
+        (0, 32), (32, 64), (64, 96), (96, 100),
+    ]
     with pytest.raises(ConfigurationError):
         plan.shard_bounds(4)
 
@@ -315,10 +344,10 @@ def test_yield_fractions_sum_to_one(counts):
     assert rebuilt == result
 
 
-# -- engine-level streaming equivalence ------------------------------------------------
+# -- shard-task streaming equivalence --------------------------------------------------
 
 
-def test_engine_streaming_matches_monolithic(monolithic, streamed):
+def test_shard_streaming_matches_monolithic(monolithic, streamed):
     exact = {
         key: tuple(
             np.percentile(
@@ -356,16 +385,7 @@ def test_engine_streaming_matches_monolithic(monolithic, streamed):
             assert worst <= bounds[bound_key]
 
 
-def test_engine_streaming_merge_is_associative(engine, scenario, population):
-    pcode = engine.pcode
-    shards = []
-    for index, (start, stop) in enumerate(
-        ShardPlan(count=DICE, shard_size=SHARD).bounds()
-    ):
-        traces = engine.run_population(scenario, population.slice(start, stop))
-        shards.append(
-            condense_population_traces(pcode, scenario, traces, index)
-        )
+def test_shard_streaming_merge_is_associative(shards):
     left = shards[0].merge(shards[1]).merge(shards[2])
     right = shards[0].merge(shards[1].merge(shards[2]))
     swapped = shards[2].merge(shards[0]).merge(shards[1])
@@ -375,13 +395,6 @@ def test_engine_streaming_merge_is_associative(engine, scenario, population):
         == swapped.finalize(SHARD)
         == merge_cell_shards(shards).finalize(SHARD)
     )
-
-
-def test_run_population_shard_size_error_paths(engine, scenario, population):
-    with pytest.raises(ConfigurationError, match="4096 is a good default"):
-        engine.run_population(scenario, population, shard_size=0)
-    with pytest.raises(ConfigurationError, match="already streams"):
-        engine.run_population(scenario, population, shard_size=DICE + 1)
 
 
 # -- study-level streaming equivalence -------------------------------------------------
@@ -543,17 +556,17 @@ def test_scalar_accumulator_merge_guards():
         shard.merge(shard)
 
 
-def test_cell_shard_merge_rejects_different_cells(engine, scenario, population):
-    traces = engine.run_population(scenario, population.slice(0, 8))
-    shard = condense_population_traces(engine.pcode, scenario, traces, 0)
+def test_cell_shard_merge_rejects_different_cells(spec, scenario):
+    model = skylake_process_variation()
+    policy = skylake_binning_policy()
+    shard = run_cell_shard(spec, scenario, model, 16, SEED, 0, 8, policy)
     hotter = burst_scenario(
         idle_lead_s=2.0,
         burst_s=8.0,
         thermal_capacitance_j_per_c=5.0,
         time_step_s=0.5,
     )
-    other_traces = engine.run_population(hotter, population.slice(8, 16))
-    other = condense_population_traces(engine.pcode, hotter, other_traces, 1)
+    other = run_cell_shard(spec, hotter, model, 16, SEED, 1, 8, policy)
     with pytest.raises(ConfigurationError):
         shard.merge(other)
     with pytest.raises(ConfigurationError, match="zero"):
