@@ -8,8 +8,10 @@ baseline (gated) systems through a :class:`~repro.analysis.study.Study`,
 showing that the bypassed network droops roughly half as much for every
 event.
 
-The same grid also sweeps the integration step to show the exactness of the
-piecewise-linear discretization: results barely move when the step changes.
+The same grid also sweeps the integration step to show that the droop
+solver (one RK4 propagator, evaluated for every step at once) has
+converged: at steps that resolve the die-level resonance, results barely
+move when the step changes.
 
 Custom traces compose declaratively::
 
@@ -80,8 +82,8 @@ def main() -> None:
     )
     print()
 
-    # Step-size sensitivity of one scenario (the solver discretization is
-    # exact for piecewise-linear loads, so the droop barely moves).
+    # Step-size sensitivity of one scenario (the RK4 solver has converged
+    # at steps that resolve the die resonance, so the droop barely moves).
     steps = (0.5e-9, 1e-9, 2e-9)
     sensitivity = Study.over_transients(
         (darkgates,), (core_wake_trace(),), time_steps_s=steps, name="steps"

@@ -83,7 +83,6 @@ from repro.analysis.study import (
     StudyResult,
     SweepRequest,
 )
-from repro.core.darkgates import SystemComparison
 from repro.core.overhead import darkgates_overheads
 
 # Importing the fleet package also registers the named fleet profiles in
@@ -97,7 +96,6 @@ from repro.fleet import (
     FleetProfile,
     OnOffArrivals,
     PoissonArrivals,
-    QosAccumulator,
     QosReport,
     ScenarioGenerator,
     aggregate_reports,
@@ -148,7 +146,7 @@ from repro.workloads.spec import (
     spec_cpu2006_suite,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "SystemSpec",
@@ -166,7 +164,6 @@ __all__ = [
     "OptimizationStudy",
     "CallableTask",
     "StudyExecutor",
-    "SystemComparison",
     "darkgates_overheads",
     "Pcode",
     "SimulationEngine",
@@ -206,7 +203,6 @@ __all__ = [
     "fleet_profile",
     "fleet_profile_names",
     "QosReport",
-    "QosAccumulator",
     "EnsembleQos",
     "aggregate_reports",
     "RunStore",

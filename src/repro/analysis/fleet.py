@@ -38,6 +38,7 @@ from repro.analysis.reporting import format_table
 from repro.analysis.study import Executor, Study, StudyTask, SweepRequest
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
+from repro.common.validation import seed_or_default
 from repro.core.spec import SystemSpec, resolve_spec
 from repro.fleet.profiles import FleetProfile, ScenarioGenerator, fleet_profile
 from repro.fleet.qos import (
@@ -165,7 +166,7 @@ class FleetStudy:
         executor: Optional[Executor] = None,
         max_workers: Optional[int] = None,
         cache: Optional[MutableMapping[StudyTask, Any]] = None,
-        seed: Optional[int] = 0,
+        seed: Optional[int] = None,
         name: str = "fleet-study",
         request: Optional[SweepRequest] = None,
     ) -> None:
@@ -202,11 +203,11 @@ class FleetStudy:
             )
         self._specs = resolved
         self._ensemble = int(ensemble)
-        # Like PopulationStudy, an unseeded fleet study pins seed 0 rather
-        # than drawing OS entropy: compiled members must be replayable and
-        # keep stable content-addressed run IDs.
-        seed = 0 if request.seed is None else int(request.seed)
-        self._request = dataclasses.replace(request, seed=seed)
+        # Compiled members must be replayable and keep stable run IDs, so
+        # an unseeded study pins the default seed up front.
+        self._request = dataclasses.replace(
+            request, seed=seed_or_default(request.seed)
+        )
         self._slo_frequency_hz = slo_frequency_hz
         self._tasks_total = 0
         self._tasks_executed = 0

@@ -57,6 +57,7 @@ from repro.analysis.study import (
 )
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
+from repro.common.validation import seed_or_default
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.pmu.dvfs import CpuDemand
 from repro.pmu.pcode import Pcode
@@ -487,13 +488,6 @@ def _result_placeholder(*args: Any) -> Any:
 # -- the solver ------------------------------------------------------------------------
 
 
-def _pinned_seed(seed: Optional[int]) -> int:
-    """Population queries pin the documented default seed when unseeded."""
-    from repro.variation.population import UNSEEDED_DEFAULT_SEED
-
-    return UNSEEDED_DEFAULT_SEED if seed is None else int(seed)
-
-
 class OptimizationStudy:
     """A declared inverse query bound to base specs and an evaluation backend.
 
@@ -635,7 +629,7 @@ class OptimizationStudy:
     def seed(self) -> Optional[int]:
         """Seed of the query's stochastic paths (population draws)."""
         if self._spec.method == "cutoff":
-            return _pinned_seed(self._request.seed)
+            return seed_or_default(self._request.seed)
         return self._request.seed
 
     @property
@@ -1126,7 +1120,7 @@ class OptimizationStudy:
         assert self._binning is not None and self._variations is not None
         assert self._count is not None
         objective = self._spec.objectives[0]
-        seed = _pinned_seed(self._request.seed)
+        seed = seed_or_default(self._request.seed)
         tasks = [
             CallableTask(
                 key=f"die-metrics/{base.label}",

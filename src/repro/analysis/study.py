@@ -865,7 +865,7 @@ class Study:
             "Study.over_population",
             kwargs,
             extra=("method", "shard_size", "binning"),
-            defaults={"seed": 0, "name": "population-study"},
+            defaults={"name": "population-study"},
         )
         return PopulationStudy(
             specs,
@@ -915,7 +915,7 @@ class Study:
         request, _ = SweepRequest.from_kwargs(
             "Study.over_fleet",
             kwargs,
-            defaults={"seed": 0, "name": "fleet-study"},
+            defaults={"name": "fleet-study"},
         )
         return FleetStudy(
             specs,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Any
+from typing import Any, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -55,6 +55,17 @@ def ensure_seed(value: Any, name: str = "seed") -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
         raise ConfigurationError(f"{name} must be an int >= 0, got {value!r}")
     return int(value)
+
+
+def seed_or_default(seed: Optional[int]) -> int:
+    """*seed* as an ``int``, or 0 when the caller left it unseeded (``None``).
+
+    The one unseeded default of every stochastic path (die populations,
+    fleet ensembles, population cutoff queries, the CLI without
+    ``--seed``): a fixed seed, not OS entropy, so an unseeded run draws
+    the same dice in every process and replays under the same run IDs.
+    """
+    return 0 if seed is None else int(seed)
 
 
 def _ensure_finite(value: float, name: str) -> None:

@@ -2,7 +2,7 @@
 
 The rest of the library provides substrates (PDN, power, SoC, firmware,
 workloads, simulation); this package assembles them into the systems the
-paper evaluates and exposes the comparison API a user actually wants:
+paper evaluates and exposes the API a user actually wants:
 
 * :class:`SystemSpec` — a declarative, frozen description of one system
   (SKU, segment, TDP, power-delivery mode, deepest package C-state,
@@ -10,14 +10,14 @@ paper evaluates and exposes the comparison API a user actually wants:
   the named configurations the paper evaluates (``get_spec("darkgates")``,
   ``get_spec("baseline")``, ``get_spec("darkgates+c7")``, and the Broadwell
   motivation configs).
-* :class:`SystemComparison` — runs the same workload on the DarkGates and
-  baseline systems and reports the improvement/degradation numbers of
-  Figs. 7-10.
+* :func:`build_engine` — the (cached) simulation engine of one spec; the
+  DarkGates-versus-baseline numbers of Figs. 7-10 come from running the
+  same workloads on two specs, through :class:`~repro.analysis.study.Study`
+  or the ``run_fig*`` functions of :mod:`repro.analysis.experiments`.
 * :mod:`repro.core.overhead` — the implementation-cost accounting of
   Section 5.
 """
 
-from repro.core.darkgates import SystemComparison
 from repro.core.overhead import ImplementationOverheads, darkgates_overheads
 from repro.core.spec import (
     SKU_BUILDERS,
@@ -30,7 +30,6 @@ from repro.core.spec import (
 )
 
 __all__ = [
-    "SystemComparison",
     "SystemSpec",
     "SKU_BUILDERS",
     "build_engine",

@@ -48,7 +48,6 @@ from repro.fleet.profiles import (
 )
 from repro.fleet.qos import (
     EnsembleQos,
-    QosAccumulator,
     QosReport,
     aggregate_reports,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "fleet_profile_names",
     "graphics_coschedule_profile",
     "EnsembleQos",
-    "QosAccumulator",
     "QosReport",
     "aggregate_reports",
 ]

@@ -6,13 +6,8 @@ below the SLO frequency), the **throttle residency** by limiting factor
 (power vs thermal), and a **p99 latency proxy** — the 99th-percentile of
 the per-step normalised service time ``slo_frequency / frequency`` (1.0
 means exactly at SLO; 1.25 means the slowest percentile of work ran 25%
-longer than the SLO allows).
-
-:class:`QosAccumulator` is the mergeable builder behind it.  It keeps the
-raw active-step samples, so accumulation is **exactly** chunk-invariant:
-feeding a trace step-by-step, in arbitrary chunks, or whole produces
-bit-identical reports — including the p99 order statistic, which no
-summary-only accumulator can promise.
+longer than the SLO allows).  :meth:`QosReport.from_result` computes all
+of them from the run's active-step samples.
 
 :class:`EnsembleQos` pools member reports of one seeded scenario ensemble
 (weighted by active steps, worst-case p99), the aggregation surfaced by
@@ -24,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +29,6 @@ from repro.common.validation import ensure_positive
 from repro.sim.metrics import (
     THROTTLE_FACTORS,
     DynamicRunResult,
-    encode_limiting_factors,
     sequential_sum,
     throttle_shares,
 )
@@ -51,8 +45,8 @@ LATENCY_PERCENTILE = 0.99
 def _percentile(samples: np.ndarray, fraction: float) -> float:
     """The exact ``ceil(fraction * n)``-th order statistic of *samples*.
 
-    A plain order statistic (no interpolation) so the result depends only
-    on the sample *set*, never on how it was accumulated.
+    A plain order statistic (no interpolation), so the result is one of the
+    samples and depends only on the sample *set*, not on its order.
     """
     rank = min(samples.size, max(1, math.ceil(fraction * samples.size)))
     return float(np.partition(samples, rank - 1)[rank - 1])
@@ -113,74 +107,14 @@ class QosReport(Codec):
         slo_frequency_hz: float = DEFAULT_SLO_FREQUENCY_HZ,
         name: Optional[str] = None,
     ) -> "QosReport":
-        """Judge one dynamic run against *slo_frequency_hz*."""
-        accumulator = QosAccumulator()
-        accumulator.add_result(result)
-        return accumulator.report(
-            name or result.scenario_name, slo_frequency_hz
-        )
-
-
-class QosAccumulator:
-    """Mergeable accumulator of active-step QoS samples.
-
-    Keeps the raw per-step samples (frequency + limiting-factor code of
-    every active step, one array chunk per add), so any partition of a
-    trace into chunks — and any merge order — yields bit-identical reports.
-    Memory is bounded by the active step count, which for fleet scenarios
-    is a few thousand floats.
-    """
-
-    def __init__(self) -> None:
-        self._frequencies_hz: List[np.ndarray] = []
-        self._limiting_codes: List[np.ndarray] = []
-
-    @property
-    def active_steps(self) -> int:
-        """Active samples accumulated so far."""
-        return sum(chunk.size for chunk in self._frequencies_hz)
-
-    def add_steps(
-        self,
-        frequencies_hz: Sequence[float],
-        limiting_factors: Sequence[str],
-    ) -> "QosAccumulator":
-        """Accumulate a chunk of trace steps (idle steps are skipped)."""
-        if len(frequencies_hz) != len(limiting_factors):
-            raise ConfigurationError(
-                "frequencies_hz and limiting_factors must have equal length"
-            )
-        return self._add(
-            np.asarray(frequencies_hz, dtype=np.float64),
-            encode_limiting_factors(limiting_factors),
-        )
-
-    def add_result(self, result: DynamicRunResult) -> "QosAccumulator":
-        """Accumulate every active step of a dynamic run."""
-        return self._add(result.frequencies_hz, result.limiting_codes)
-
-    def _add(self, frequencies_hz: np.ndarray, codes: np.ndarray) -> "QosAccumulator":
-        active = frequencies_hz > 0.0
-        self._frequencies_hz.append(frequencies_hz[active])
-        self._limiting_codes.append(codes[active])
-        return self
-
-    def merge(self, other: "QosAccumulator") -> "QosAccumulator":
-        """Fold another accumulator's samples into this one."""
-        self._frequencies_hz.extend(other._frequencies_hz)
-        self._limiting_codes.extend(other._limiting_codes)
-        return self
-
-    def report(
-        self,
-        name: str,
-        slo_frequency_hz: float = DEFAULT_SLO_FREQUENCY_HZ,
-    ) -> QosReport:
-        """The QoS verdict of everything accumulated so far."""
+        """Judge the active (non-idle) steps of one dynamic run."""
         ensure_positive(slo_frequency_hz, "slo_frequency_hz")
-        n = self.active_steps
+        name = name or result.scenario_name
+        active = result.frequencies_hz > 0.0
+        frequencies = result.frequencies_hz[active]
+        n = frequencies.size
         if n == 0:
-            return QosReport(
+            return cls(
                 name=name,
                 slo_frequency_hz=slo_frequency_hz,
                 active_steps=0,
@@ -190,10 +124,9 @@ class QosAccumulator:
                 p99_latency_proxy=0.0,
                 mean_frequency_hz=0.0,
             )
-        frequencies = np.concatenate(self._frequencies_hz)
         violations = int(np.count_nonzero(frequencies < slo_frequency_hz))
-        residency = throttle_shares(np.concatenate(self._limiting_codes))
-        return QosReport(
+        residency = throttle_shares(result.limiting_codes[active])
+        return cls(
             name=name,
             slo_frequency_hz=slo_frequency_hz,
             active_steps=n,

@@ -11,22 +11,16 @@ The network is the three-stage R-L / C ladder produced by
 series-branch currents and the capacitor voltages of each stage; the load is
 an ideal current source at the last (die) node.  Because the ladder is a
 linear time-invariant system, the simulator precomputes its state-space
-matrices once and then integrates with one of several interchangeable
-methods:
+matrices once and integrates them with one method: the classical RK4
+update collapsed into a one-step linear propagator, diagonalised and
+evaluated for *all* time steps at once with a vectorized parallel prefix
+scan (no per-step Python loop).
 
-* ``"scan"`` — the classical RK4 update collapsed into a one-step linear
-  propagator, diagonalised and evaluated for *all* time steps at once with
-  a vectorized parallel prefix scan (no per-step Python loop).  Default.
-* ``"exact"`` — exact discretization of the continuous system for loads
-  that are (or are sampled as) piecewise-linear, using the matrix
-  exponential; accurate at any step size that resolves the load.
-
-When a propagator's eigenbasis is too ill-conditioned to diagonalise
-reliably, either method applies it step by step as one matrix-vector
-product per step instead (the "matvec" loop).  ``"scan"`` and its loop
+When the propagator's eigenbasis is too ill-conditioned to diagonalise
+reliably, the simulator applies it step by step as one matrix-vector
+product per step instead (the "matvec" loop).  The scan and its loop
 agree to floating-point roundoff with the original per-stage Python RK4
-(the regression oracle in ``tests/oracles/droop.py``); ``"exact"`` differs
-from them only by the RK4 truncation error.
+(the regression oracle in ``tests/oracles/droop.py``).
 """
 
 from __future__ import annotations
@@ -40,10 +34,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.validation import ensure_positive
 from repro.pdn.ladder import LadderStage
 
-#: Integration methods accepted by :class:`DroopSimulator`.
-INTEGRATION_METHODS = ("scan", "exact")
-
-#: Stride (in steps) at which the per-step loops re-check for divergence.
+#: Stride (in steps) at which the per-step loop re-checks for divergence.
 _DIVERGENCE_CHECK_STRIDE = 256
 
 #: Condition-number ceiling above which the eigenbasis of the propagator is
@@ -120,25 +111,6 @@ class DroopResult:
         return float(self.load_voltage_v.min())
 
 
-def _taylor_expm(matrix: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of a Taylor series.
-
-    Adequate for the small (2 x stage count) matrices of the ladder; avoids
-    a SciPy dependency.
-    """
-    norm = np.linalg.norm(matrix, ord=1)
-    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
-    scaled = matrix / (2.0**squarings)
-    result = np.eye(matrix.shape[0])
-    term = np.eye(matrix.shape[0])
-    for order in range(1, 20):
-        term = term @ scaled / order
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 class DroopSimulator:
     """Fixed-step transient simulator for an R-L / C ladder.
 
@@ -149,35 +121,24 @@ class DroopSimulator:
         voltage source at ``nominal_voltage_v``.
     nominal_voltage_v:
         Unloaded rail voltage.
-    method:
-        Default integration method (one of :data:`INTEGRATION_METHODS`);
-        individual simulate calls may override it.
     """
 
     def __init__(
         self,
         stages: Sequence[LadderStage],
         nominal_voltage_v: float = 1.0,
-        method: str = "scan",
     ) -> None:
         if not stages:
             raise ConfigurationError("droop simulator needs at least one ladder stage")
         ensure_positive(nominal_voltage_v, "nominal_voltage_v")
-        if method not in INTEGRATION_METHODS:
-            raise ConfigurationError(
-                f"unknown integration method {method!r}; "
-                f"known: {list(INTEGRATION_METHODS)}"
-            )
         self._stages = list(stages)
         self._nominal_voltage_v = nominal_voltage_v
-        self._method = method
         self._series_resistance = np.array(
             [stage.series_resistance_ohm for stage in self._stages]
         )
         self._build_state_space()
-        # Per-(time step) discretization caches: {h: (propagator, drive mats)}.
+        # Per-(time step) discretization cache: {h: (propagator, drive mats)}.
         self._rk4_cache: dict = {}
-        self._exact_cache: dict = {}
         self._eig_cache: dict = {}
 
     @property
@@ -253,7 +214,6 @@ class DroopSimulator:
         rise_time_s: float = 2e-9,
         duration_s: float = 2e-6,
         time_step_s: float = 0.5e-9,
-        method: Optional[str] = None,
     ) -> DroopResult:
         """Simulate the response to a load-current step at the die node.
 
@@ -273,8 +233,6 @@ class DroopSimulator:
             Integration step.  Must resolve the fastest L/C time constant;
             the default of 0.5 ns is comfortable for die-level resonances of
             up to ~150 MHz.
-        method:
-            Integration method override for this run.
         """
         ensure_positive(duration_s, "duration_s")
         ensure_positive(time_step_s, "time_step_s")
@@ -304,7 +262,6 @@ class DroopSimulator:
             duration_s,
             time_step_s,
             initial_current_a,
-            method=method,
             sampler=load_samples,
         )
 
@@ -314,7 +271,6 @@ class DroopSimulator:
         duration_s: float,
         time_step_s: float = 0.5e-9,
         initial_current_a: float = 0.0,
-        method: Optional[str] = None,
     ) -> DroopResult:
         """Simulate an arbitrary load-current profile ``i(t)``.
 
@@ -330,7 +286,6 @@ class DroopSimulator:
             duration_s,
             time_step_s,
             initial_current_a,
-            method=method,
             sampler=sampler,
         )
 
@@ -349,16 +304,6 @@ class DroopSimulator:
             state[stage_count + index] = voltage
         return state
 
-    def _resolve_method(self, method: Optional[str]) -> str:
-        if method is None:
-            return self._method
-        if method not in INTEGRATION_METHODS:
-            raise ConfigurationError(
-                f"unknown integration method {method!r}; "
-                f"known: {list(INTEGRATION_METHODS)}"
-            )
-        return method
-
     def _step_count(self, duration_s: float, time_step_s: float) -> int:
         # Floor (with a roundoff allowance) so the last sample never
         # overshoots duration_s, unlike round() which could run past it by
@@ -374,24 +319,17 @@ class DroopSimulator:
         duration_s: float,
         time_step_s: float,
         initial_current_a: float,
-        method: Optional[str] = None,
         sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> DroopResult:
-        resolved = self._resolve_method(method)
         steps = self._step_count(duration_s, time_step_s)
         times = np.arange(steps + 1) * time_step_s
         load_samples = self._sample(load_profile, times, sampler)
-        if resolved == "exact":
-            states = self._integrate_exact(
-                load_samples, times, time_step_s, initial_current_a
-            )
-        else:
-            midpoint_samples = self._sample(
-                load_profile, times[:-1] + time_step_s / 2.0, sampler
-            )
-            states = self._integrate_rk4(
-                load_samples, midpoint_samples, time_step_s, initial_current_a
-            )
+        midpoint_samples = self._sample(
+            load_profile, times[:-1] + time_step_s / 2.0, sampler
+        )
+        states = self._integrate_rk4(
+            load_samples, midpoint_samples, time_step_s, initial_current_a
+        )
         load_voltages = self._load_voltages(states, load_samples)
         if not np.all(np.isfinite(load_voltages)):
             raise SimulationError("droop integration diverged; reduce time_step_s")
@@ -474,60 +412,6 @@ class DroopSimulator:
         initial_state = self._settled_state(initial_current_a)
         return self._propagate(propagator, drive, initial_state)
 
-    # -- exact piecewise-linear discretization -----------------------------------------
-
-    def _exact_matrices(self, time_step_s: float):
-        """Exact discretization for loads linear within each step.
-
-        Van Loan's augmented-exponential construction yields, in one
-        ``expm``, the propagator ``E = e^(Ah)`` together with
-        ``S1 = int_0^h e^(A s) ds`` and ``S2 = int_0^h e^(A s) s ds``.  For
-        a load that ramps linearly from ``i_k`` to ``i_(k+1)`` across the
-        step the update is then exact::
-
-            x+ = E x + S1 b i_(k+1) - S2 b r + S1 b_src Vnom,   r = (i_(k+1) - i_k)/h
-        """
-        cached = self._exact_cache.get(time_step_s)
-        if cached is not None:
-            return cached
-        size = self._A.shape[0]
-        augmented = np.zeros((3 * size, 3 * size))
-        augmented[:size, :size] = self._A * time_step_s
-        augmented[:size, size : 2 * size] = np.eye(size) * time_step_s
-        augmented[size : 2 * size, 2 * size :] = np.eye(size) * time_step_s
-        exponential = _taylor_expm(augmented)
-        propagator = exponential[:size, :size]
-        # Van Loan blocks: S1 = int_0^h e^(As) ds and H1 = int_0^h e^(A(h-s)) s ds,
-        # from which S2 = int_0^h e^(As) s ds = h S1 - H1.
-        S1 = exponential[:size, size : 2 * size]
-        H1 = exponential[:size, 2 * size :]
-        S2 = time_step_s * S1 - H1
-        weights = (
-            propagator,
-            S1 @ self._b_load,
-            S2 @ self._b_load,
-            S1 @ self._b_source * self._nominal_voltage_v,
-        )
-        self._exact_cache[time_step_s] = weights
-        return weights
-
-    def _integrate_exact(
-        self,
-        load_samples: np.ndarray,
-        times: np.ndarray,
-        time_step_s: float,
-        initial_current_a: float,
-    ) -> np.ndarray:
-        propagator, s1_load, s2_load, source_term = self._exact_matrices(time_step_s)
-        slopes = np.diff(load_samples) / time_step_s
-        drive = (
-            np.outer(load_samples[1:], s1_load)
-            - np.outer(slopes, s2_load)
-            + source_term
-        )
-        initial_state = self._settled_state(initial_current_a)
-        return self._propagate(propagator, drive, initial_state)
-
     # -- linear-recurrence propagation -------------------------------------------------
 
     def _propagate(
@@ -544,8 +428,6 @@ class DroopSimulator:
         return self._propagate_scan(eig, drive, initial_state)
 
     def _eigenbasis(self, propagator: np.ndarray):
-        # Keyed by the matrix content: the RK4 and exact discretizations of
-        # the same time step produce different propagators.
         key = propagator.tobytes()
         if key in self._eig_cache:
             return self._eig_cache[key]

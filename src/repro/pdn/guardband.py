@@ -14,7 +14,9 @@ The guardband model here mirrors how the paper reasons about it:
   path beyond the VR's load-line compensation (package routing plus die
   grid plus, in the gated configuration, the power-gate itself);
 * a **transient-droop component** proportional to the peak AC impedance of
-  the network (Fig. 4) and the size of fast current steps;
+  the network (Fig. 4) and the size of fast current steps, the standard
+  target-impedance rule (the time-domain droop of :mod:`repro.pdn.droop`
+  runs per transient scenario and does not feed the guardband);
 * a **reliability component** (Section 4.2) compensating additional aging
   stress, supplied by :mod:`repro.reliability`;
 * a **fixed component** for sensor/process margin, identical in both
@@ -30,15 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import ConfigurationError
 from repro.common.validation import ensure_in_range, ensure_non_negative
 from repro.pdn.ac import ACAnalysis, ImpedanceProfile
-from repro.pdn.droop import DroopResult, DroopSimulator
 from repro.pdn.ladder import PdnConfiguration, SkylakePdnBuilder
 from repro.pdn.loadline import PowerVirusLevel
-
-#: Transient-droop guardband derivations supported by :class:`GuardbandModel`.
-DROOP_MODELS = ("impedance", "simulated")
 
 
 @dataclass(frozen=True)
@@ -103,17 +100,6 @@ class GuardbandModel:
         Worst-case current drawn by a single core; used for the die-grid
         portion of the IR drop (the shared path carries the full virus
         current, each core's grid only its own share).
-    droop_model:
-        How the transient component is derived: ``"impedance"`` (default)
-        sizes it from the peak of the AC impedance profile, the standard
-        target-impedance rule; ``"simulated"`` runs the vectorized
-        time-domain droop simulator on the worst-case current step and uses
-        the observed transient overshoot beyond the DC drop (the IR
-        component already covers the DC part).
-    droop_sim_nominal_v / droop_sim_rise_time_s / droop_sim_duration_s /
-    droop_sim_time_step_s:
-        Operating point and integration parameters of the ``"simulated"``
-        derivation; ignored by ``"impedance"``.
     """
 
     def __init__(
@@ -125,11 +111,6 @@ class GuardbandModel:
         per_core_virus_current_a: float = 30.0,
         multi_core_droop_growth: float = 0.15,
         shared_path_diversity: float = 0.55,
-        droop_model: str = "impedance",
-        droop_sim_nominal_v: float = 1.0,
-        droop_sim_rise_time_s: float = 2e-9,
-        droop_sim_duration_s: float = 2e-6,
-        droop_sim_time_step_s: float = 0.5e-9,
     ) -> None:
         ensure_in_range(droop_step_fraction, 0.0, 1.0, "droop_step_fraction")
         ensure_non_negative(fixed_margin_v, "fixed_margin_v")
@@ -137,10 +118,6 @@ class GuardbandModel:
         ensure_non_negative(per_core_virus_current_a, "per_core_virus_current_a")
         ensure_in_range(multi_core_droop_growth, 0.0, 1.0, "multi_core_droop_growth")
         ensure_in_range(shared_path_diversity, 0.0, 1.0, "shared_path_diversity")
-        if droop_model not in DROOP_MODELS:
-            raise ConfigurationError(
-                f"unknown droop model {droop_model!r}; known: {list(DROOP_MODELS)}"
-            )
         self._configuration = configuration
         self._builder = SkylakePdnBuilder(configuration)
         self._droop_step_fraction = droop_step_fraction
@@ -149,13 +126,7 @@ class GuardbandModel:
         self._per_core_virus_current_a = per_core_virus_current_a
         self._multi_core_droop_growth = multi_core_droop_growth
         self._shared_path_diversity = shared_path_diversity
-        self._droop_model = droop_model
-        self._droop_sim_nominal_v = droop_sim_nominal_v
-        self._droop_sim_rise_time_s = droop_sim_rise_time_s
-        self._droop_sim_duration_s = droop_sim_duration_s
-        self._droop_sim_time_step_s = droop_sim_time_step_s
         self._cached_profile: Optional[ImpedanceProfile] = None
-        self._cached_simulator: Optional[DroopSimulator] = None
 
     # -- properties ------------------------------------------------------------------
 
@@ -169,11 +140,6 @@ class GuardbandModel:
         """Reliability guardband currently applied."""
         return self._reliability_margin_v
 
-    @property
-    def droop_model(self) -> str:
-        """Transient-droop derivation in use (``"impedance"`` or ``"simulated"``)."""
-        return self._droop_model
-
     def with_reliability_margin(self, margin_v: float) -> "GuardbandModel":
         """Return a copy of this model with a different reliability margin."""
         return GuardbandModel(
@@ -184,11 +150,6 @@ class GuardbandModel:
             per_core_virus_current_a=self._per_core_virus_current_a,
             multi_core_droop_growth=self._multi_core_droop_growth,
             shared_path_diversity=self._shared_path_diversity,
-            droop_model=self._droop_model,
-            droop_sim_nominal_v=self._droop_sim_nominal_v,
-            droop_sim_rise_time_s=self._droop_sim_rise_time_s,
-            droop_sim_duration_s=self._droop_sim_duration_s,
-            droop_sim_time_step_s=self._droop_sim_time_step_s,
         )
 
     # -- components -------------------------------------------------------------------
@@ -230,52 +191,24 @@ class GuardbandModel:
             + per_core_resistance * per_core_current
         )
 
-    def droop_simulator(self) -> DroopSimulator:
-        """Vectorized time-domain droop simulator for this network (cached)."""
-        if self._cached_simulator is None:
-            self._cached_simulator = DroopSimulator(
-                self._builder.build_ladder(),
-                nominal_voltage_v=self._droop_sim_nominal_v,
-            )
-        return self._cached_simulator
+    def transient_droop_v(self, virus_level: PowerVirusLevel) -> float:
+        """Transient-droop guardband for *virus_level*.
 
-    def _droop_step_current_a(self, virus_level: PowerVirusLevel) -> float:
+        Approximated as the worst-case impedance peak excited by a fast
+        current step — the standard target-impedance sizing rule of PDN
+        design.  The step is sized from the *local* core's virus current
+        (that is what excites the die-level resonance the core observes),
+        grown mildly with the number of covered cores because simultaneous
+        activity shifts across cores add up partially at the shared nodes.
+        """
         covered_cores = max(1, virus_level.max_active_cores)
-        return (
+        step_current_a = (
             self._droop_step_fraction
             * self._per_core_virus_current_a
             * (1.0 + self._multi_core_droop_growth * (covered_cores - 1))
         )
-
-    def simulated_droop_result(self, virus_level: PowerVirusLevel) -> DroopResult:
-        """Time-domain response to the worst-case step of *virus_level*."""
-        return self.droop_simulator().simulate_current_step(
-            step_current_a=self._droop_step_current_a(virus_level),
-            rise_time_s=self._droop_sim_rise_time_s,
-            duration_s=self._droop_sim_duration_s,
-            time_step_s=self._droop_sim_time_step_s,
-        )
-
-    def transient_droop_v(self, virus_level: PowerVirusLevel) -> float:
-        """Transient-droop guardband for *virus_level*.
-
-        With the default ``"impedance"`` model, approximated as the
-        worst-case impedance peak excited by a fast current step — the
-        standard target-impedance sizing rule of PDN design.  The step is
-        sized from the *local* core's virus current (that is what excites
-        the die-level resonance the core observes), grown mildly with the
-        number of covered cores because simultaneous activity shifts across
-        cores add up partially at the shared nodes.
-
-        With the ``"simulated"`` model, the same step is run through the
-        vectorized time-domain simulator and the guardband is the observed
-        transient overshoot beyond the DC drop (the DC part belongs to the
-        IR component).
-        """
-        if self._droop_model == "simulated":
-            return self.simulated_droop_result(virus_level).transient_overshoot_v
         peak_impedance = self.impedance_profile().peak_magnitude_ohm()
-        return peak_impedance * self._droop_step_current_a(virus_level)
+        return peak_impedance * step_current_a
 
     # -- totals ------------------------------------------------------------------------
 

@@ -375,9 +375,6 @@ class TransientScenario:
     nominal_voltage_v:
         Rail voltage for the run; when ``None`` the engine derives it from
         the firmware's single-core operating point.
-    method:
-        Integration method passed to :class:`~repro.pdn.droop.DroopSimulator`
-        (``None`` uses the simulator default).
     """
 
     kind: ClassVar[str] = "transient"
@@ -387,7 +384,6 @@ class TransientScenario:
     time_step_s: float = 0.5e-9
     duration_s: Optional[float] = None
     nominal_voltage_v: Optional[float] = None
-    method: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name:

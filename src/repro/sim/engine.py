@@ -156,7 +156,6 @@ class SimulationEngine:
             duration_s=scenario.resolved_duration_s,
             time_step_s=scenario.time_step_s,
             initial_current_a=scenario.trace.initial_current_a,
-            method=scenario.method,
         )
         return TransientRunResult(
             scenario_name=scenario.name,

@@ -23,7 +23,8 @@ ones.  The population benchmark and the equivalence tests assert all of
 this.  Results condense into a :class:`PopulationResult`: percentile
 traces, summary metrics, limiting-factor histograms, SKU-bin yields — all
 JSON-round-tripping, with the seed recorded so any run can be replayed
-exactly.
+exactly.  An unseeded study draws the seed-0 population, like every other
+unseeded path (:func:`~repro.common.validation.seed_or_default`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.analysis.study import (
 )
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
+from repro.common.validation import seed_or_default
 from repro.core.spec import SystemSpec, build_engine, resolve_spec
 from repro.pmu.dvfs import LimitingFactor
 from repro.variation.binning import (
@@ -73,14 +75,6 @@ from repro.variation.streaming import (
     run_cell_shard,
 )
 from repro.workloads.dynamics import DynamicScenario
-
-#: Seed pinned when a :class:`PopulationStudy` is built with ``seed=None``.
-#: Deliberately a constant, not OS entropy: every stochastic path must be
-#: replayable from recorded inputs alone, and a magic per-process draw
-#: would give "unseeded" runs distinct content-addressed run IDs on every
-#: invocation.  Pass an explicit seed for statistically independent
-#: populations.
-UNSEEDED_DEFAULT_SEED = 0x5EED
 
 #: Percentiles reported for every population trace.
 TRACE_PERCENTILES: Tuple[float, ...] = (5.0, 50.0, 95.0)
@@ -363,9 +357,9 @@ class PopulationStudy:
         Optional TDP sweep; every spec expands to one variant per level.
     seed:
         RNG seed; recorded in the result so the run can be replayed.
-        ``None`` pins :data:`UNSEEDED_DEFAULT_SEED` (``0x5EED``), not OS
-        entropy, so every grid cell and the binning pass see the *same*
-        dice and the run replays like a seeded one.
+        ``None`` (the default) pins seed 0, not OS entropy, so every grid
+        cell and the binning pass see the *same* dice and the run replays
+        like a seeded one.
     binning:
         SKU binning policy; defaults to
         :func:`~repro.variation.binning.skylake_binning_policy`.
@@ -408,7 +402,7 @@ class PopulationStudy:
         count: int,
         *,
         tdp_levels_w: Optional[Sequence[float]] = None,
-        seed: Optional[int] = 0,
+        seed: Optional[int] = None,
         binning: Optional[BinningPolicy] = None,
         method: str = "fast",
         shard_size: Optional[int] = None,
@@ -466,13 +460,10 @@ class PopulationStudy:
         self._count = count
         # Cell tasks re-draw the population from the seed (they must be
         # pure and picklable), so an unseeded study pins one seed up front
-        # — otherwise every cell would sample different dice.  The pinned
-        # seed is the documented default rather than OS entropy: an
-        # "unseeded" run is then replayable by construction (same dice in
-        # every process, same content-addressed run IDs), and a caller who
-        # wants fresh dice passes a seed of their own choosing.
-        seed = UNSEEDED_DEFAULT_SEED if request.seed is None else int(request.seed)
-        self._request = dataclasses.replace(request, seed=seed)
+        # and records it in the result.
+        self._request = dataclasses.replace(
+            request, seed=seed_or_default(request.seed)
+        )
         self._binning = binning if binning is not None else skylake_binning_policy()
         self._method = method
         self._shard_size = shard_size

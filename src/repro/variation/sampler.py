@@ -17,9 +17,9 @@ The population materialises in two interchangeable ways:
 Both paths funnel every knob through the same element-wise transforms, so a
 given seed produces bit-identical trajectories either way.
 
-Seeded draws are **block-based** for shard determinism: die *i* of a
-seed-``s`` population is always drawn from the fixed-size sampling block
-``i // SAMPLE_BLOCK_DICE``, whose generator derives from
+Draws are **block-based** for shard determinism: die *i* of a seed-``s``
+population (``s = 0`` when unseeded) is always drawn from the fixed-size
+sampling block ``i // SAMPLE_BLOCK_DICE``, whose generator derives from
 ``np.random.SeedSequence(entropy=s, spawn_key=(block,))``.  A die's knobs
 therefore depend only on ``(seed, die index)`` — :meth:`sample_range` yields
 bit-identical dice whether a shard is drawn alone or as part of the full
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
-from repro.common.validation import ensure_positive
+from repro.common.validation import ensure_positive, seed_or_default
 from repro.variation.distributions import (
     NOMINAL_PARAMETERS,
     POSITIVE_PARAMETERS,
@@ -115,9 +115,9 @@ class DiePopulation:
     values:
         Knob name -> ``(count,)`` array of sampled values.
     seed:
-        The seed the population was drawn with (``None`` when the caller
-        supplied an external generator); recorded so any population run can
-        be replayed exactly.
+        The seed the population was drawn with (``None`` for a hand-built
+        population); recorded so any population run can be replayed
+        exactly.
     """
 
     leakage_scale: np.ndarray
@@ -168,7 +168,7 @@ class DiePopulation:
 
     @property
     def seed(self) -> Optional[int]:
-        """Seed the population was drawn with (``None`` if externally fed)."""
+        """Seed the population was drawn with (``None`` if hand-built)."""
         return self._seed
 
     def __len__(self) -> int:
@@ -234,28 +234,17 @@ class DiePopulationSampler:
         """The variation model being sampled."""
         return self._model
 
-    def sample(
-        self,
-        count: int,
-        seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> DiePopulation:
-        """Draw *count* dice.
+    def sample(self, count: int, seed: Optional[int] = None) -> DiePopulation:
+        """Draw *count* dice of the seed-*seed* population.
 
-        Passing *seed* (the normal path) records it on the population so
-        the draw can be replayed, and draws block-wise so the population is
+        The seed (0 when unseeded) is recorded on the population so the draw
+        can be replayed, and the draw is block-wise so the population is
         shard-stable: ``sample(count, seed)`` equals the concatenation of
-        ``sample_range`` over any partition of ``[0, count)``.  Passing an
-        explicit *rng* instead draws a single legacy stream and leaves the
-        population's seed unset — that path is **not** shard-stable.
+        ``sample_range`` over any partition of ``[0, count)``.
         """
-        if rng is not None and seed is not None:
-            raise ConfigurationError("pass either seed or rng, not both")
-        if rng is None:
-            if count < 1:
-                raise ConfigurationError("count must be >= 1")
-            return self.sample_range(0, count, seed=seed)
-        return DiePopulation(self._model.draw(count, rng), seed=None)
+        if count < 1:
+            raise ConfigurationError("count must be >= 1")
+        return self.sample_range(0, count, seed=seed)
 
     def sample_range(
         self, start: int, stop: int, seed: Optional[int]
@@ -268,13 +257,10 @@ class DiePopulationSampler:
         (``SeedSequence(entropy=seed, spawn_key=(block,))``) and sliced, so
         a die's knobs depend only on ``(seed, die index)``.  This is what
         lets streaming shards run anywhere — any process, any shard size —
-        and still see exactly the dice of the monolithic draw.
+        and still see exactly the dice of the monolithic draw.  An unseeded
+        draw (``seed=None``) is the seed-0 population.
         """
-        if seed is None:
-            # An unseeded population still pins a deterministic stream:
-            # entropy draws would make shards of "the same" population
-            # disagree across processes.
-            seed = 0
+        seed = seed_or_default(seed)
         if start < 0 or stop <= start:
             raise ConfigurationError(
                 f"bad die range [{start}, {stop}): need 0 <= start < stop"
@@ -282,7 +268,7 @@ class DiePopulationSampler:
         first_block = start // SAMPLE_BLOCK_DICE
         last_block = (stop - 1) // SAMPLE_BLOCK_DICE
         blocks = [
-            self._draw_block(int(seed), block)
+            self._draw_block(seed, block)
             for block in range(first_block, last_block + 1)
         ]
         offset = first_block * SAMPLE_BLOCK_DICE

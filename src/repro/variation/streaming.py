@@ -399,14 +399,12 @@ class TraceValueCounts(Codec):
         counts[:, np.searchsorted(union, other.values)] += other.counts
         return TraceValueCounts(values=union, counts=counts)
 
-    def percentile_traces(
-        self, percentiles: Sequence[float] = STREAM_PERCENTILES
-    ) -> Dict[str, Tuple[float, ...]]:
-        """Exact per-step percentile traces (``{"p5": (...), ...}``)."""
-        traces = np.empty((self.steps, len(percentiles)))
+    def percentile_traces(self) -> Dict[str, Tuple[float, ...]]:
+        """Exact per-step :data:`STREAM_PERCENTILES` traces (``{"p5": ...}``)."""
+        traces = np.empty((self.steps, len(STREAM_PERCENTILES)))
         for step in range(self.steps):
             traces[step] = weighted_percentile(
-                self.values, self.counts[step], percentiles
+                self.values, self.counts[step], STREAM_PERCENTILES
             )
         return {
             key: tuple(traces[:, column].tolist())
@@ -459,18 +457,16 @@ class TraceHistogram(Codec):
             maxima=np.maximum(self.maxima, other.maxima),
         )
 
-    def percentile_traces(
-        self, percentiles: Sequence[float] = STREAM_PERCENTILES
-    ) -> Dict[str, Tuple[float, ...]]:
-        """Per-step percentile traces, each within ``spec.width``."""
-        traces = np.empty((self.steps, len(percentiles)))
+    def percentile_traces(self) -> Dict[str, Tuple[float, ...]]:
+        """Per-step :data:`STREAM_PERCENTILES` traces, each within ``spec.width``."""
+        traces = np.empty((self.steps, len(STREAM_PERCENTILES)))
         for step in range(self.steps):
             traces[step] = _histogram_quantiles(
                 self.counts[step],
                 self.spec,
                 float(self.minima[step]),
                 float(self.maxima[step]),
-                percentiles,
+                STREAM_PERCENTILES,
             )
         return {
             key: tuple(traces[:, column].tolist())

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core.darkgates import SystemComparison
 from repro.core.spec import get_spec
 from repro.pdn.guardband import GuardbandModel
 from repro.pdn.ladder import PdnConfiguration
@@ -48,18 +47,6 @@ def gated_pdn() -> PdnConfiguration:
 def bypassed_pdn(gated_pdn: PdnConfiguration) -> PdnConfiguration:
     """The bypassed (DarkGates) PDN configuration."""
     return gated_pdn.with_bypass()
-
-
-@pytest.fixture(scope="session")
-def comparison_91w() -> SystemComparison:
-    """DarkGates-versus-baseline comparison at 91 W."""
-    return SystemComparison(tdp_w=91.0)
-
-
-@pytest.fixture(scope="session")
-def comparison_35w() -> SystemComparison:
-    """DarkGates-versus-baseline comparison at 35 W."""
-    return SystemComparison(tdp_w=35.0)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 :class:`ReferenceDroopSimulator` integrates the ladder by evaluating the
 four RK4 stages of the branch equations in Python, one step at a time.
-:class:`~repro.pdn.droop.DroopSimulator`'s ``"scan"`` propagator (and the
+:class:`~repro.pdn.droop.DroopSimulator`'s prefix-scan propagator (and the
 step-by-step loop it falls back to) must agree with it to roundoff.
 """
 
@@ -30,7 +30,6 @@ class ReferenceDroopSimulator(DroopSimulator):
         duration_s: float,
         time_step_s: float,
         initial_current_a: float,
-        method: Optional[str] = None,
         sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> DroopResult:
         steps = self._step_count(duration_s, time_step_s)

@@ -50,7 +50,7 @@ def test_fig4_result_structure():
     assert "Fig. 4" in result.as_text()
 
 
-def test_fig7_result_structure(comparison_91w):
+def test_fig7_result_structure():
     result = run_fig7_spec_per_benchmark()
     assert len(result.per_benchmark_improvement) == 29
     assert result.max_improvement >= result.average_improvement

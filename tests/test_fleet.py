@@ -23,7 +23,6 @@ from repro.fleet import (
     OnOffArrivals,
     OverlayArrivals,
     PoissonArrivals,
-    QosAccumulator,
     QosReport,
     ScaledArrivals,
     ScenarioGenerator,
@@ -363,43 +362,13 @@ def test_qos_report_exact_metrics():
 
 
 def test_qos_empty_run_reports_zeros():
-    report = QosAccumulator().report("idle", 2.0e9)
+    idle = _result([0.0, 0.0], ["none", "none"], name="idle")
+    report = QosReport.from_result(idle, slo_frequency_hz=2.0e9)
+    assert report.name == "idle"
     assert report.active_steps == 0
     assert report.violation_rate == 0.0
     assert report.p99_latency_proxy == 0.0
     assert report.meets_slo
-
-
-@given(
-    steps=st.lists(
-        st.tuples(
-            st.one_of(st.just(0.0), st.floats(min_value=1e9, max_value=4e9)),
-            st.sampled_from(["none", "tdp", "thermal", "vmax"]),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
-    splits=st.lists(st.integers(min_value=0, max_value=40), max_size=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_qos_invariant_under_rechunking(steps, splits):
-    frequencies = [f for f, _ in steps]
-    limits = [l for _, l in steps]
-    whole = (
-        QosAccumulator().add_steps(frequencies, limits).report("x", 2.0e9)
-    )
-    cuts = sorted({min(s, len(steps)) for s in splits} | {0, len(steps)})
-    chunked = QosAccumulator()
-    for lo, hi in zip(cuts, cuts[1:]):
-        chunked.add_steps(frequencies[lo:hi], limits[lo:hi])
-    assert chunked.report("x", 2.0e9) == whole
-    # Merging per-chunk accumulators reproduces the same report too.
-    merged = QosAccumulator()
-    for lo, hi in zip(cuts, cuts[1:]):
-        merged.merge(
-            QosAccumulator().add_steps(frequencies[lo:hi], limits[lo:hi])
-        )
-    assert merged.report("x", 2.0e9) == whole
 
 
 def test_qos_json_round_trips_and_schema_guard():
@@ -417,8 +386,8 @@ def test_qos_json_round_trips_and_schema_guard():
 
 
 def test_aggregate_reports_pools_by_active_steps():
-    a = QosAccumulator().add_steps([1.0e9] * 3, ["tdp"] * 3).report("a", 2.0e9)
-    b = QosAccumulator().add_steps([3.0e9], ["vmax"]).report("b", 2.0e9)
+    a = QosReport.from_result(_result([1.0e9] * 3, ["tdp"] * 3, name="a"))
+    b = QosReport.from_result(_result([3.0e9], ["vmax"], name="b"))
     pooled = aggregate_reports([a, b], name="pool")
     assert pooled.members == 2
     assert pooled.active_steps == 4
@@ -428,7 +397,7 @@ def test_aggregate_reports_pools_by_active_steps():
     assert pooled.p99_latency_proxy == pytest.approx(2.0)
     with pytest.raises(ConfigurationError, match="different SLOs"):
         aggregate_reports(
-            [a, QosAccumulator().report("c", 1.0e9)]
+            [a, QosReport.from_result(_result([0.0], ["none"]), 1.0e9)]
         )
     with pytest.raises(ConfigurationError, match="at least one"):
         aggregate_reports([])

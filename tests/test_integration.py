@@ -10,13 +10,12 @@ import pytest
 
 from repro.analysis.experiments import (
     run_fig4_impedance_profiles,
+    run_fig7_spec_per_benchmark,
     run_fig8_spec_tdp_sweep,
     run_fig9_graphics_degradation,
     run_fig10_energy_efficiency,
 )
-from repro.core.darkgates import SystemComparison
 from repro.soc.skus import SKYLAKE_TDP_LEVELS_W
-from repro.workloads.spec import spec_cpu2006_base_suite, spec_cpu2006_rate_suite
 
 
 def test_headline_claim_impedance_roughly_halves():
@@ -39,8 +38,7 @@ def test_headline_claim_spec_improves_at_every_tdp():
 
 def test_headline_claim_91w_average_near_paper():
     """Fig. 7/8: ~4.6% average SPEC base improvement at 91 W."""
-    comparison = SystemComparison(91.0)
-    average = comparison.average_cpu_improvement(spec_cpu2006_base_suite())
+    average = run_fig7_spec_per_benchmark(91.0).average_improvement
     assert 0.025 <= average <= 0.08
 
 
@@ -73,12 +71,10 @@ def test_headline_claim_rmt_reduction_larger_than_energy_star():
 
 
 def test_rate_mode_uses_all_cores_and_still_benefits():
-    comparison = SystemComparison(91.0)
-    rate_gain = comparison.average_cpu_improvement(spec_cpu2006_rate_suite(4))
-    assert rate_gain > 0.0
+    """Fig. 8: SPEC rate (all four cores busy) still gains at 91 W."""
+    result = run_fig8_spec_tdp_sweep(tdp_levels_w=(91.0,))
+    assert result.rate_improvements[0] > 0.0
 
 
 def test_comparisons_are_deterministic():
-    first = SystemComparison(65.0).average_cpu_improvement(spec_cpu2006_base_suite())
-    second = SystemComparison(65.0).average_cpu_improvement(spec_cpu2006_base_suite())
-    assert first == pytest.approx(second)
+    assert run_fig7_spec_per_benchmark(65.0) == run_fig7_spec_per_benchmark(65.0)

@@ -40,7 +40,6 @@ from repro.variation.binning import (
     skylake_binning_policy,
 )
 from repro.variation.distributions import skylake_process_variation
-from repro.variation.population import UNSEEDED_DEFAULT_SEED
 from repro.variation.sampler import DiePopulationSampler
 from repro.workloads.dynamics import sustained_scenario
 
@@ -338,8 +337,9 @@ class TestCutoffMatchesBruteForce:
             ("darkgates",), self._query(),
             variations=skylake_process_variation(), count=64,
         )
-        assert study.seed == UNSEEDED_DEFAULT_SEED
-        assert study.run().seed == UNSEEDED_DEFAULT_SEED
+        # The documented default is seed 0, as for every unseeded path.
+        assert study.seed == 0
+        assert study.run().seed == 0
 
 
 class TestParetoFrontier:

@@ -228,49 +228,40 @@ def test_offset_guardband_exposes_inner_properties(gated_pdn):
     assert wrapped.impedance_profile() is inner.impedance_profile()
 
 
-# -- simulated transient-droop derivation --------------------------------------------------------
+# -- transient droop: the impedance rule against the time-domain simulation -----------------------
 
 
-def test_guardband_simulated_droop_model():
-    from repro.pdn.ladder import PdnConfiguration
-
-    level = PowerVirusLevel(name="VL1", max_active_cores=1, virus_current_a=30.0)
-    impedance = GuardbandModel(PdnConfiguration())
-    simulated = GuardbandModel(PdnConfiguration(), droop_model="simulated")
-    assert impedance.droop_model == "impedance"
-    assert simulated.droop_model == "simulated"
-    droop = simulated.transient_droop_v(level)
-    assert droop > 0.0
-    # The simulated overshoot excludes the DC part the IR term already
-    # covers, so it sits below the conservative target-impedance bound.
-    assert droop < impedance.transient_droop_v(level)
-    # The underlying waveform is exposed for inspection.
-    waveform = simulated.simulated_droop_result(level)
-    assert waveform.transient_overshoot_v == pytest.approx(droop)
-
-
-def test_guardband_simulated_droop_ordering_matches_fig6():
-    from repro.pdn.ladder import PdnConfiguration
+def test_guardband_simulated_droop_ordering_matches_fig6(gated_pdn, bypassed_pdn):
+    from repro.pdn.droop import DroopSimulator
+    from repro.pdn.ladder import SkylakePdnBuilder
 
     level = PowerVirusLevel(name="VL4", max_active_cores=4, virus_current_a=100.0)
-    gated = GuardbandModel(PdnConfiguration(), droop_model="simulated")
-    bypassed = GuardbandModel(
-        PdnConfiguration().with_bypass(), droop_model="simulated"
-    )
-    assert gated.transient_droop_v(level) > bypassed.transient_droop_v(level)
+    # The rule's worst-case step: 40% of a core's 30 A, grown 15% for each
+    # of the three further covered cores.
+    step_a = 0.40 * 30.0 * (1.0 + 0.15 * 3)
+    rule, simulated = {}, {}
+    for label, pdn in (("gated", gated_pdn), ("bypassed", bypassed_pdn)):
+        rule[label] = GuardbandModel(
+            pdn,
+            droop_step_fraction=0.40,
+            per_core_virus_current_a=30.0,
+            multi_core_droop_growth=0.15,
+        ).transient_droop_v(level)
+        waveform = DroopSimulator(
+            SkylakePdnBuilder(pdn).build_ladder()
+        ).simulate_current_step(step_a)
+        simulated[label] = waveform.transient_overshoot_v
+        # The overshoot excludes the DC part the IR term covers, so it sits
+        # below the conservative target-impedance bound.
+        assert 0.0 < simulated[label] < rule[label]
+    assert rule["gated"] > rule["bypassed"]
+    assert simulated["gated"] > simulated["bypassed"]
 
 
-def test_guardband_rejects_unknown_droop_model():
-    from repro.pdn.ladder import PdnConfiguration
-
-    with pytest.raises(ConfigurationError):
-        GuardbandModel(PdnConfiguration(), droop_model="spice")
-
-
-def test_with_reliability_margin_preserves_droop_model():
-    from repro.pdn.ladder import PdnConfiguration
-
-    model = GuardbandModel(PdnConfiguration(), droop_model="simulated")
+def test_with_reliability_margin_preserves_other_settings(gated_pdn):
+    level = default_virus_table(4).level_for_active_cores(4)
+    model = GuardbandModel(gated_pdn, droop_step_fraction=0.3)
     derived = model.with_reliability_margin(0.005)
-    assert derived.droop_model == "simulated"
+    assert derived.transient_droop_v(level) == model.transient_droop_v(level)
+    assert derived.ir_drop_v(level) == model.ir_drop_v(level)
     assert derived.reliability_margin_v == pytest.approx(0.005)

@@ -4,7 +4,6 @@ Covers the droop-solver regression suite of the transient rework:
 
 * analytic single-stage RLC step response versus the simulator,
 * vectorized-versus-reference-RK4 waveform equivalence (max |dV| bound),
-* the exact piecewise-linear discretization at coarse steps,
 * gated-versus-bypassed worst-droop ordering per Fig. 6, and
 * the LoadTrace / TraceBuilder / TransientScenario declarative layer.
 """
@@ -87,34 +86,32 @@ def _analytic_rlc_ramp_step(times, nominal_v, R, L, C, step_a, rise_s):
     return np.where(times <= rise_s, ramp, step)
 
 
-#: The integrators under test: the two public methods, the step-by-step
-#: ("matvec") loop both fall back to on an ill-conditioned eigenbasis, and
+#: The integrators under test: the prefix scan, the step-by-step
+#: ("matvec") loop it falls back to on an ill-conditioned eigenbasis, and
 #: the per-stage RK4 oracle.
-INTEGRATORS = ["scan", "matvec", "exact", "reference"]
+INTEGRATORS = ["scan", "matvec", "reference"]
 
 
 def _integrator(name, stages, monkeypatch, nominal_voltage_v=1.0):
-    """A fresh simulator that integrates like *name*, and the method to ask."""
+    """A fresh simulator that integrates like *name*."""
     if name == "reference":
-        return ReferenceDroopSimulator(stages, nominal_voltage_v), None
+        return ReferenceDroopSimulator(stages, nominal_voltage_v)
     if name == "matvec":
         # A zero ceiling rejects every eigenbasis; the simulator is fresh,
         # so no basis cached under the real ceiling survives.
         monkeypatch.setattr(droop, "_MAX_EIGENBASIS_CONDITION", 0.0)
-        return DroopSimulator(stages, nominal_voltage_v), "scan"
-    return DroopSimulator(stages, nominal_voltage_v), name
+    return DroopSimulator(stages, nominal_voltage_v)
 
 
 @pytest.mark.parametrize("method", INTEGRATORS)
 def test_droop_matches_analytic_rlc_step(method, monkeypatch):
     stage = _underdamped_stage()[0]
-    simulator, method = _integrator(method, _underdamped_stage(), monkeypatch)
+    simulator = _integrator(method, _underdamped_stage(), monkeypatch)
     result = simulator.simulate_current_step(
         step_current_a=10.0,
         rise_time_s=2e-9,
         duration_s=1e-6,
         time_step_s=0.1e-9,
-        method=method,
     )
     analytic = _analytic_rlc_ramp_step(
         result.time_s,
@@ -151,12 +148,10 @@ def test_vectorized_matches_reference_on_core_wake(
         )
         for name in ("scan", "matvec"):
             with monkeypatch.context() as patch:
-                solver, method = _integrator(
+                solver = _integrator(
                     name, simulator.stages, patch, simulator.nominal_voltage_v
                 )
-                vectorized = solver.simulate_profile(
-                    trace, trace.duration_s, method=method
-                )
+                vectorized = solver.simulate_profile(trace, trace.duration_s)
             delta = np.abs(
                 vectorized.load_voltage_v - reference.load_voltage_v
             ).max()
@@ -173,43 +168,37 @@ def test_vectorized_matches_reference_on_scenarios(gated_simulator, trace_builde
     reference = ReferenceDroopSimulator.like(gated_simulator).simulate_profile(
         trace, duration
     )
-    vectorized = gated_simulator.simulate_profile(trace, duration, method="scan")
+    vectorized = gated_simulator.simulate_profile(trace, duration)
     assert np.abs(vectorized.load_voltage_v - reference.load_voltage_v).max() <= 1e-9
 
 
-def test_exact_method_accurate_at_coarse_steps(gated_simulator):
-    fine = gated_simulator.simulate_current_step(
-        25.0, duration_s=2e-6, time_step_s=0.5e-9, method="scan"
-    )
-    coarse = gated_simulator.simulate_current_step(
-        25.0, duration_s=2e-6, time_step_s=4e-9, method="exact"
-    )
-    assert coarse.worst_droop_v == pytest.approx(fine.worst_droop_v, abs=5e-5)
-
-
 def test_simulator_rejects_unknown_method(gated_simulator):
-    # The matvec loop is a fallback and the per-stage RK4 an oracle in the
-    # tests; neither is a method a caller can pick.
-    for method in ("euler", "matvec", "reference"):
-        with pytest.raises(ConfigurationError):
+    # One integrator: the matvec loop is a fallback and the per-stage RK4
+    # an oracle in the tests, and no entry point takes a method to pick.
+    trace = core_wake_trace(duration_s=1e-6)
+    for method in ("scan", "exact", "matvec", "reference"):
+        with pytest.raises(TypeError):
             gated_simulator.simulate_current_step(10.0, method=method)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
+            gated_simulator.simulate_profile(trace, 1e-6, method=method)
+        with pytest.raises(TypeError):
             DroopSimulator(_underdamped_stage(), method=method)
+        with pytest.raises(TypeError):
+            TransientScenario(name="x", trace=trace, method=method)
 
 
-@pytest.mark.parametrize("method", ["scan", "exact"])
-def test_zero_condition_ceiling_forces_the_matvec_loop(method, monkeypatch):
-    """Both methods fall back to the loop when no eigenbasis is trusted."""
-    simulator, _ = _integrator("matvec", _underdamped_stage(), monkeypatch)
+def test_zero_condition_ceiling_forces_the_matvec_loop(monkeypatch):
+    """The simulator falls back to the loop when no eigenbasis is trusted."""
+    simulator = _integrator("matvec", _underdamped_stage(), monkeypatch)
 
     def no_scan(*args):
         raise AssertionError("the prefix scan ran despite the zero ceiling")
 
     monkeypatch.setattr(DroopSimulator, "_propagate_scan", no_scan)
-    looped = simulator.simulate_current_step(10.0, duration_s=1e-7, method=method)
+    looped = simulator.simulate_current_step(10.0, duration_s=1e-7)
     monkeypatch.undo()
     scanned = DroopSimulator(_underdamped_stage()).simulate_current_step(
-        10.0, duration_s=1e-7, method=method
+        10.0, duration_s=1e-7
     )
     assert np.abs(looped.load_voltage_v - scanned.load_voltage_v).max() <= 1e-9
 
@@ -395,24 +384,6 @@ def test_scenario_validation():
         TransientScenario(name="x", trace=trace, time_step_s=0.0)
     with pytest.raises(ConfigurationError):
         TransientScenario(name="x", trace=trace, duration_s=-1.0)
-
-
-def test_exact_after_scan_shares_no_stale_eigenbasis(gated_simulator):
-    # Regression: the eigenbasis cache was keyed by time step only, so an
-    # "exact" run after a "scan" run at the same step reused the RK4
-    # propagator's decomposition and produced garbage.
-    step = 2e-9
-    scan = gated_simulator.simulate_current_step(
-        25.0, duration_s=2e-6, time_step_s=step, method="scan"
-    )
-    exact = gated_simulator.simulate_current_step(
-        25.0, duration_s=2e-6, time_step_s=step, method="exact"
-    )
-    fresh = DroopSimulator(gated_simulator.stages, 1.0).simulate_current_step(
-        25.0, duration_s=2e-6, time_step_s=step, method="exact"
-    )
-    assert np.abs(exact.load_voltage_v - fresh.load_voltage_v).max() < 1e-12
-    assert np.abs(exact.load_voltage_v - scan.load_voltage_v).max() < 1e-4
 
 
 def test_repeated_holds_final_current_between_copies():

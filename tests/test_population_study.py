@@ -17,11 +17,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.spec import get_spec
 from repro.sim.engine import SimulationEngine
 from repro.variation.distributions import skylake_process_variation
-from repro.variation.population import (
-    UNSEEDED_DEFAULT_SEED,
-    PopulationResult,
-    PopulationStudy,
-)
+from repro.variation.population import PopulationResult, PopulationStudy
 from repro.variation.sampler import DiePopulationSampler, DieVariation
 from repro.workloads.dynamics import burst_scenario, sprint_and_rest_scenario
 
@@ -169,7 +165,7 @@ def test_sustained_by_bin_joins_assignments(fast_result):
 
 
 def test_unseeded_study_pins_one_seed_for_every_path():
-    """seed=None pins the documented default; cells, binning, replays share it.
+    """seed=None pins seed 0; cells, binning and replays share it.
 
     The pin is a constant rather than an entropy draw so that "unseeded"
     population runs are replayable by construction — same dice in every
@@ -178,7 +174,7 @@ def test_unseeded_study_pins_one_seed_for_every_path():
     study = PopulationStudy(
         ("darkgates",), SCENARIOS[:1], VARIATIONS, count=6, seed=None
     )
-    assert study.seed == UNSEEDED_DEFAULT_SEED
+    assert study.seed == 0
     result = study.run()
     assert result.seed == study.seed
     # The recorded seed replays the run exactly — including on the

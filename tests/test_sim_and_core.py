@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import (
+    run_fig7_spec_per_benchmark,
+    run_fig9_graphics_degradation,
+    run_fig10_energy_efficiency,
+)
+from repro.analysis.study import Study
 from repro.common.errors import ConfigurationError
-from repro.core.darkgates import SystemComparison
-from repro.core.spec import get_spec
+from repro.core.spec import build_engine, get_spec
 from repro.core.overhead import darkgates_overheads
 from repro.pmu.cstates import PackageCState
 from repro.pmu.dvfs import CpuDemand
@@ -143,56 +148,53 @@ def test_residency_replay_compute_trace(darkgates_91w):
     assert report.average_power_w > 20.0
 
 
-# -- SystemComparison (the headline API) ----------------------------------------------------------------
+# -- DarkGates versus baseline (Figs. 7-10) ------------------------------------------------------------
 
 
-def test_comparison_compute_bound_gains_more_than_memory_bound(comparison_91w):
-    gamess = comparison_91w.compare_cpu(spec_benchmark("416.gamess"))
-    bwaves = comparison_91w.compare_cpu(spec_benchmark("410.bwaves"))
-    assert gamess.performance_improvement > bwaves.performance_improvement
-    assert gamess.frequency_improvement > 0
+def test_comparison_compute_bound_gains_more_than_memory_bound():
+    darkgates = build_engine(get_spec("darkgates", tdp_w=91.0))
+    baseline = build_engine(get_spec("baseline", tdp_w=91.0))
+    gamess, bwaves = spec_benchmark("416.gamess"), spec_benchmark("410.bwaves")
+    gamess_after, gamess_before = darkgates.run(gamess), baseline.run(gamess)
+    bwaves_gain = darkgates.run(bwaves).improvement_over(baseline.run(bwaves))
+    assert gamess_after.improvement_over(gamess_before) > bwaves_gain
+    assert gamess_after.frequency_hz > gamess_before.frequency_hz
 
 
-def test_comparison_average_spec_gain_in_paper_range(comparison_91w):
-    average = comparison_91w.average_cpu_improvement(spec_cpu2006_base_suite())
+def test_comparison_average_spec_gain_in_paper_range():
+    average = run_fig7_spec_per_benchmark(91.0).average_improvement
     # Paper: 4.6% average at 91 W; accept a generous band around it.
     assert 0.02 <= average <= 0.09
 
 
-def test_comparison_graphics_unaffected_at_91w(comparison_91w):
-    degradation = comparison_91w.average_graphics_degradation(three_dmark_suite())
-    assert degradation <= 0.005
+def test_comparison_graphics_unaffected_at_91w():
+    result = run_fig9_graphics_degradation(tdp_levels_w=(91.0,))
+    assert result.degradation_at(91.0) <= 0.005
 
 
-def test_comparison_graphics_slightly_degraded_at_35w(comparison_35w):
-    degradation = comparison_35w.average_graphics_degradation(three_dmark_suite())
-    assert 0.0 < degradation <= 0.06
+def test_comparison_graphics_slightly_degraded_at_35w():
+    result = run_fig9_graphics_degradation(tdp_levels_w=(35.0,))
+    assert 0.0 < result.degradation_at(35.0) <= 0.06
 
 
-def test_comparison_energy_scenarios(comparison_91w):
-    result = comparison_91w.compare_energy(rmt_scenario())
+def test_comparison_energy_scenarios():
+    result = run_fig10_energy_efficiency(91.0)
+    darkgates_c8_reduction, baseline_c7_reduction = result.reductions["RMT"]
     # DarkGates+C8 and the baseline both reduce power substantially versus
     # DarkGates limited to C7 (paper Fig. 10).
-    assert result.darkgates_c8_reduction > 0.4
-    assert result.baseline_c7_reduction > 0.4
+    assert darkgates_c8_reduction > 0.4
+    assert baseline_c7_reduction > 0.4
     # DarkGates+C7 misses the limit; DarkGates+C8 meets it.
-    assert not result.darkgates_c7.meets_limit
-    assert result.darkgates_c8.meets_limit
-
-
-def test_comparison_summary_mentions_all_three_configs(comparison_91w):
-    summary = comparison_91w.summary()
-    assert set(summary) == {"darkgates", "baseline", "darkgates_c7_limited"}
-
-
-def test_comparison_rejects_empty_suite(comparison_91w):
-    with pytest.raises(ConfigurationError):
-        comparison_91w.average_cpu_improvement([])
+    darkgates_c7_ok, darkgates_c8_ok, _ = result.limit_compliance["RMT"]
+    assert not darkgates_c7_ok
+    assert darkgates_c8_ok
 
 
 def test_comparison_rejects_bad_tdp():
     with pytest.raises(ConfigurationError):
-        SystemComparison(tdp_w=-1.0)
+        Study.over_tdp_levels(
+            ("darkgates", "baseline"), (-1.0,), spec_cpu2006_base_suite()
+        )
 
 
 # -- overheads (Section 5) ---------------------------------------------------------------------------------

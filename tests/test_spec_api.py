@@ -3,10 +3,13 @@ RunResult serialisation."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError
 from repro.core.spec import (
     SystemSpec,
@@ -223,3 +226,20 @@ def test_run_result_json_round_trip(darkgates_engine):
 def test_run_result_from_dict_rejects_unknown_kind():
     with pytest.raises(ConfigurationError):
         RunResult.from_dict({"kind": "quantum"})
+
+
+# -- public exports ------------------------------------------------------------------------------
+
+
+def _packages():
+    """``repro`` and every package below it."""
+    subpackages = pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    return ["repro"] + sorted(info.name for info in subpackages if info.ispkg)
+
+
+@pytest.mark.parametrize("package", _packages())
+def test_every_exported_name_resolves(package):
+    # A name deleted from a package must leave its __all__ too.
+    module = importlib.import_module(package)
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

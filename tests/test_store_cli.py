@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import sqlite3
 import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.study import Study
 from repro.sim.engine import ENGINE_VERSION
 from repro.store import RunIndex, RunStore
 from repro.store.cli import main
 from repro.store.manifest import RunManifest, utc_timestamp
+from repro.variation.distributions import skylake_process_variation
+from repro.workloads.dynamics import build_scenario
 
 TINY_SWEEP = [
     "run",
@@ -195,6 +199,29 @@ def test_run_population_without_shard_size_uses_fast_path(store_root, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "method=fast" in out and "shard_size" not in out
+
+
+def test_unseeded_cli_population_matches_the_unseeded_library(store_root, capsys):
+    # One unseeded default: the CLI without --seed and Study.over_population
+    # without seed draw the same population and report the same statistics.
+    argv = ["run", "--spec", "darkgates", "--scenario", "sustained",
+            "--population", "64", "--opt", "duration_s=2", "--opt",
+            "time_step_s=1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    result = Study.over_population(
+        ("darkgates",),
+        [build_scenario("sustained", duration_s=2, time_step_s=1)],
+        skylake_process_variation(),
+        64,
+    ).run()
+    assert re.search(r"seed=(\d+)", out).group(1) == str(result.seed)
+    (cell,) = result.cells
+    (row,) = [line for line in out.splitlines() if line.startswith("darkgates@")]
+    quantiles = [field.strip() for field in row.split("|")[2:]]
+    assert quantiles == [
+        f"{q:.3f}" for q in cell.sustained_quantiles_ghz((5.0, 50.0, 95.0))
+    ]
 
 
 def test_run_shard_size_requires_population(store_root, capsys):

@@ -19,10 +19,10 @@ from repro.analysis.study import (
     SweepRequest,
 )
 from repro.common.errors import ConfigurationError
-from repro.core.darkgates import SystemComparison
 from repro.core.spec import get_spec
 from repro.pmu.dvfs import CpuDemand
 from repro.sim.dynamics import BatchedDynamicsSimulator
+from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import CpuRunResult, EnergyRunResult
 from repro.variation.distributions import skylake_process_variation
 from repro.variation.population import PopulationStudy
@@ -81,16 +81,14 @@ def test_reserved_suite_name_rejected():
 # -- execution and parity ------------------------------------------------------------------------
 
 
-def test_study_matches_system_comparison(comparison_91w):
+def test_study_matches_direct_engine_runs():
+    # Each cell equals a run on an engine built from scratch for its spec.
     suite = _small_suite()
     result = Study(("darkgates", "baseline"), suite).run()
-    for workload in suite:
-        expected = comparison_91w.compare_cpu(workload)
-        after = result.get("darkgates", workload)
-        before = result.get("baseline", workload)
-        assert after.improvement_over(before) == pytest.approx(
-            expected.performance_improvement
-        )
+    for name in ("darkgates", "baseline"):
+        engine = SimulationEngine(get_spec(name).build())
+        for workload in suite:
+            assert result.get(name, workload) == engine.run(workload)
 
 
 def test_study_runs_energy_scenarios():

@@ -174,9 +174,14 @@ def test_population_rejects_ragged_or_unknown_columns():
 
 
 def test_sampler_rejects_seed_and_rng_together():
+    # Every draw is the shard-stable seeded one: the external-generator
+    # stream is gone, with or without a seed beside it.
     sampler = DiePopulationSampler(skylake_process_variation())
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         sampler.sample(4, seed=1, rng=np.random.default_rng(1))
+    with pytest.raises(TypeError):
+        sampler.sample(4, rng=np.random.default_rng(1))
+    assert sampler.sample(4).seed == 0
 
 
 # -- parameterization hooks ------------------------------------------------------------
