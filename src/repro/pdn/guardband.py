@@ -30,7 +30,7 @@ exactly Observation 2 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
 
 from repro.common.validation import ensure_in_range, ensure_non_negative
 from repro.pdn.ac import ACAnalysis, ImpedanceProfile
@@ -69,6 +69,19 @@ class GuardbandBreakdown:
             reliability_v=self.reliability_v,
             fixed_margin_v=self.fixed_margin_v,
         )
+
+
+@lru_cache(maxsize=8)
+def _impedance_profile(configuration: PdnConfiguration) -> ImpedanceProfile:
+    """The AC sweep of *configuration*, run once per frozen configuration.
+
+    Every TDP variant of one package shares its network, so they share one
+    sweep (a bypassed one for DarkGates parts, a gated one for the
+    baseline) and the profile it returns, which callers read, not modify.
+    """
+    builder = SkylakePdnBuilder(configuration)
+    analysis = ACAnalysis(builder.build_netlist(), builder.observation_node())
+    return analysis.sweep(label="bypassed" if configuration.bypassed else "gated")
 
 
 class GuardbandModel:
@@ -119,14 +132,12 @@ class GuardbandModel:
         ensure_in_range(multi_core_droop_growth, 0.0, 1.0, "multi_core_droop_growth")
         ensure_in_range(shared_path_diversity, 0.0, 1.0, "shared_path_diversity")
         self._configuration = configuration
-        self._builder = SkylakePdnBuilder(configuration)
         self._droop_step_fraction = droop_step_fraction
         self._fixed_margin_v = fixed_margin_v
         self._reliability_margin_v = reliability_margin_v
         self._per_core_virus_current_a = per_core_virus_current_a
         self._multi_core_droop_growth = multi_core_droop_growth
         self._shared_path_diversity = shared_path_diversity
-        self._cached_profile: Optional[ImpedanceProfile] = None
 
     # -- properties ------------------------------------------------------------------
 
@@ -155,13 +166,8 @@ class GuardbandModel:
     # -- components -------------------------------------------------------------------
 
     def impedance_profile(self) -> ImpedanceProfile:
-        """Impedance profile of the configured network (cached)."""
-        if self._cached_profile is None:
-            netlist = self._builder.build_netlist()
-            analysis = ACAnalysis(netlist, self._builder.observation_node())
-            label = "bypassed" if self._configuration.bypassed else "gated"
-            self._cached_profile = analysis.sweep(label=label)
-        return self._cached_profile
+        """Impedance profile of the configured network (one sweep per network)."""
+        return _impedance_profile(self._configuration)
 
     def ir_drop_v(self, virus_level: PowerVirusLevel) -> float:
         """IR-drop guardband for *virus_level*.

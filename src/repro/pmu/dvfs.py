@@ -653,6 +653,7 @@ class DvfsPolicy:
         self._graphics_idle_power_w = graphics_idle_power_w
         self._thermal_model = processor.thermal_model()
         self._die_variation = die_variation
+        self._core_count_tables: Dict[int, CandidateTable] = {}
         self._candidate_tables = OrderedDict[CpuDemand, CandidateTable]()
         self._sustained_bins = OrderedDict[CpuDemand, SustainedBin]()
 
@@ -689,6 +690,8 @@ class DvfsPolicy:
         One table per demand supports the dynamics engine: voltages, dynamic
         power and the Vmax/Iccmax verdicts are fixed per bin, so a time step
         only has to apply the leakage temperature terms and pick a bin.
+        Only the dynamic-power row and the uncore term are built per demand;
+        the other arrays are shared per core count (:meth:`_core_count_table`).
         The policy keeps the tables of :data:`DEMAND_CACHE_SIZE` demands.
         """
         if demand.active_cores > self._processor.core_count:
@@ -698,13 +701,26 @@ class DvfsPolicy:
             )
         table = self._candidate_tables.get(demand)
         if table is None:
-            table = self._build_candidate_table(demand)
+            die = self._processor.die
+            shared = self._core_count_table(demand.active_cores)
+            v, f = shared.power_voltages_v, shared.frequencies_hz
+            # Each core's cdyn * activity * V * V * f in the scalar law's
+            # order, summed from 0.0: products and sums only, so every host
+            # computes the same bits.
+            dynamic = 0.0
+            for core in die.cores[: demand.active_cores]:
+                dynamic += core.dynamic.cdyn_max_f * demand.activity * v * v * f
+            table = replace(
+                shared,
+                active_dynamic_w=dynamic,
+                uncore_power_w=die.uncore.package_c0_power_w(demand.memory_intensity),
+            )
             if self._die_variation is not None:
                 variation = self._die_variation
                 vr_offset, power_offset = die_voltage_offsets(
                     variation.vf_offset_v,
                     variation.powergate_resistance_scale,
-                    self._processor.die.cores[0].power_gate.on_resistance_ohm,
+                    die.cores[0].power_gate.on_resistance_ohm,
                     self._bypass_mode,
                 )
                 table = table.varied(
@@ -753,89 +769,65 @@ class DvfsPolicy:
             junction_temperature_c=float(temperature[0, bin_index]),
         )
 
-    def _build_candidate_table(self, demand: CpuDemand) -> CandidateTable:
-        die = self._processor.die
-        frequencies = np.array(self._vf_curve.frequency_grid.points())
+    def _core_count_table(self, active_cores: int) -> CandidateTable:
+        """The read-only arrays every table of *active_cores* shares, built
+        once per count from the scalar laws (``math.exp`` gives the same bits
+        on every host); the dynamic-power row and the uncore term stay zero.
+        """
+        table = self._core_count_tables.get(active_cores)
+        if table is not None:
+            return table
+        die, curve = self._processor.die, self._vf_curve
+        frequencies = np.array(curve.frequency_grid.points())
         vr_voltages = np.array(
-            [
-                self._vf_curve.required_voltage_v(f, demand.active_cores)
-                for f in frequencies
-            ]
+            [curve.required_voltage_v(f, active_cores) for f in frequencies]
         )
         power_voltages = np.array(
-            [
-                self._vf_curve.power_voltage_v(f, demand.active_cores)
-                for f in frequencies
-            ]
+            [curve.power_voltage_v(f, active_cores) for f in frequencies]
         )
-        active_cores = die.cores[: demand.active_cores]
-        idle_cores = die.cores[demand.active_cores :]
-        active_dynamic = np.array(
-            [
-                sum(
-                    core.dynamic.power_w(voltage, frequency, demand.activity)
-                    for core in active_cores
-                )
-                for frequency, voltage in zip(frequencies, power_voltages)
-            ]
-        )
-        gated = not self._bypass_mode
-        active_groups: Dict[Tuple[float, float, float], np.ndarray] = {}
-        idle_groups: Dict[Tuple[float, float, float], np.ndarray] = {}
-        for core in active_cores:
+        # The dynamic-power law's argument checks, made once for all demands.
+        for name, x in (("frequency_hz", frequencies), ("voltage_v", power_voltages)):
+            if not np.all(np.isfinite(x) & (x >= 0.0)):
+                raise ConfigurationError(f"{name} must be finite and >= 0")
+        # Leakage at the reference temperature, summed per (kt, T_ref, kv)
+        # law; only idle cores sit behind a gate (when the gates are used).
+        groups: Tuple[Dict[Tuple[float, float, float], np.ndarray], ...] = ({}, {})
+        for index, core in enumerate(die.cores):
+            idle = index >= active_cores
+            leakage = core.leakage
             law = (
-                core.leakage.temperature_sensitivity_per_c,
-                core.leakage.reference_temperature_c,
-                core.leakage.voltage_sensitivity_per_v,
+                leakage.temperature_sensitivity_per_c,
+                leakage.reference_temperature_c,
+                leakage.voltage_sensitivity_per_v,
             )
+            gated = idle and not self._bypass_mode
             reference = np.array(
-                [core.leakage.power_w(voltage, law[1]) for voltage in power_voltages]
+                [core.idle_power_w(v, gated, law[1]) for v in power_voltages]
             )
-            active_groups[law] = active_groups.get(law, 0.0) + reference
-        for core in idle_cores:
-            law = (
-                core.leakage.temperature_sensitivity_per_c,
-                core.leakage.reference_temperature_c,
-                core.leakage.voltage_sensitivity_per_v,
-            )
-            reference = np.array(
-                [
-                    core.idle_power_w(voltage, gated=gated, temperature_c=law[1])
-                    for voltage in power_voltages
-                ]
-            )
-            idle_groups[law] = idle_groups.get(law, 0.0) + reference
-        virus_current = np.array(
-            [
-                self._virus_current_a(frequency, voltage, demand)
-                for frequency, voltage in zip(frequencies, vr_voltages)
-            ]
+            groups[idle][law] = groups[idle].get(law, 0.0) + reference
+        virus_a = die.cores[0].virus_current_a
+        per_core_a = np.array([virus_a(f, v) for f, v in zip(frequencies, vr_voltages)])
+        active_groups, idle_groups = (
+            tuple((*law, power) for law, power in laws.items()) for laws in groups
         )
-        return CandidateTable(
+        table = CandidateTable(
             frequencies_hz=frequencies,
             vr_voltages_v=vr_voltages,
             power_voltages_v=power_voltages,
-            active_dynamic_w=active_dynamic,
-            active_leakage_groups=tuple(
-                (kt, ref_c, kv, power)
-                for (kt, ref_c, kv), power in active_groups.items()
-            ),
-            idle_leakage_groups=tuple(
-                (kt, ref_c, kv, power)
-                for (kt, ref_c, kv), power in idle_groups.items()
-            ),
-            uncore_power_w=die.uncore.package_c0_power_w(demand.memory_intensity),
+            active_dynamic_w=np.zeros_like(frequencies),
+            active_leakage_groups=active_groups,
+            idle_leakage_groups=idle_groups,
+            uncore_power_w=0.0,
             graphics_idle_power_w=self._graphics_idle_power_w,
-            vmax_ok=vr_voltages <= self._vf_curve.vmax_v + 1e-9,
-            iccmax_ok=virus_current <= die.iccmax_a,
-            vmax_v=self._vf_curve.vmax_v,
+            vmax_ok=vr_voltages <= curve.vmax_v + 1e-9,
+            # Every active core at the power virus plus a 6 A uncore and
+            # graphics floor, against the core rail's EDC budget.
+            iccmax_ok=per_core_a * active_cores + 6.0 <= die.iccmax_a,
+            vmax_v=curve.vmax_v,
         )
-
-    # -- internals -------------------------------------------------------------------------
-
-    def _virus_current_a(
-        self, frequency_hz: float, voltage_v: float, demand: CpuDemand
-    ) -> float:
-        per_core = self._processor.die.cores[0].virus_current_a(frequency_hz, voltage_v)
-        uncore_current = 6.0  # uncore + graphics floor on the core rail's EDC budget
-        return per_core * demand.active_cores + uncore_current
+        leakage_w = [group[3] for group in active_groups + idle_groups]
+        arrays = [frequencies, vr_voltages, power_voltages, *leakage_w]
+        for array in arrays + [table.vmax_ok, table.iccmax_ok]:
+            array.flags.writeable = False
+        self._core_count_tables[active_cores] = table
+        return table

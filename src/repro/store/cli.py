@@ -40,12 +40,14 @@ variable, or ``~/.repro_store``, in that order.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.study import Study
 from repro.common.errors import ConfigurationError, ReproError
+from repro.common.validation import seed_or_default
 from repro.devtools.lint import cli as lint_cli
 from repro.sim.engine import ENGINE_VERSION
 from repro.store.artifacts import RunStore
@@ -110,13 +112,15 @@ def _reject_stray_opt(args: argparse.Namespace) -> None:
         )
 
 
-def _report_tasks(cache: StoreCache, executed: int, total: int) -> int:
-    """Print the executed/served footer, index *cache*'s runs; the exit code."""
+def _report_tasks(cache: StoreCache, executed: int, total: int, *lines: str) -> int:
+    """Index *cache*'s runs, then print *lines* and the executed/served
+    footer (so ``| head`` cannot cut the index short); the exit code."""
+    indexed = RunIndex(cache.store).update(cache.written, cache.served)
+    print(*lines, sep="\n")
     print(
         f"{executed} task(s) executed, "
         f"{total - executed} served from the store ({cache.store.root})"
     )
-    indexed = RunIndex(cache.store).update(cache.written, cache.served)
     print(f"index: {indexed} run(s)")
     return 0
 
@@ -126,7 +130,7 @@ def _report_tasks(cache: StoreCache, executed: int, total: int) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _reject_stray_opt(args)
-    cache = StoreCache(args.store, seed=args.seed)
+    cache = StoreCache(args.store, seed=seed_or_default(args.seed))
     if args.profile:
         return _cmd_run_fleet(args, cache)
     if args.ensemble is not None:
@@ -166,8 +170,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             study = Study(args.spec, suites, **kwargs)
     result = study.run()
-    print(result.as_table())
-    return _report_tasks(cache, study.tasks_executed, len(study))
+    return _report_tasks(cache, study.tasks_executed, len(study), result.as_table())
 
 
 def _cmd_run_fleet(args: argparse.Namespace, cache: StoreCache) -> int:
@@ -198,16 +201,14 @@ def _cmd_run_fleet(args: argparse.Namespace, cache: StoreCache) -> int:
         **kwargs,
     )
     result = study.run()
-    print(
-        result.as_table(
-            title=(
-                f"{result.name}: ensemble={result.ensemble}, "
-                f"seed={result.seed}, "
-                f"slo={result.slo_frequency_hz / 1e9:g}GHz"
-            )
+    table = result.as_table(
+        title=(
+            f"{result.name}: ensemble={result.ensemble}, "
+            f"seed={result.seed}, "
+            f"slo={result.slo_frequency_hz / 1e9:g}GHz"
         )
     )
-    return _report_tasks(cache, study.tasks_executed, study.tasks_total)
+    return _report_tasks(cache, study.tasks_executed, study.tasks_total, table)
 
 
 def _cmd_run_population(args: argparse.Namespace, cache: StoreCache) -> int:
@@ -263,20 +264,15 @@ def _cmd_run_population(args: argparse.Namespace, cache: StoreCache) -> int:
         )
         + f", seed={result.seed}"
     )
-    print(
-        format_table(
-            ["system", "scenario", "sustained_p5", "p50", "p95"],
-            rows,
-            title=title,
-        )
-    )
+    headers = ["system", "scenario", "sustained_p5", "p50", "p95"]
+    lines = [format_table(headers, rows, title=title)]
     for binning in result.binning:
         yields = ", ".join(
             f"{name}={fraction:.4f}"
             for name, fraction in sorted(binning.yield_fractions.items())
         )
-        print(f"yields[{binning.spec_name}]: {yields}")
-    return _report_tasks(cache, study.tasks_executed, study.tasks_total)
+        lines.append(f"yields[{binning.spec_name}]: {yields}")
+    return _report_tasks(cache, study.tasks_executed, study.tasks_total, *lines)
 
 
 def _parse_grid(text: str, what: str) -> List[float]:
@@ -326,7 +322,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.pmu.dvfs import CpuDemand
 
     _reject_stray_opt(args)
-    cache = StoreCache(args.store, seed=args.seed)
+    cache = StoreCache(args.store, seed=seed_or_default(args.seed))
     kwargs = _sweep_kwargs(args, cache)
     if (args.target_ghz is None) == (args.population is None):
         raise ConfigurationError(
@@ -421,8 +417,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 **kwargs,
             )
     result = study.run()
-    print(result.as_table())
-    return _report_tasks(cache, study.tasks_executed, study.tasks_total)
+    return _report_tasks(
+        cache, study.tasks_executed, study.tasks_total, result.as_table()
+    )
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -767,9 +764,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return int(args.handler(args))
+        args = parser.parse_args(argv)
+        code = int(args.handler(args))
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left (``| head``): no exit-time flush error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -1,5 +1,11 @@
 """Scalar DVFS resolution: the oracles of the candidate-table solvers.
 
+:func:`scalar_candidate_table` builds one demand's candidate table bin by
+bin from the scalar core, uncore and V/F models, the build
+:meth:`~repro.pmu.dvfs.DvfsPolicy.candidate_table` splits into a part
+shared per active-core count and a per-demand dynamic row; the two must
+agree bit for bit.
+
 :func:`static_walk` is the per-bin resolution of one nominal system: it
 walks the frequency grid downwards, runs each bin's power/temperature fixed
 point on its own from the scalar core, uncore and thermal models, and stops
@@ -18,7 +24,7 @@ The per-run dynamics oracle steps with it, and the lockstep engine's
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from repro.pmu.dvfs import (
     DvfsPolicy,
     LimitingFactor,
     OperatingPoint,
+    die_voltage_offsets,
 )
 from repro.pmu.pcode import Pcode
 
@@ -215,3 +222,103 @@ def resolve_at(
     table = policy.candidate_table(demand)
     index, limiting = select(table, power_limit_w, temperature_c)
     return table.operating_point(index, temperature_c, limiting)
+
+
+def scalar_candidate_table(policy: DvfsPolicy, demand: CpuDemand) -> CandidateTable:
+    """*demand*'s candidate table on *policy*, every bin from the scalar laws.
+
+    Each bin evaluates the V/F curve, each core's dynamic-power and leakage
+    law and the virus-current law on its own; a varied die is then
+    re-referenced with :meth:`CandidateTable.varied`, as the policy does.
+    """
+    processor = policy._processor
+    vf_curve = policy.vf_curve
+    die = processor.die
+    frequencies = np.array(vf_curve.frequency_grid.points())
+    vr_voltages = np.array(
+        [vf_curve.required_voltage_v(f, demand.active_cores) for f in frequencies]
+    )
+    power_voltages = np.array(
+        [vf_curve.power_voltage_v(f, demand.active_cores) for f in frequencies]
+    )
+    active_cores = die.cores[: demand.active_cores]
+    idle_cores = die.cores[demand.active_cores :]
+    active_dynamic = np.array(
+        [
+            sum(
+                core.dynamic.power_w(voltage, frequency, demand.activity)
+                for core in active_cores
+            )
+            for frequency, voltage in zip(frequencies, power_voltages)
+        ]
+    )
+    gated = not policy._bypass_mode
+    active_groups: Dict[Tuple[float, float, float], np.ndarray] = {}
+    idle_groups: Dict[Tuple[float, float, float], np.ndarray] = {}
+    for core in active_cores:
+        law = (
+            core.leakage.temperature_sensitivity_per_c,
+            core.leakage.reference_temperature_c,
+            core.leakage.voltage_sensitivity_per_v,
+        )
+        reference = np.array(
+            [core.leakage.power_w(voltage, law[1]) for voltage in power_voltages]
+        )
+        active_groups[law] = active_groups.get(law, 0.0) + reference
+    for core in idle_cores:
+        law = (
+            core.leakage.temperature_sensitivity_per_c,
+            core.leakage.reference_temperature_c,
+            core.leakage.voltage_sensitivity_per_v,
+        )
+        reference = np.array(
+            [
+                core.idle_power_w(voltage, gated=gated, temperature_c=law[1])
+                for voltage in power_voltages
+            ]
+        )
+        idle_groups[law] = idle_groups.get(law, 0.0) + reference
+
+    def virus_current_a(frequency_hz: float, voltage_v: float) -> float:
+        per_core = die.cores[0].virus_current_a(frequency_hz, voltage_v)
+        uncore_current = 6.0  # uncore + graphics floor on the core rail's EDC budget
+        return per_core * demand.active_cores + uncore_current
+
+    virus_current = np.array(
+        [
+            virus_current_a(frequency, voltage)
+            for frequency, voltage in zip(frequencies, vr_voltages)
+        ]
+    )
+    table = CandidateTable(
+        frequencies_hz=frequencies,
+        vr_voltages_v=vr_voltages,
+        power_voltages_v=power_voltages,
+        active_dynamic_w=active_dynamic,
+        active_leakage_groups=tuple(
+            (kt, ref_c, kv, power) for (kt, ref_c, kv), power in active_groups.items()
+        ),
+        idle_leakage_groups=tuple(
+            (kt, ref_c, kv, power) for (kt, ref_c, kv), power in idle_groups.items()
+        ),
+        uncore_power_w=die.uncore.package_c0_power_w(demand.memory_intensity),
+        graphics_idle_power_w=policy._graphics_idle_power_w,
+        vmax_ok=vr_voltages <= vf_curve.vmax_v + 1e-9,
+        iccmax_ok=virus_current <= die.iccmax_a,
+        vmax_v=vf_curve.vmax_v,
+    )
+    variation = policy.die_variation
+    if variation is None:
+        return table
+    vr_offset, power_offset = die_voltage_offsets(
+        variation.vf_offset_v,
+        variation.powergate_resistance_scale,
+        die.cores[0].power_gate.on_resistance_ohm,
+        policy._bypass_mode,
+    )
+    return table.varied(
+        leakage_scale=variation.leakage_scale,
+        kt_delta_per_c=variation.leakage_kt_delta_per_c,
+        vr_offset_v=vr_offset,
+        power_offset_v=power_offset,
+    )

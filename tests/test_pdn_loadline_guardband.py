@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigurationError, ConstraintViolation
+from repro.core.spec import get_spec
+from repro.pdn.ac import ACAnalysis
 from repro.pdn.guardband import GuardbandModel, OffsetGuardbandModel
+from repro.pdn.ladder import PdnConfiguration
 from repro.pdn.loadline import (
     LoadLine,
     PowerVirusLevel,
@@ -198,6 +201,44 @@ def test_guardband_breakdown_scaled_keeps_fixed_parts(gated_pdn):
 def test_guardband_impedance_profile_is_cached(gated_pdn):
     model = GuardbandModel(gated_pdn)
     assert model.impedance_profile() is model.impedance_profile()
+
+
+def test_tdp_variants_share_one_sweep_per_network():
+    def profile(name, tdp_w):
+        pcode = get_spec(name, tdp_w=tdp_w).build()
+        return pcode.vf_curve.guardband_model.impedance_profile()
+
+    darkgates = profile("darkgates", 35.0)
+    assert darkgates is profile("darkgates", 91.0)
+    assert darkgates.label == "bypassed"
+    baseline = profile("baseline", 35.0)
+    assert baseline is profile("baseline", 91.0)
+    assert baseline is not darkgates
+    assert baseline.label == "gated"
+
+
+def test_ac_sweep_runs_once_per_configuration(monkeypatch):
+    # Networks no other test builds, so an earlier sweep cannot hide one.
+    gated = PdnConfiguration(board_resistance_ohm=0.351e-3)
+    bypassed = gated.with_bypass()
+    sweeps = []
+    sweep = ACAnalysis.sweep
+
+    def counted(analysis, *args, **kwargs):
+        sweeps.append(kwargs.get("label"))
+        return sweep(analysis, *args, **kwargs)
+
+    monkeypatch.setattr(ACAnalysis, "sweep", counted)
+    level = default_virus_table(4).level_for_active_cores(4)
+    for configuration in (gated, bypassed, gated, bypassed):
+        model = GuardbandModel(configuration)
+        model.total_guardband_v(level)
+        model.with_reliability_margin(0.005).total_guardband_v(level)
+    assert sweeps == ["gated", "bypassed"]
+    # An equal configuration built separately finds the same sweep.
+    twin = GuardbandModel(PdnConfiguration(board_resistance_ohm=0.351e-3))
+    assert twin.impedance_profile() is GuardbandModel(gated).impedance_profile()
+    assert sweeps == ["gated", "bypassed"]
 
 
 # -- offset guardband (Fig. 3 manipulation) -------------------------------------------------------

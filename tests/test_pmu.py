@@ -8,16 +8,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.core.spec import get_spec, spec_names
-from repro.pmu.dvfs import DEMAND_CACHE_SIZE, CpuDemand, LimitingFactor
+from repro.fleet.profiles import ScenarioGenerator, fleet_profile
+from repro.pmu.dvfs import DEMAND_CACHE_SIZE, CpuDemand, DvfsPolicy, LimitingFactor
 from repro.pmu.fuses import FuseSet, PowerDeliveryMode, firmware_area_overhead_fraction
 from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import TurboTable
+from repro.variation.sampler import DieVariation
 
 from oracles import dvfs as oracle
 
@@ -273,6 +276,104 @@ def test_policy_caches_stay_bounded_and_evicted_demands_resolve_the_same():
     for demand, (point, sustained) in zip(demands[:8], answers):
         assert policy.resolve(demand) == point
         assert policy.sustained_bin(demand) == sustained
+
+
+def _assert_same_table(table, expected):
+    """Every array bit-identical (dtype, shape, bytes), every scalar equal."""
+
+    def same(a, b):
+        assert np.array_equal(a, b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    for name in (
+        "frequencies_hz",
+        "vr_voltages_v",
+        "power_voltages_v",
+        "active_dynamic_w",
+        "vmax_ok",
+        "iccmax_ok",
+    ):
+        same(getattr(table, name), getattr(expected, name))
+    for name in ("uncore_power_w", "graphics_idle_power_w", "vmax_v"):
+        assert getattr(table, name) == getattr(expected, name), name
+    for groups, expected_groups in (
+        (table.active_leakage_groups, expected.active_leakage_groups),
+        (table.idle_leakage_groups, expected.idle_leakage_groups),
+    ):
+        assert len(groups) == len(expected_groups)
+        for group, expected_group in zip(groups, expected_groups):
+            assert group[:3] == expected_group[:3]  # the (kt, T_ref, kv) law
+            same(group[3], expected_group[3])
+
+
+@pytest.mark.parametrize("tdp_w", [35.0, 91.0])
+@pytest.mark.parametrize("name", ["darkgates", "baseline"])
+def test_candidate_table_equals_the_scalar_build(name, tdp_w):
+    """The per-core-count arrays plus the per-demand row are bit-exact.
+
+    Every core count, activity and memory intensity of a grid, on a nominal
+    die and on one varied die (leakage, kt, V/F and power-gate knobs all
+    moved), must equal the bin-by-bin scalar build of the oracle.
+    """
+    die = DieVariation(
+        leakage_scale=1.13,
+        leakage_kt_delta_per_c=0.001,
+        vf_offset_v=0.012,
+        powergate_resistance_scale=1.3,
+    )
+    spec = get_spec(name, tdp_w=tdp_w)
+    for system in (spec, spec.variant(name="varied", die_variation=die)):
+        policy = system.build().dvfs_policy
+        for cores in range(1, policy._processor.core_count + 1):
+            for activity in (0.0, 0.37, 0.62, 1.0):
+                for memory_intensity in (0.0, 0.2, 1.0):
+                    demand = CpuDemand(cores, activity, memory_intensity)
+                    _assert_same_table(
+                        policy.candidate_table(demand),
+                        oracle.scalar_candidate_table(policy, demand),
+                    )
+
+
+def test_core_count_part_is_built_once_per_count_and_shared_read_only(monkeypatch):
+    """The fleet workload's demands build one shared part per core count.
+
+    Its 3 profiles x 8 members hold 17 distinct demands over 4 core
+    counts; the part store never exceeds the core count, and its arrays
+    refuse writes.
+    """
+    builds = []
+    build = DvfsPolicy._core_count_table
+
+    def counted(policy, active_cores):
+        if active_cores not in policy._core_count_tables:
+            builds.append(active_cores)
+        return build(policy, active_cores)
+
+    monkeypatch.setattr(DvfsPolicy, "_core_count_table", counted)
+    demands = {
+        phase.demand()
+        for name in ("datacenter", "consumer", "graphics")
+        for scenario in ScenarioGenerator(fleet_profile(name)).ensemble(0, 8)
+        for phase in scenario.phases
+        if not phase.is_idle
+    }
+    counts = {demand.active_cores for demand in demands}
+    assert len(demands) > 2 * len(counts)
+    policy = get_spec("darkgates", tdp_w=35.0).build().dvfs_policy
+    tables = [policy.candidate_table(demand) for demand in demands]
+    assert sorted(builds) == sorted(counts)
+    assert len(policy._core_count_tables) <= policy._processor.core_count
+    by_count = {}
+    for demand, table in zip(demands, tables):
+        first = by_count.setdefault(demand.active_cores, table)
+        assert table.frequencies_hz is first.frequencies_hz
+        assert table.idle_leakage_groups is first.idle_leakage_groups
+    table = tables[0]
+    for array in (table.frequencies_hz, table.vr_voltages_v, table.iccmax_ok):
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+    with pytest.raises(ValueError):
+        table.active_leakage_groups[0][3][0] = 0.0
 
 
 @lru_cache(maxsize=None)

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 import sqlite3
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro
 from repro.analysis.study import Study
 from repro.sim.engine import ENGINE_VERSION
 from repro.store import RunIndex, RunStore
@@ -201,13 +206,15 @@ def test_run_population_without_shard_size_uses_fast_path(store_root, capsys):
     assert "method=fast" in out and "shard_size" not in out
 
 
+UNSEEDED_POPULATION = ["run", "--spec", "darkgates", "--scenario", "sustained",
+                       "--population", "64", "--opt", "duration_s=2", "--opt",
+                       "time_step_s=1"]
+
+
 def test_unseeded_cli_population_matches_the_unseeded_library(store_root, capsys):
     # One unseeded default: the CLI without --seed and Study.over_population
     # without seed draw the same population and report the same statistics.
-    argv = ["run", "--spec", "darkgates", "--scenario", "sustained",
-            "--population", "64", "--opt", "duration_s=2", "--opt",
-            "time_step_s=1"]
-    assert main(argv) == 0
+    assert main(UNSEEDED_POPULATION) == 0
     out = capsys.readouterr().out
     result = Study.over_population(
         ("darkgates",),
@@ -222,6 +229,58 @@ def test_unseeded_cli_population_matches_the_unseeded_library(store_root, capsys
     assert quantiles == [
         f"{q:.3f}" for q in cell.sustained_quantiles_ghz((5.0, 50.0, 95.0))
     ]
+
+
+def test_unseeded_run_is_stored_under_the_seed_it_draws_with(store_root, capsys):
+    # Without --seed the study draws with seed 0, so --seed 0 finds its run.
+    assert main(UNSEEDED_POPULATION) == 0
+    unseeded = capsys.readouterr().out
+    assert "1 task(s) executed, 0 served from the store" in unseeded
+    assert main(UNSEEDED_POPULATION + ["--seed", "0"]) == 0
+    seeded = capsys.readouterr().out
+    assert "0 task(s) executed, 1 served from the store" in seeded
+    assert seeded.splitlines()[:-2] == unseeded.splitlines()[:-2]
+
+
+@pytest.mark.parametrize("closed", ["before the first line", "after one line"])
+def test_a_closed_stdout_ends_the_run_without_a_traceback(tmp_path, closed):
+    """``python -m repro run ... | head -n 1`` indexes its runs and exits quietly.
+
+    Unbuffered, every print reaches the pipe at once, as in a terminal
+    pipeline.  A reader closed before the first line makes the first print
+    fail; one closed after a line may or may not outrun the rest.
+    """
+    store = tmp_path / "store"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+        PYTHONUNBUFFERED="1",
+    )
+    argv = [sys.executable, "-m", "repro", *UNSEEDED_POPULATION, "--store", str(store)]
+    if closed == "before the first line":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as stdout:
+            run = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+        assert run.returncode == 1
+        stderr = run.stderr
+    else:
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as process:
+            assert process.stdout.readline().startswith(b"cli-study: 64 dice")
+            process.stdout.close()
+            stderr = process.stderr.read()
+        assert process.returncode in (0, 1)
+    assert b"Traceback" not in stderr, stderr.decode()
+    # The run's own upsert holds every run a rebuild from the manifests finds.
+    indexed = len(RunIndex(RunStore(store)).query())
+    assert indexed >= 1
+    rebuild = subprocess.run(
+        [sys.executable, "-m", "repro", "index", "--store", str(store)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert rebuild.stdout.startswith(f"indexed {indexed} run(s)")
 
 
 def test_run_shard_size_requires_population(store_root, capsys):
