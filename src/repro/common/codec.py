@@ -63,8 +63,9 @@ from repro.common.errors import ConfigurationError
 #: instead of silently misparsing them, and keep reading older ones.
 #: Version 2 added the derived ``summary`` block of dynamic-run payloads;
 #: version 3 made dynamic-run traces columnar (float and int8-code arrays,
-#: ``times_s`` derived from the time step).
-RESULT_SCHEMA_VERSION = 3
+#: ``times_s`` derived from the time step); version 4 stores a dynamic
+#: run's frequencies as int8 codes into a per-run level table.
+RESULT_SCHEMA_VERSION = 4
 
 #: Payload keys the codec owns; no planned class may use them as fields.
 TAG_KEYS = ("kind", "schema_version")

@@ -110,8 +110,8 @@ class QosReport(Codec):
         """Judge the active (non-idle) steps of one dynamic run."""
         ensure_positive(slo_frequency_hz, "slo_frequency_hz")
         name = name or result.scenario_name
-        active = result.frequencies_hz > 0.0
-        frequencies = result.frequencies_hz[active]
+        active = result.frequency_codes > 0
+        frequencies = result.frequency_levels_hz.take(result.frequency_codes[active])
         n = frequencies.size
         if n == 0:
             return cls(

@@ -59,7 +59,7 @@ from repro.pmu.pcode import Pcode
 from repro.pmu.turbo import BatchedTurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import BatchedThermalModel, TransientThermalModel
-from repro.sim.metrics import DynamicRunResult, encode_cstates
+from repro.sim.metrics import MAX_FREQUENCY_LEVELS, DynamicRunResult, encode_cstates
 from repro.workloads.dynamics import AUTO_CSTATE, DynamicPhase, DynamicScenario
 
 if TYPE_CHECKING:
@@ -172,9 +172,12 @@ class _ActiveSegment:
     * **Padding groups dropped.**  An all-zero leakage group with ``kt ==
       0`` (stacking padding) has a scale of exactly 1 and adds exactly
       ``+0.0``, so leaving it out changes no bit.
+    * **Frequency codes.**  Bin ``b`` writes frequency code ``b + 1``, the
+      run's level table being 0.0 Hz followed by its grid.
     * **Idle runs.**  A run idling in this segment allows no bin, and its
-      bin 0 reads 0 Hz, code NONE and exactly *idle_power_w* (default 0 W;
-      its other power terms are zeroed), so a step needs no activity mask.
+      bin 0 reads frequency code 0 (0 Hz), limiting code NONE and exactly
+      *idle_power_w* (default 0 W; its other power terms are zeroed), so a
+      step needs no activity mask.
     * **The check** (``windowed``).  For every run, static feasibility must
       be a prefix of the bins, and the dynamic and every leakage reference
       power must never decrease over that prefix (padded bins lie beyond
@@ -211,6 +214,12 @@ class _ActiveSegment:
         idle_power_w: Optional[np.ndarray] = None,
     ) -> None:
         runs, idle = len(rows), ~active
+        if stacked.frequencies_hz.shape[1] >= MAX_FREQUENCY_LEVELS:
+            raise ConfigurationError(
+                f"a frequency grid of {stacked.frequencies_hz.shape[1]} bins "
+                f"needs more than the {MAX_FREQUENCY_LEVELS} levels int8 "
+                "frequency codes address"
+            )
         static_ok = stacked.vmax_ok[rows] & stacked.iccmax_ok[rows] & active[:, None]
         feasible_bins = np.flatnonzero(static_ok.any(axis=0))
         top_feasible = int(feasible_bins[-1]) if len(feasible_bins) else -1
@@ -228,7 +237,9 @@ class _ActiveSegment:
         vmax_ok = bins_major(stacked.vmax_ok[rows])
         iccmax_ok = bins_major(stacked.iccmax_ok[rows])
         self._static_ok = vmax_ok & iccmax_ok
-        self._frequencies_hz = bins_major(stacked.frequencies_hz[rows]).ravel()
+        self._frequency_codes = bins_major(
+            np.tile(np.arange(1, edge + 1, dtype=np.int8), (runs, 1))
+        ).ravel()
         self._dynamic_w = bins_major(stacked.active_dynamic_w[rows])
         self._uncore_w = per_bin(stacked.uncore_power_w[rows])
         self._graphics_w = per_bin(stacked.graphics_idle_power_w[rows])
@@ -352,7 +363,7 @@ class _ActiveSegment:
         envelope_w: np.ndarray,
         thermal_cap_w: np.ndarray,
         armed: np.ndarray,
-        frequency_hz: np.ndarray,
+        frequency_code: np.ndarray,
         power_w: np.ndarray,
         limiting: np.ndarray,
     ) -> np.ndarray:
@@ -360,7 +371,7 @@ class _ActiveSegment:
 
         Each run draws under ``min(envelope, thermal cap)``: *envelope_w* is
         an armed run's EWMA budget and an exhausted run's PL2.  Fills
-        *frequency_hz*, *power_w* and *limiting*; returns which runs keep
+        *frequency_code*, *power_w* and *limiting*; returns which runs keep
         their turbo bank.
         """
         scale = np.exp(self._kt * (temperature_c - self._reference_c))
@@ -399,7 +410,7 @@ class _ActiveSegment:
         # report of resolve_sustained_bins) when none is allowed.
         selected = np.maximum(flat - self._runs, self._run_axis)
         np.copyto(selected, self._sustained_flat, where=clamp)
-        self._frequencies_hz.take(selected, out=frequency_hz, mode="clip")
+        self._frequency_codes.take(selected, out=frequency_code, mode="clip")
         self._package.ravel().take(selected, out=power_w, mode="clip")
         return passed | self._keeps_bank.take(flat)
 
@@ -423,9 +434,10 @@ def _lockstep(
     The one lockstep step behind :meth:`BatchedDynamicsSimulator.run_batch`
     and :meth:`BatchedDynamicsSimulator.run_population`, replicating the
     per-run stepper expression for expression for every run.  Each step
-    writes its trace rows in place and reads the previous temperature and
-    average rows back as its state.  A run past the end of its timeline
-    idles at 0 W; those rows are never read.  Each segment is dropped
+    writes its trace rows in place (the frequency as an int8 code: bin + 1,
+    or 0 on an idle step) and reads the previous temperature and average
+    rows back as its state.  A run past the end of its timeline idles at
+    0 W; those rows are never read.  Each segment is dropped
     before the next is pulled, so a generator that builds segments on
     demand (``run_batch``'s) keeps one :class:`_ActiveSegment` alive at a
     time.
@@ -434,13 +446,13 @@ def _lockstep(
     pl2_w = turbo.pl2_w
     # Step-major trace layout: each step writes one contiguous row.
     traces = {
-        "frequency_hz": np.zeros((total_steps, n_runs)),
+        "frequency_code": np.zeros((total_steps, n_runs), dtype=np.int8),
         "power_w": np.zeros((total_steps, n_runs)),
         "temperature_c": np.zeros((total_steps, n_runs)),
         "average_w": np.zeros((total_steps, n_runs)),
         "limiting": np.full((total_steps, n_runs), _CODE_NONE, dtype=np.int8),
     }
-    frequency_hz, power_w, temperature_c, average_w, limiting = traces.values()
+    frequency_code, power_w, temperature_c, average_w, limiting = traces.values()
     average = turbo.initial_average_w
     start = 0
     for steps, segment, idle_power_w in segments:
@@ -455,7 +467,7 @@ def _lockstep(
                 envelope = np.where(armed, turbo.power_budget_w(average), pl2_w)
                 banked = segment.resolve(
                     temperature, envelope, thermal_cap, armed,
-                    frequency_hz[t], power, limiting[t],
+                    frequency_code[t], power, limiting[t],
                 )
             average = turbo.account(average, power, out=average_w[t])
             temperature = thermal.step(temperature, power, out=temperature_c[t])
@@ -478,9 +490,14 @@ class PopulationRunTraces:
 
     Trace matrices are ``(steps, dice)``; the package C-state trace is
     shared by every die (idle-state selection depends only on the timeline
-    and the fuses).  :mod:`repro.variation.population` condenses these into
-    percentile traces and per-die summary metrics; keeping the matrices
-    raw here lets tests assert bit-identity against per-die stepping.
+    and the fuses).  Frequencies are int8 codes into
+    ``frequency_levels_hz``: 0.0 Hz, then the nominal frequency grid (not
+    compacted like :class:`~repro.sim.metrics.DynamicRunResult`'s: the
+    streaming accumulator drops the unused levels itself);
+    ``frequencies_hz`` is the derived float matrix.
+    :mod:`repro.variation.population` condenses these into percentile
+    traces and per-die summary metrics; keeping the matrices raw here lets
+    tests assert bit-identity against per-die stepping.
     """
 
     scenario_name: str
@@ -488,7 +505,8 @@ class PopulationRunTraces:
     pl1_w: float
     pl2_w: float
     times_s: np.ndarray
-    frequencies_hz: np.ndarray
+    frequency_codes: np.ndarray
+    frequency_levels_hz: np.ndarray
     package_powers_w: np.ndarray
     temperatures_c: np.ndarray
     average_powers_w: np.ndarray
@@ -499,12 +517,17 @@ class PopulationRunTraces:
     @property
     def count(self) -> int:
         """Number of dice in the traces."""
-        return self.frequencies_hz.shape[1]
+        return self.frequency_codes.shape[1]
 
     @property
     def steps(self) -> int:
         """Number of simulation steps."""
-        return self.frequencies_hz.shape[0]
+        return self.frequency_codes.shape[0]
+
+    @property
+    def frequencies_hz(self) -> np.ndarray:
+        """The ``(steps, dice)`` frequencies in Hz (0.0 on idle steps)."""
+        return self.frequency_levels_hz.take(self.frequency_codes)
 
     def limiting_factor_names(self) -> np.ndarray:
         """The ``(steps, dice)`` limiting-factor names as an object array."""
@@ -542,6 +565,7 @@ class _RunPlan:
     idle_power_w: np.ndarray  # float (0 for active phases)
     cstate_codes: np.ndarray  # int8 package-state codes into cstate_names
     cstate_names: Tuple[str, ...]
+    frequency_levels_hz: np.ndarray  # 0.0 Hz, then the run's frequency grid
 
     @property
     def n_steps(self) -> int:
@@ -613,6 +637,7 @@ class BatchedDynamicsSimulator:
         # One row per phase: (table slot, active, sustained bin and code,
         # idle power, package C-state).
         phases: List[Tuple[int, bool, int, int, float, str]] = []
+        grid = np.empty(0)  # every table of one pcode shares its grid
         for phase in scenario.phases:
             if phase.is_idle:
                 state = resolve_idle_state(pcode, phase)
@@ -621,6 +646,7 @@ class BatchedDynamicsSimulator:
                 continue
             demand = phase.demand()
             table = pcode.dvfs_policy.candidate_table(demand)
+            grid = table.frequencies_hz
             slot = table_slots.get(id(table))
             if slot is None:
                 slot = table_slots[id(table)] = len(tables)
@@ -646,6 +672,7 @@ class BatchedDynamicsSimulator:
             idle_power_w=np.asarray(idle_w, dtype=float),
             cstate_codes=cstate_codes,
             cstate_names=cstate_names,
+            frequency_levels_hz=np.concatenate(([0.0], grid)),
         )
 
     # -- the lockstep grid -------------------------------------------------------------
@@ -751,8 +778,8 @@ class BatchedDynamicsSimulator:
         dice step through the same lockstep loop as :meth:`run_batch`, one
         segment per phase (phases sharing a demand share an
         ``_ActiveSegment``), and the traces keep
-        :class:`~repro.sim.metrics.DynamicRunResult`'s int8 limiting and
-        C-state codes.
+        :class:`~repro.sim.metrics.DynamicRunResult`'s int8 frequency,
+        limiting and C-state codes.
 
         The whole population steps at once and the full ``(steps, dice)``
         :class:`PopulationRunTraces` matrices come back.  To bound memory,
@@ -794,6 +821,7 @@ class BatchedDynamicsSimulator:
         all_active = np.ones(count, dtype=bool)
         zeros = np.zeros(count)
         by_demand: Dict[CpuDemand, _ActiveSegment] = {}
+        grid = np.empty(0)  # every table of one pcode shares its grid
         segments: List[_Segment] = []
         cstates: List[str] = []
         counts = phase_step_counts(scenario)
@@ -814,6 +842,7 @@ class BatchedDynamicsSimulator:
             segment = by_demand.get(demand)
             if segment is None:
                 nominal = pcode.dvfs_policy.candidate_table(demand)
+                grid = nominal.frequencies_hz
                 stacked = StackedCandidateTables.from_population(
                     nominal,
                     leakage_scale=population.leakage_scale,
@@ -855,7 +884,8 @@ class BatchedDynamicsSimulator:
             pl1_w=limits.pl1_w,
             pl2_w=limits.pl2_w,
             times_s=np.cumsum(np.full(total_steps, dt)),
-            frequencies_hz=traces["frequency_hz"],
+            frequency_codes=traces["frequency_code"],
+            frequency_levels_hz=np.concatenate(([0.0], grid)),
             package_powers_w=traces["power_w"],
             temperatures_c=traces["temperature_c"],
             average_powers_w=traces["average_w"],
@@ -876,7 +906,8 @@ class BatchedDynamicsSimulator:
             time_step_s=plan.scenario.time_step_s,
             pl1_w=plan.limits.pl1_w,
             pl2_w=plan.limits.pl2_w,
-            frequencies_hz=traces["frequency_hz"][:n, run_index],
+            frequency_codes=traces["frequency_code"][:n, run_index],
+            frequency_levels_hz=plan.frequency_levels_hz,
             package_powers_w=traces["power_w"][:n, run_index],
             temperatures_c=traces["temperature_c"][:n, run_index],
             average_powers_w=traces["average_w"][:n, run_index],

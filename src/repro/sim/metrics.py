@@ -207,11 +207,12 @@ class TransientRunResult(RunResult):
 
 
 #: The per-step traces of a dynamic run as one structured row: a named
-#: column per trace.  Limiting factors are :data:`LIMITING_FACTOR_ORDER`
-#: codes; package C-states index the run's ``cstate_names``.
+#: column per trace.  Frequencies index the run's ``frequency_levels_hz``,
+#: limiting factors are :data:`LIMITING_FACTOR_ORDER` codes and package
+#: C-states index the run's ``cstate_names``.
 TRACE_DTYPE = np.dtype(
     [
-        ("frequencies_hz", "<f8"),
+        ("frequency_codes", "i1"),
         ("package_powers_w", "<f8"),
         ("temperatures_c", "<f8"),
         ("average_powers_w", "<f8"),
@@ -219,6 +220,12 @@ TRACE_DTYPE = np.dtype(
         ("cstate_codes", "i1"),
     ]
 )
+
+#: The schema-3 trace row: frequencies in Hz instead of codes.
+SCHEMA3_TRACE_DTYPE = np.dtype([("frequencies_hz", "<f8"), *TRACE_DTYPE.descr[1:]])
+
+#: Most frequency levels a run may have: its codes are int8.
+MAX_FREQUENCY_LEVELS = 128
 
 _LIMITING_NAMES = np.array(
     [factor.value for factor in LIMITING_FACTOR_ORDER], dtype=object
@@ -258,6 +265,63 @@ def encode_cstates(names: Iterable[str]) -> Tuple[NDArray[np.int8], Tuple[str, .
     return np.array(codes, dtype=np.int8), tuple(vocabulary)
 
 
+def _checked_levels(levels: np.ndarray, what: str) -> np.ndarray:
+    """*levels* if it is a frequency level table: 0.0 Hz, then strictly
+    ascending frequencies, at most :data:`MAX_FREQUENCY_LEVELS` of them."""
+    if levels.ndim != 1 or not levels.size:
+        raise ConfigurationError(f"{what} needs a 1-D frequency level table")
+    if levels.size > MAX_FREQUENCY_LEVELS:
+        raise ConfigurationError(
+            f"{what} has {levels.size} frequency levels; its int8 codes "
+            f"address at most {MAX_FREQUENCY_LEVELS}"
+        )
+    if levels[0] != 0.0 or (levels[1:] <= levels[:-1]).any():
+        raise ConfigurationError(
+            f"{what} frequency levels must be 0.0 Hz followed by strictly "
+            "ascending frequencies"
+        )
+    return levels
+
+
+def encode_frequencies(values: Any) -> Tuple[NDArray[np.int8], NDArray[np.float64]]:
+    """Per-step frequencies as int8 codes into a level table.
+
+    Level 0 is 0.0 Hz (an idle step); the other levels are the distinct
+    frequencies of *values*, ascending, so ``levels[codes]`` gives *values*
+    back bit for bit, in *values*' shape.  The lockstep engine writes such
+    codes directly; the schema-3 upgrade and the per-run oracle build them
+    here.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any() or np.signbit(values).any():
+        raise ConfigurationError("frequencies must be >= 0.0 Hz, not negative or NaN")
+    ordered = np.sort(np.concatenate(([0.0], values.ravel())))
+    levels = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    _checked_levels(levels, "a frequency trace")
+    return np.searchsorted(levels, values).astype(np.int8), levels
+
+
+def _compact_levels(
+    codes: np.ndarray, levels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A trace's *codes* and *levels* without the levels no code uses (0.0 Hz
+    stays).
+
+    The kept levels keep their order, so a trace compacts to the same codes
+    and levels whichever table it was coded against.  A frequency trace
+    holds few stretches of equal codes, so counting the last code of each
+    stretch finds the used levels at a fraction of the cost of counting
+    every step.
+    """
+    ends = (codes[1:] != codes[:-1]).nonzero()[0]
+    used = np.bincount(codes[ends], minlength=levels.size) > 0
+    used[0] = used[codes[-1]] = True
+    if used.all():
+        return codes, levels
+    remap = (np.cumsum(used) - 1).astype(np.int8)
+    return remap.take(codes), levels[used]
+
+
 def throttle_shares(codes: np.ndarray) -> Dict[str, float]:
     """Share of each :data:`THROTTLE_FACTORS` entry among the limiting-factor
     *codes* of active steps (0.0 each when there are none)."""
@@ -293,11 +357,16 @@ class DynamicRunResult(RunResult):
     PL1/PL2 configuration the run executed under.  Sample ``i`` describes
     the step ending at ``times_s[i]``; temperatures are post-step.
 
-    The traces are columnar and read-only: four float64 arrays, and int8
-    codes for the limiting factor (:data:`LIMITING_FACTOR_ORDER`) and the
-    package C-state (``cstate_names``).  ``times_s``, ``limiting_factors``
-    and ``package_cstates`` are derived read-only views.  Equality is exact:
-    the same scalars and, per trace, the same dtype and values.
+    The traces are columnar and read-only: three float64 arrays, and int8
+    codes for the frequency (into ``frequency_levels_hz``), the limiting
+    factor (:data:`LIMITING_FACTOR_ORDER`) and the package C-state
+    (``cstate_names``).  The level table is 0.0 Hz (code 0, the idle
+    steps), then the frequencies the run visits, ascending: the constructor
+    drops the levels no step uses, so equal traces have equal fields
+    whichever table they were coded against.  ``frequencies_hz``,
+    ``times_s``, ``limiting_factors`` and ``package_cstates`` are derived
+    read-only views.  Equality is exact: the same scalars, levels and, per
+    trace, the same dtype and values.
     """
 
     kind: ClassVar[str] = "dynamic"
@@ -313,7 +382,8 @@ class DynamicRunResult(RunResult):
     time_step_s: float
     pl1_w: float
     pl2_w: float
-    frequencies_hz: NDArray[np.float64]
+    frequency_codes: NDArray[np.int8]
+    frequency_levels_hz: NDArray[np.float64]
     package_powers_w: NDArray[np.float64]
     temperatures_c: NDArray[np.float64]
     average_powers_w: NDArray[np.float64]
@@ -329,21 +399,25 @@ class DynamicRunResult(RunResult):
             object.__setattr__(self, name, _read_only(column))
             shapes.add(column.shape)
         object.__setattr__(self, "cstate_names", tuple(self.cstate_names))
+        run = f"dynamic run {self.scenario_name!r}"
         shape, *others = shapes
         if others or len(shape) != 1 or not shape[0]:
             raise ConfigurationError(
-                f"dynamic run {self.scenario_name!r} traces must be non-empty "
-                "and of equal length"
+                f"{run} traces must be non-empty and of equal length"
             )
+        levels = _checked_levels(
+            np.array(self.frequency_levels_hz, dtype=np.float64), run
+        )
         for codes, count, what in (
+            (self.frequency_codes, len(levels), "frequency"),
             (self.limiting_codes, len(LIMITING_FACTOR_ORDER), "limiting-factor"),
             (self.cstate_codes, len(self.cstate_names), "C-state"),
         ):
             if codes.min() < 0 or codes.max() >= count:
-                raise ConfigurationError(
-                    f"dynamic run {self.scenario_name!r} has {what} codes "
-                    f"outside [0, {count})"
-                )
+                raise ConfigurationError(f"{run} has {what} codes outside [0, {count})")
+        codes, levels = _compact_levels(self.frequency_codes, levels)
+        object.__setattr__(self, "frequency_codes", _read_only(codes))
+        object.__setattr__(self, "frequency_levels_hz", _read_only(levels))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DynamicRunResult) or type(other) is not type(self):
@@ -354,6 +428,7 @@ class DynamicRunResult(RunResult):
             and self.pl1_w == other.pl1_w
             and self.pl2_w == other.pl2_w
             and self.cstate_names == other.cstate_names
+            and np.array_equal(self.frequency_levels_hz, other.frequency_levels_hz)
             and all(
                 getattr(self, name).dtype == getattr(other, name).dtype
                 and np.array_equal(getattr(self, name), getattr(other, name))
@@ -370,7 +445,12 @@ class DynamicRunResult(RunResult):
     @property
     def steps(self) -> int:
         """Number of simulated steps."""
-        return len(self.frequencies_hz)
+        return len(self.frequency_codes)
+
+    @cached_property
+    def frequencies_hz(self) -> np.ndarray:
+        """Per-step core frequency in Hz, 0.0 on idle steps (read-only)."""
+        return _read_only(self.frequency_levels_hz.take(self.frequency_codes))
 
     @cached_property
     def times_s(self) -> np.ndarray:
@@ -400,14 +480,24 @@ class DynamicRunResult(RunResult):
 
     @classmethod
     def upgrade_payload(cls, data: Mapping[str, Any], version: int) -> Dict[str, Any]:
-        """A schema-1/2 payload (per-step tuples, names and ``times_s``) in
-        the columnar layout.  Its ``times_s`` must be the derived grid."""
-        missing = sorted({"time_step_s", *_SCHEMA2_TRACES} - data.keys())
+        """An older payload in the current layout.
+
+        Its ``frequencies_hz`` become codes into a level table
+        (:func:`encode_frequencies`).  A schema-1/2 payload's per-step
+        tuples and names become columns too; its ``times_s`` must be the
+        derived grid.
+        """
+        replaced = ("frequencies_hz", *(_SCHEMA2_TRACES if version < 3 else ()))
+        missing = sorted({"time_step_s", *replaced} - data.keys())
         if missing:
             raise ConfigurationError(
                 f"DynamicRunResult payload is missing required field(s) {missing}"
             )
-        upgraded = {k: v for k, v in data.items() if k not in _SCHEMA2_TRACES}
+        upgraded = {k: v for k, v in data.items() if k not in replaced}
+        frequencies = encode_frequencies(data["frequencies_hz"])
+        upgraded["frequency_codes"], upgraded["frequency_levels_hz"] = frequencies
+        if version >= 3:
+            return upgraded
         upgraded["limiting_codes"] = encode_limiting_factors(data["limiting_factors"])
         upgraded["cstate_codes"], upgraded["cstate_names"] = encode_cstates(
             data["package_cstates"]
@@ -442,29 +532,32 @@ class DynamicRunResult(RunResult):
         return float(self.times_s[-1])
 
     def _active(self) -> np.ndarray:
-        return self.frequencies_hz > 0.0
+        return self.frequency_codes > 0
+
+    def _active_codes(self) -> np.ndarray:
+        return self.frequency_codes[self._active()]
 
     @property
     def average_frequency_hz(self) -> float:
         """Mean frequency over the active steps (0 if the run never woke)."""
-        active = self.frequencies_hz[self._active()]
+        active = self.frequency_levels_hz.take(self._active_codes())
         if not active.size:
             return 0.0
         return sequential_sum(active) / active.size
 
     @property
     def peak_frequency_hz(self) -> float:
-        """Highest frequency reached."""
-        return float(self.frequencies_hz.max())
+        """Highest frequency reached (the levels ascend with their codes)."""
+        return float(self.frequency_levels_hz[self.frequency_codes.max()])
 
     @property
     def sustained_frequency_hz(self) -> float:
         """Frequency the run settled at: mean of the last tenth of the
         active steps (0 if the run never woke)."""
-        active = self.frequencies_hz[self._active()]
+        active = self._active_codes()
         if not active.size:
             return 0.0
-        tail = active[-max(1, active.size // 10) :]
+        tail = self.frequency_levels_hz.take(active[-max(1, active.size // 10) :])
         return sequential_sum(tail) / tail.size
 
     @property

@@ -11,8 +11,9 @@ Layout (root defaults to ``~/.repro_store``, overridable via the
 
 A dynamic run keeps its per-step traces in ``traces.npy``: one structured
 numpy array with a named column per trace
-(:meth:`~repro.sim.metrics.DynamicRunResult.trace_table`), so its
-``result.json`` holds only the scalars, the C-state names and the summary.
+(:meth:`~repro.sim.metrics.DynamicRunResult.trace_table`; 27 bytes a step,
+the frequency an int8 code), so its ``result.json`` holds only the
+scalars, the frequency level table, the C-state names and the summary.
 Every other value is one JSON file.
 
 Every file is written atomically (temp file in the target directory, then
@@ -33,13 +34,18 @@ import uuid
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Type, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Type, Union
 
 import numpy as np
 
 from repro.common.codec import RESULT_SCHEMA_VERSION, Codec, encode
 from repro.common.errors import ConfigurationError, StoreError
-from repro.sim.metrics import TRACE_DTYPE, DynamicRunResult, RunResult
+from repro.sim.metrics import (
+    SCHEMA3_TRACE_DTYPE,
+    TRACE_DTYPE,
+    DynamicRunResult,
+    RunResult,
+)
 from repro.store.manifest import RunManifest
 
 #: Environment variable overriding the default store location.
@@ -155,7 +161,9 @@ def encode_value(value: Any) -> Dict[str, Any]:
 def decode_value(payload: Dict[str, Any], traces: Optional[np.ndarray] = None) -> Any:
     """Decode a store payload back into the value :func:`encode_value` saw.
 
-    *traces* is the trace table of a dynamic run's payload.  Payloads that
+    *traces* is the trace table of a dynamic run's payload: a
+    :data:`~repro.sim.metrics.TRACE_DTYPE` table, or for a schema-3 payload
+    the float-frequency one its codec upgrade re-encodes.  Payloads that
     carry their traces inline (schema 1/2 artifacts) decode without one.
     """
     if not isinstance(payload, dict):
@@ -176,17 +184,18 @@ def decode_value(payload: Dict[str, Any], traces: Optional[np.ndarray] = None) -
     if TRACES_KEY not in payload:
         return cls.from_dict(value)
     steps = payload[TRACES_KEY]
+    dtype = TRACE_DTYPE if version > 3 else SCHEMA3_TRACE_DTYPE
     if not (
         isinstance(traces, np.ndarray)
-        and traces.dtype == TRACE_DTYPE
+        and traces.dtype == dtype
         and traces.shape == (steps,)
     ):
         raise StoreError(
-            f"payload expects a trace table of {steps!r} {TRACE_DTYPE} rows, "
+            f"payload expects a trace table of {steps!r} {dtype} rows, "
             f"got shape {getattr(traces, 'shape', None)} "
             f"dtype {getattr(traces, 'dtype', None)}"
         )
-    columns = {name: traces[name] for name in DynamicRunResult.trace_columns}
+    columns = {name: traces[name] for name in dtype.names or ()}
     return cls.from_dict({**value, **columns} if isinstance(value, dict) else value)
 
 
@@ -329,15 +338,23 @@ class RunStore:
             entry.name for entry in self.runs_dir.iterdir() if entry.is_dir()
         )
 
-    def iter_manifests(self) -> Iterator[RunManifest]:
+    def iter_manifests(
+        self, known: Optional[Mapping[str, RunManifest]] = None
+    ) -> Iterator[RunManifest]:
         """Yield the manifest of every complete run, skipping corrupt ones.
 
-        In-flight directories (no manifest yet) are silently ignored;
-        corrupted or truncated manifests raise a
-        :class:`StoreCorruptionWarning` and are skipped, so one damaged
-        artifact never poisons an index rebuild or a sweep.
+        A run directory named in *known* (run ID -> manifest, e.g. the runs
+        a sweep has just written) yields that manifest unread.  In-flight
+        directories (no manifest yet) are silently ignored; corrupted or
+        truncated manifests raise a :class:`StoreCorruptionWarning` and are
+        skipped, so one damaged artifact never poisons an index rebuild or
+        a sweep.
         """
+        known = known or {}
         for run_id in self.run_ids():
+            if run_id in known:
+                yield known[run_id]
+                continue
             if not (self.run_dir(run_id) / MANIFEST_FILENAME).exists():
                 continue
             try:

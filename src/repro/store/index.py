@@ -8,7 +8,8 @@ query instead of a re-simulation.  The database is derived state: it can be
 dropped at any time and rebuilt purely from the on-disk manifests
 (:meth:`RunIndex.rebuild`), which is also how it recovers from corruption.
 A sweep keeps the index current with :meth:`RunIndex.update`, which
-touches only the sweep's own runs once a rebuild has completed the index.
+touches only the sweep's own runs once a rebuild has completed the index,
+and otherwise rebuilds it without re-reading the manifests it just wrote.
 """
 
 from __future__ import annotations
@@ -144,10 +145,11 @@ class RunIndex:
         warning, as in :meth:`rebuild`).  No other manifest is read, so
         the cost does not grow with the store.  An index that no rebuild
         completed (missing, created by a query, or left by a failed
-        rebuild) is rebuilt instead.
+        rebuild) is rebuilt instead, from the *written* manifests and the
+        manifests of the other run directories.
         """
         if not self._rebuilt():
-            return self.rebuild()
+            return self.rebuild(written)
         rows = [self._row(manifest) for manifest in written]
         with self._connect() as connection:
             present: Set[str] = set()
@@ -176,15 +178,18 @@ class RunIndex:
             (count,) = connection.execute("SELECT COUNT(*) FROM runs").fetchone()
         return int(count)
 
-    def rebuild(self) -> int:
-        """Drop every row and re-index the store's manifests from disk.
+    def rebuild(self, written: Iterable[RunManifest] = ()) -> int:
+        """Drop every row and re-index every run directory of the store.
 
         Works from the artifacts alone — this is the recovery path after
-        index corruption or out-of-band store edits.  Returns the number of
-        indexed runs (corrupt manifests are skipped with a warning by
+        index corruption or out-of-band store edits.  A run among the
+        *written* manifests (the ones a sweep has just put) is indexed from
+        that manifest instead of its file.  Returns the number of indexed
+        runs (corrupt manifests are skipped with a warning by
         :meth:`~repro.store.artifacts.RunStore.iter_manifests`).
         """
-        manifests = list(self._store.iter_manifests())
+        known = {manifest.run_id: manifest for manifest in written}
+        manifests = list(self._store.iter_manifests(known))
         with self._connect() as connection:
             connection.execute("DELETE FROM runs")
             connection.executemany(

@@ -371,16 +371,14 @@ class TraceValueCounts(Codec):
     counts: NDArray[np.int64]  # (steps, V)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "TraceValueCounts":
-        """Accumulate one shard's ``(steps, dice)`` trace matrix."""
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        steps = matrix.shape[0]
-        values = np.unique(matrix)
-        index = np.searchsorted(values, matrix)
-        rows = np.arange(steps)[:, None]
-        flat = (rows * values.size + index).ravel()
-        counts = np.bincount(flat, minlength=steps * values.size)
-        return cls(values=values, counts=counts.reshape(steps, values.size))
+    def from_codes(cls, codes: np.ndarray, levels: np.ndarray) -> "TraceValueCounts":
+        """Accumulate one shard's ``(steps, dice)`` matrix of codes into the
+        ascending *levels*; the levels no step uses are dropped."""
+        steps, width = codes.shape[0], levels.size
+        flat = (np.arange(steps)[:, None] * width + codes).ravel()
+        counts = np.bincount(flat, minlength=steps * width).reshape(steps, width)
+        used = counts.any(axis=0)
+        return cls(values=levels[used], counts=counts[:, used])
 
     @property
     def steps(self) -> int:
@@ -796,18 +794,18 @@ def condense_population_traces(
     the base design's candidate table (Fmax feasibility shifts with TDP, so
     a TDP variant's own table would bin edge dice differently).
     """
-    frequencies = np.ascontiguousarray(traces.frequencies_hz)
+    codes, levels = traces.frequency_codes, traces.frequency_levels_hz
     powers = np.ascontiguousarray(traces.package_powers_w)
     temperatures = np.ascontiguousarray(traces.temperatures_c)
-    count = frequencies.shape[1]
+    count = codes.shape[1]
     specs = _cell_histogram_specs(pcode, scenario, traces.pl2_w)
     sustained_spec = specs["frequency_hz"]
-    active_steps = (frequencies > 0.0).any(axis=1)
+    active_steps = (codes > 0).any(axis=1)
     active_rows = np.flatnonzero(active_steps)
     final_counts: Dict[str, int] = {}
     if len(active_rows):
         tail = active_rows[-max(1, len(active_rows) // 10) :]
-        sustained = frequencies[tail].mean(axis=0)
+        sustained = levels.take(codes[tail]).mean(axis=0)
         last_codes = np.bincount(
             traces.limiting_codes[active_rows[-1]],
             minlength=len(_FACTOR_NAMES),
@@ -838,7 +836,7 @@ def condense_population_traces(
         times_s=np.asarray(traces.times_s),
         active_steps=active_steps,
         cstate_names=tuple(traces.package_cstate_names()),
-        frequency=TraceValueCounts.from_matrix(frequencies),
+        frequency=TraceValueCounts.from_codes(codes, levels),
         power=TraceHistogram.from_matrix(specs["power_w"], powers),
         temperature=TraceHistogram.from_matrix(
             specs["temperature_c"], temperatures

@@ -22,7 +22,7 @@ from repro.pmu.turbo import TurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import TransientThermalModel
 from repro.sim.dynamics import _loop_start, phase_step_counts, resolve_idle_state
-from repro.sim.metrics import DynamicRunResult, encode_cstates
+from repro.sim.metrics import DynamicRunResult, encode_cstates, encode_frequencies
 from repro.workloads.dynamics import DynamicPhase, DynamicScenario
 
 from oracles.dvfs import select
@@ -103,12 +103,16 @@ class DynamicsSimulator:
                     frequency, power, temperature, average, limiting, cstate
                 )
         cstate_codes, cstate_names = encode_cstates(recorder.package_cstates)
+        frequency_codes, frequency_levels_hz = encode_frequencies(
+            recorder.frequencies_hz
+        )
         return DynamicRunResult(
             scenario_name=scenario.name,
             time_step_s=dt,
             pl1_w=limits.pl1_w,
             pl2_w=limits.pl2_w,
-            frequencies_hz=recorder.frequencies_hz,
+            frequency_codes=frequency_codes,
+            frequency_levels_hz=frequency_levels_hz,
             package_powers_w=recorder.package_powers_w,
             temperatures_c=recorder.temperatures_c,
             average_powers_w=recorder.average_powers_w,

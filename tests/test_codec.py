@@ -6,12 +6,18 @@ repro 1.4.0 wrote for it (``tests/codec_fixtures/``) decodes to an equal
 object, the payload carries ``schema_version``, an unknown key is rejected
 naming the valid fields, and a newer schema version is rejected.  The store
 artifacts and ``to_json`` documents that release wrote load the same way.
+
+``tests/codec_fixtures/schema3_store/`` is the store repro 8.1.0 (schema 3,
+float64 frequency traces) wrote for :data:`SCHEMA3_ARGV`, and
+``schema3_store.txt`` the table it printed: its runs decode to the results
+the engine computes today, and the same command is served from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 from typing import Any
 
@@ -25,12 +31,15 @@ from repro.analysis.study import StudyResult
 from repro.common import codec
 from repro.common.codec import RESULT_SCHEMA_VERSION, registered_types
 from repro.common.errors import ConfigurationError, StoreError
-from repro.core.spec import SystemSpec
+from repro.core.spec import SystemSpec, get_spec
 from repro.sim import metrics
+from repro.sim.dynamics import BatchedDynamicsSimulator
 from repro.store.artifacts import RunStore, decode_value, encode_value
+from repro.store.cli import main
 from repro.variation.binning import BinningPolicy
 from repro.variation.population import PopulationResult
 from repro.variation.streaming import ScalarAccumulator, StreamingCellShard
+from repro.workloads.dynamics import build_scenario
 
 FIXTURES = Path(__file__).parent / "codec_fixtures"
 PAYLOADS = json.loads((FIXTURES / "payloads.json").read_text())
@@ -44,6 +53,17 @@ DOCUMENTS = {
 CODEC_TYPES = [
     cls for cls in registered_types() if cls.__module__.startswith("repro.")
 ]
+SCHEMA3_STORE = FIXTURES / "schema3_store"
+SCHEMA3_ARGV = [
+    "run",
+    "--spec", "darkgates",
+    "--spec", "baseline",
+    "--scenario", "burst",
+    "--scenario", "sustained",
+    "--tdp", "35",
+    "--seed", "7",
+    "--opt", "time_step_s=1",
+]  # fmt: skip
 
 
 @pytest.fixture(scope="module")
@@ -165,4 +185,34 @@ def test_decoding_is_strict():
 
 
 def test_result_schema_version_lives_in_the_codec():
-    assert metrics.RESULT_SCHEMA_VERSION is codec.RESULT_SCHEMA_VERSION == 3
+    assert metrics.RESULT_SCHEMA_VERSION is codec.RESULT_SCHEMA_VERSION == 4
+
+
+def test_schema3_store_runs_decode_to_fresh_results():
+    store = RunStore(SCHEMA3_STORE)
+    manifests = list(store.iter_manifests())
+    assert len(manifests) == 4
+    fresh = BatchedDynamicsSimulator().run_batch(
+        [
+            (
+                get_spec(manifest.spec_name, tdp_w=manifest.tdp_w).build(),
+                build_scenario(manifest.workload_name, time_step_s=1.0),
+            )
+            for manifest in manifests
+        ]
+    )
+    for manifest, result in zip(manifests, fresh):
+        run_dir = store.run_dir(manifest.run_id)
+        assert np.load(run_dir / "traces.npy").dtype == metrics.SCHEMA3_TRACE_DTYPE
+        stored = store.load_value(manifest.run_id)
+        assert stored == result
+        assert stored.summary() == result.summary()
+
+
+def test_schema3_store_stays_warm(tmp_path, capsys):
+    root = tmp_path / "store"
+    shutil.copytree(SCHEMA3_STORE, root)
+    assert main([*SCHEMA3_ARGV, "--store", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith((FIXTURES / "schema3_store.txt").read_text())
+    assert "0 task(s) executed, 4 served from the store" in out

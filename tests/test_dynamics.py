@@ -329,7 +329,8 @@ def test_dynamic_result_rejects_ragged_traces():
             time_step_s=0.1,
             pl1_w=35.0,
             pl2_w=43.75,
-            frequencies_hz=(1e9, 2e9),
+            frequency_codes=(1, 1),
+            frequency_levels_hz=(0.0, 1e9),
             package_powers_w=(10.0,),
             temperatures_c=(40.0,),
             average_powers_w=(10.0,),
@@ -346,7 +347,8 @@ def test_dynamic_result_rejects_codes_outside_their_vocabulary():
             time_step_s=0.1,
             pl1_w=35.0,
             pl2_w=43.75,
-            frequencies_hz=(1e9,),
+            frequency_codes=(1,),
+            frequency_levels_hz=(0.0, 1e9),
             package_powers_w=(10.0,),
             temperatures_c=(40.0,),
             average_powers_w=(10.0,),
@@ -360,12 +362,19 @@ def test_dynamic_result_traces_are_read_only_arrays():
     engine = _engine("darkgates", 35.0)
     result = engine.run(sustained_scenario(duration_s=2.0, **FAST_THERMAL))
     assert result.frequencies_hz.dtype == np.float64
-    assert result.limiting_codes.dtype == result.cstate_codes.dtype == np.int8
+    assert (
+        result.frequency_codes.dtype
+        == result.limiting_codes.dtype
+        == result.cstate_codes.dtype
+        == np.int8
+    )
     assert np.array_equal(
         result.times_s, np.cumsum(np.full(result.steps, result.time_step_s))
     )
     for trace in (
         result.frequencies_hz,
+        result.frequency_codes,
+        result.frequency_levels_hz,
         result.limiting_codes,
         result.times_s,
         result.limiting_factors,

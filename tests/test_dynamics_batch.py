@@ -352,9 +352,10 @@ def test_batched_executor_falls_back_for_non_dynamic_tasks():
 def _select_segment(tables):
     """An all-active segment over *tables*, its sustained bins at the top.
 
-    Resolved armed and without a thermal cap, a segment's (frequency,
+    Resolved armed and without a thermal cap, a segment's (frequency code,
     power, limiting) is exactly ``oracles.dvfs.select`` at the chosen
-    bin, so the lockstep resolution is pinned against the scalar oracle.
+    bin (code = bin + 1), so the lockstep resolution is pinned against the
+    scalar oracle.
     """
     stacked = StackedCandidateTables.from_tables(tables)
     rows = np.arange(len(tables))
@@ -373,8 +374,8 @@ def _assert_resolves_like_select(segment, tables, temperature, limit):
     runs = len(tables)
     temperatures = np.full(runs, float(temperature))
     limits = np.full(runs, float(limit))
-    frequency, power = np.empty(runs), np.empty(runs)
-    codes = np.empty(runs, dtype=np.int8)
+    power = np.empty(runs)
+    frequency, codes = np.empty((2, runs), dtype=np.int8)
     segment.resolve(
         temperatures,
         limits,
@@ -386,7 +387,7 @@ def _assert_resolves_like_select(segment, tables, temperature, limit):
     )
     for row, table in enumerate(tables):
         index, limiting = select(table, limit, temperature)
-        assert frequency[row] == table.frequencies_hz[index]
+        assert frequency[row] == index + 1
         assert power[row] == table.package_power_w(temperature)[index]
         assert LIMITING_FACTOR_ORDER[int(codes[row])] is limiting
 

@@ -37,6 +37,7 @@ from repro.sim.metrics import (
     DynamicRunResult,
     RunResult,
     encode_cstates,
+    encode_frequencies,
     encode_limiting_factors,
 )
 from repro.store.cache import StoreCache
@@ -314,12 +315,14 @@ def _result(frequencies, limits, name="unit"):
     cstate_codes, cstate_names = encode_cstates(
         ["C0" if f > 0 else "C8" for f in frequencies]
     )
+    frequency_codes, frequency_levels_hz = encode_frequencies(frequencies)
     return DynamicRunResult(
         scenario_name=name,
         time_step_s=0.1,
         pl1_w=35.0,
         pl2_w=44.0,
-        frequencies_hz=frequencies,
+        frequency_codes=frequency_codes,
+        frequency_levels_hz=frequency_levels_hz,
         package_powers_w=[10.0] * n,
         temperatures_c=[50.0] * n,
         average_powers_w=[10.0] * n,
@@ -332,10 +335,17 @@ def _result(frequencies, limits, name="unit"):
 def _schema2_payload(result):
     """*result* in the per-step tuple layout repro wrote before schema 3."""
     payload = result.to_dict()
-    for key in ("limiting_codes", "cstate_codes", "cstate_names"):
+    for key in (
+        "frequency_codes",
+        "frequency_levels_hz",
+        "limiting_codes",
+        "cstate_codes",
+        "cstate_names",
+    ):
         del payload[key]
     payload.update(
         schema_version=2,
+        frequencies_hz=result.frequencies_hz.tolist(),
         times_s=result.times_s.tolist(),
         limiting_factors=result.limiting_factors.tolist(),
         package_cstates=result.package_cstates.tolist(),

@@ -410,7 +410,7 @@ def test_encode_decode_round_trips_engine_results():
     result = engine.run(_scenario())
     payload = encode_value(result)
     assert payload["codec"] == "run_result"
-    assert "frequencies_hz" not in payload["value"]
+    assert "frequency_codes" not in payload["value"]
     traces = result.trace_table()
     assert decode_value(json.loads(json.dumps(payload)), traces) == result
     with pytest.raises(StoreError, match="trace table"):
@@ -470,7 +470,11 @@ def test_dynamic_run_round_trips_through_the_store(tmp_path):
     ]
     payload = json.loads((run_dir / "result.json").read_text())
     assert payload["traces"] == result.steps == 300
-    assert "frequencies_hz" not in payload["value"]
+    assert "frequency_codes" not in payload["value"]
+    assert payload["value"]["frequency_levels_hz"] == (
+        result.frequency_levels_hz.tolist()
+    )
+    assert np.load(run_dir / "traces.npy").dtype.itemsize == 27
     assert payload["value"]["summary"] == result.summary()
     loaded = store.load_value(run_id)
     assert loaded == result
@@ -741,6 +745,35 @@ def test_index_rebuild_from_artifacts_alone(populated_store):
     fresh = RunIndex(populated_store)
     assert not fresh.exists()
     assert fresh.rebuild() == 2  # recovered purely from manifests
+
+
+def test_index_update_on_a_fresh_store_reads_only_other_runs(tmp_path, monkeypatch):
+    """The first update of a fresh store rebuilds the index from the
+    manifests the sweep has just written; only another process's run
+    directory is read from disk."""
+    store = RunStore(tmp_path)
+    store.put(_manifest("f" * 64), {"v": 0})  # another process's run
+    cache = StoreCache(tmp_path, seed=7)
+    _dynamics_study(tmp_path, cache=cache).run()
+    assert len(cache.written) == 2
+    loaded = []
+    load_manifest = RunStore.load_manifest
+
+    def counted(self, run_id):
+        loaded.append(run_id)
+        return load_manifest(self, run_id)
+
+    monkeypatch.setattr(RunStore, "load_manifest", counted)
+    index = RunIndex(cache.store)
+    assert not index.exists()
+    assert index.update(cache.written, cache.served) == 3
+    assert loaded == ["f" * 64]
+    rows = index.query()
+    assert {row.run_id for row in rows} == {
+        "f" * 64, *(manifest.run_id for manifest in cache.written)
+    }
+    assert RunIndex(store).rebuild() == 3  # from disk alone
+    assert index.query() == rows
 
 
 def test_index_compare_joins_on_shared_cells(populated_store):

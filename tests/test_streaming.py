@@ -312,12 +312,13 @@ def test_scalar_merge_is_order_independent_and_rechunking_invariant(
 )
 @settings(max_examples=60, deadline=None)
 def test_trace_value_counts_merge_commutes_and_matches_full_matrix(matrix, cut):
-    full = np.asarray(matrix, dtype=float)
-    left = TraceValueCounts.from_matrix(full[:, :cut])
-    right = TraceValueCounts.from_matrix(full[:, cut:])
+    full = np.asarray(matrix, dtype=np.int8)
+    levels = np.array([0.0, 1.0e9, 1.5e9, 2.0e9, 3.1e9, 4.0e9])
+    left = TraceValueCounts.from_codes(full[:, :cut], levels)
+    right = TraceValueCounts.from_codes(full[:, cut:], levels)
     ab = left.merge(right)
     ba = right.merge(left)
-    whole = TraceValueCounts.from_matrix(full)
+    whole = TraceValueCounts.from_codes(full, levels)
     assert ab.to_dict() == ba.to_dict() == whole.to_dict()
     assert ab.percentile_traces() == whole.percentile_traces()
 
