@@ -146,7 +146,7 @@ from repro.workloads.spec import (
     spec_cpu2006_suite,
 )
 
-__version__ = "9.0.0"
+__version__ = "9.1.0"
 
 __all__ = [
     "SystemSpec",

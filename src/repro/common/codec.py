@@ -26,10 +26,14 @@ the wrong shape and a newer schema version all raise
 How each field converts is planned once per class from its declared type
 (:func:`typing.get_type_hints`), so neither direction inspects sequence
 elements one at a time: ``Tuple[float, ...]`` is one ``list()`` /
-``tuple()`` call, ``NDArray[np.int64]`` one ``.tolist()`` /
-``np.asarray(..., dtype=np.int64)``, and only containers of nested
+``tuple()`` call, ``NDArray[np.float64]`` one ``.tolist()`` /
+``np.asarray(..., dtype=np.float64)``, and only containers of nested
 dataclasses, enums or arrays map a planned converter over their items.
 ``Dict[int, ...]`` keys travel as strings.
+
+``NDArray[np.int64]`` fields are count arrays, mostly zeros: they travel as
+row spans (:func:`encode_spans`), and the dense nested lists of schema <= 4
+payloads still decode.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
+import operator
 import typing
-from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -55,6 +60,7 @@ from typing import (
 )
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.common.errors import ConfigurationError
 
@@ -64,8 +70,9 @@ from repro.common.errors import ConfigurationError
 #: Version 2 added the derived ``summary`` block of dynamic-run payloads;
 #: version 3 made dynamic-run traces columnar (float and int8-code arrays,
 #: ``times_s`` derived from the time step); version 4 stores a dynamic
-#: run's frequencies as int8 codes into a per-run level table.
-RESULT_SCHEMA_VERSION = 4
+#: run's frequencies as int8 codes into a per-run level table; version 5
+#: stores int64 count arrays as row spans.
+RESULT_SCHEMA_VERSION = 5
 
 #: Payload keys the codec owns; no planned class may use them as fields.
 TAG_KEYS = ("kind", "schema_version")
@@ -200,6 +207,8 @@ def _converters(tp: Any, owner: type) -> Tuple[Converter, Converter]:
         return _mapping_converters(args, owner)
     if origin is np.ndarray:
         (dtype,) = typing.get_args(args[1])
+        if dtype is np.int64:
+            return encode_spans, decode_spans
         return _tolist, lambda value: np.asarray(value, dtype=dtype)
     if isinstance(tp, type):
         if issubclass(tp, enum.Enum):
@@ -307,13 +316,100 @@ def _enum_converters(tp: Type[enum.Enum]) -> Tuple[Converter, Converter]:
                 f"{[member.value for member in tp]}"
             ) from None
 
-    return attrgetter("value"), dec
+    return operator.attrgetter("value"), dec
+
+
+# -- count arrays as row spans ---------------------------------------------------------
+
+
+class _MalformedValue(ConfigurationError):
+    """A field value of the wrong shape; :func:`decode` names the field."""
+
+
+_SPAN_KEYS = frozenset(("shape", "starts", "stops", "counts"))
+
+
+def _span_mask(starts: np.ndarray, stops: np.ndarray, width: int) -> np.ndarray:
+    """The ``(rows, width)`` mask of the entries inside each row's span."""
+    columns = np.arange(width)
+    return (columns >= starts[:, None]) & (columns < stops[:, None])
+
+
+def encode_spans(array: np.ndarray) -> Dict[str, Any]:
+    """An integer count array as row spans: ``{"shape", "starts", "stops",
+    "counts"}``.
+
+    The last axis is the row.  Row *i* keeps ``[starts[i], stops[i])``, from
+    its first non-zero entry to its last (``[0, 0)`` when it is all zeros),
+    and ``counts`` holds those in-span entries, concatenated row by row.
+    """
+    shape = array.shape
+    width = shape[-1]
+    matrix = array.reshape(math.prod(shape[:-1]), width)
+    nonzero = matrix != 0
+    if width:
+        occupied = nonzero.any(axis=1)
+        starts = np.where(occupied, nonzero.argmax(axis=1), 0)
+        stops = np.where(occupied, width - nonzero[:, ::-1].argmax(axis=1), 0)
+    else:
+        starts = stops = np.zeros(len(matrix), dtype=np.int64)
+    return {
+        "shape": list(shape),
+        "starts": starts.tolist(),
+        "stops": stops.tolist(),
+        "counts": matrix[_span_mask(starts, stops, width)].tolist(),
+    }
+
+
+def decode_spans(value: Any) -> NDArray[np.int64]:
+    """The int64 array of :func:`encode_spans` output, or of a dense nested
+    list (the form schema <= 4 payloads hold)."""
+    if not isinstance(value, Mapping):
+        return np.asarray(value, dtype=np.int64)
+    if value.keys() != _SPAN_KEYS:
+        raise _MalformedValue(
+            f"row spans need the keys {sorted(_SPAN_KEYS)}, got {sorted(value)}"
+        )
+    shape = tuple(operator.index(size) for size in value["shape"])
+    if not shape or min(shape) < 0:
+        raise _MalformedValue(
+            f"span shape {list(shape)} needs one or more non-negative dimensions"
+        )
+    rows, width = math.prod(shape[:-1]), shape[-1]
+    starts = np.asarray(value["starts"], dtype=np.int64)
+    stops = np.asarray(value["stops"], dtype=np.int64)
+    if starts.shape != (rows,) or stops.shape != (rows,):
+        raise _MalformedValue(
+            f"span starts {starts.shape} and stops {stops.shape} need one "
+            f"entry per row ({rows})"
+        )
+    if (starts < 0).any() or (stops < starts).any():
+        raise _MalformedValue("every span needs 0 <= start <= stop")
+    if (stops > width).any():
+        raise _MalformedValue(f"a span stops past the row width {width}")
+    counts = np.asarray(value["counts"], dtype=np.int64)
+    inside = int((stops - starts).sum())
+    if counts.shape != (inside,):
+        raise _MalformedValue(
+            f"spans hold {inside} in-span count(s), got counts of shape "
+            f"{counts.shape}"
+        )
+    matrix = np.zeros((rows, width), dtype=np.int64)
+    matrix[_span_mask(starts, stops, width)] = counts
+    return matrix.reshape(shape)
 
 
 # -- encode / decode -------------------------------------------------------------------
 
 #: What a converter raises on a value of the wrong shape.
-_MALFORMED = (TypeError, ValueError, AttributeError, KeyError, OverflowError)
+_MALFORMED = (
+    TypeError,
+    ValueError,
+    AttributeError,
+    KeyError,
+    OverflowError,
+    _MalformedValue,
+)
 
 
 def encode(obj: Any, omit: Tuple[str, ...] = ()) -> Dict[str, Any]:

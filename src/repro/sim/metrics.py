@@ -482,11 +482,13 @@ class DynamicRunResult(RunResult):
     def upgrade_payload(cls, data: Mapping[str, Any], version: int) -> Dict[str, Any]:
         """An older payload in the current layout.
 
-        Its ``frequencies_hz`` become codes into a level table
-        (:func:`encode_frequencies`).  A schema-1/2 payload's per-step
-        tuples and names become columns too; its ``times_s`` must be the
-        derived grid.
+        A schema-4 payload already has it.  An older one's ``frequencies_hz``
+        become codes into a level table (:func:`encode_frequencies`).  A
+        schema-1/2 payload's per-step tuples and names become columns too;
+        its ``times_s`` must be the derived grid.
         """
+        if version > 3:
+            return dict(data)
         replaced = ("frequencies_hz", *(_SCHEMA2_TRACES if version < 3 else ()))
         missing = sorted({"time_step_s", *replaced} - data.keys())
         if missing:

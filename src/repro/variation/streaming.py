@@ -139,6 +139,14 @@ def weighted_percentile(
         raise ConfigurationError(
             "values and counts must be 1-D arrays of equal length"
         )
+    return _weighted_percentiles(values, counts[None, :], percentiles)[0]
+
+
+def _weighted_percentiles(
+    values: np.ndarray, counts: np.ndarray, percentiles: Sequence[float]
+) -> np.ndarray:
+    """:func:`weighted_percentile` of every row of ``(rows, V)`` *counts*
+    over the shared *values*, as a ``(rows, len(percentiles))`` matrix."""
     if (counts < 0).any():
         raise ConfigurationError("counts must be non-negative")
     if values.size > 1 and (np.diff(values) < 0).any():
@@ -146,16 +154,34 @@ def weighted_percentile(
     ps = np.asarray(percentiles, dtype=float)
     if ((ps < 0.0) | (ps > 100.0)).any():
         raise ConfigurationError("percentiles must lie in [0, 100]")
-    total = int(counts.sum())
-    if total < 1:
-        raise ConfigurationError("percentiles need at least one sample")
-    ranks = ps / 100.0 * (total - 1)
-    lower = np.floor(ranks).astype(np.int64)
-    upper = np.ceil(ranks).astype(np.int64)
-    cumulative = np.cumsum(counts)
-    x_lo = values[np.searchsorted(cumulative, lower, side="right")]
-    x_hi = values[np.searchsorted(cumulative, upper, side="right")]
-    gamma = ranks - lower
+    ranks, lower, upper = _ranks(counts, ps, "percentiles")
+    cumulative = np.cumsum(counts, axis=1)
+    x_lo = values[_entries_at_most(cumulative, lower)]
+    x_hi = values[_entries_at_most(cumulative, upper)]
+    return _lerp(ranks - lower, x_lo, x_hi)
+
+
+def _ranks(
+    counts: np.ndarray, ps: np.ndarray, what: str
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of *counts*, the fractional ranks of the percentiles *ps* and
+    their floors and ceilings, each ``(rows, len(ps))``."""
+    totals = counts.sum(axis=1)
+    if (totals < 1).any():
+        raise ConfigurationError(f"{what} need at least one sample")
+    ranks = ps / 100.0 * (totals[:, None] - 1)
+    return ranks, np.floor(ranks).astype(np.int64), np.ceil(ranks).astype(np.int64)
+
+
+def _entries_at_most(cumulative: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per row, how many entries of the ascending *cumulative* row are <= each
+    entry of *k*: ``np.searchsorted(row, k, side="right")`` for every row."""
+    return (cumulative[:, None, :] <= k[:, :, None]).sum(axis=2)
+
+
+def _lerp(gamma: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
+    """numpy's two-sided linear interpolation between the flanking order
+    statistics."""
     diff = x_hi - x_lo
     return np.where(gamma < 0.5, x_lo + diff * gamma, x_hi - diff * (1.0 - gamma))
 
@@ -202,39 +228,42 @@ class HistogramSpec(Codec):
 def _histogram_quantiles(
     counts: np.ndarray,
     spec: HistogramSpec,
-    minimum: float,
-    maximum: float,
+    minima: np.ndarray,
+    maxima: np.ndarray,
     percentiles: Sequence[float],
 ) -> np.ndarray:
-    """Quantile estimates of one histogram row, within ``spec.width``.
+    """Quantile estimates of every row of ``(rows, bins)`` *counts*, within
+    ``spec.width``, as a ``(rows, len(percentiles))`` matrix.
 
     Both order statistics flanking the target rank are located inside their
-    true bins (and clipped to the exact min/max), so the interpolated
+    true bins (and clipped to the row's exact min/max), so the interpolated
     estimate sits within one bin width of ``np.percentile`` — the
     documented error bound.
     """
-    total = int(counts.sum())
-    if total < 1:
-        raise ConfigurationError("quantiles need at least one sample")
-    ps = np.asarray(percentiles, dtype=float)
-    ranks = ps / 100.0 * (total - 1)
-    lower = np.floor(ranks).astype(np.int64)
-    upper = np.ceil(ranks).astype(np.int64)
-    cumulative = np.cumsum(counts)
+    ranks, lower, upper = _ranks(
+        counts, np.asarray(percentiles, dtype=float), "quantiles"
+    )
+    cumulative = np.cumsum(counts, axis=1)
 
     def order_statistic(k: np.ndarray) -> np.ndarray:
-        bin_index = np.searchsorted(cumulative, k, side="right")
-        before = np.where(bin_index > 0, cumulative[bin_index - 1], 0)
-        inside = counts[bin_index]
+        bin_index = _entries_at_most(cumulative, k)
+        before = np.where(
+            bin_index > 0, np.take_along_axis(cumulative, bin_index - 1, axis=1), 0
+        )
+        inside = np.take_along_axis(counts, bin_index, axis=1)
         fraction = (k - before + 0.5) / inside
         estimate = spec.lo + spec.width * (bin_index + fraction)
-        return np.clip(estimate, minimum, maximum)
+        return np.clip(estimate, minima[:, None], maxima[:, None])
 
-    x_lo = order_statistic(lower)
-    x_hi = order_statistic(upper)
-    gamma = ranks - lower
-    diff = x_hi - x_lo
-    return np.where(gamma < 0.5, x_lo + diff * gamma, x_hi - diff * (1.0 - gamma))
+    return _lerp(ranks - lower, order_statistic(lower), order_statistic(upper))
+
+
+def _percentile_columns(traces: np.ndarray) -> Dict[str, Tuple[float, ...]]:
+    """A ``(steps, len(STREAM_PERCENTILES))`` matrix as ``{"p5": trace, ...}``."""
+    return {
+        key: tuple(traces[:, column].tolist())
+        for column, key in enumerate(_PERCENTILE_KEYS)
+    }
 
 
 # -- mergeable accumulators ------------------------------------------------------------
@@ -335,12 +364,14 @@ class ScalarAccumulator(Codec):
         self, percentiles: Sequence[float] = STREAM_PERCENTILES
     ) -> Tuple[float, ...]:
         """Quantile estimates, each within ``spec.width`` of the exact value."""
-        return tuple(
-            float(v)
-            for v in _histogram_quantiles(
-                self.counts, self.spec, self.minimum, self.maximum, percentiles
-            )
+        quantiles = _histogram_quantiles(
+            self.counts[None, :],
+            self.spec,
+            np.array([self.minimum]),
+            np.array([self.maximum]),
+            percentiles,
         )
+        return tuple(quantiles[0].tolist())
 
     def summary(self) -> ScalarSummary:
         """Condense to the finalized :class:`ScalarSummary`."""
@@ -363,8 +394,8 @@ class TraceValueCounts(Codec):
     Per-step frequencies live on the candidate table's common grid, so the
     union of observed values stays tiny no matter the population size —
     and :meth:`percentile_traces` reproduces the in-memory
-    ``np.percentile(matrix, ..., axis=1)`` bit for bit via
-    :func:`weighted_percentile`.
+    ``np.percentile(matrix, ..., axis=1)`` bit for bit, every step at once,
+    with the arithmetic of :func:`weighted_percentile`.
     """
 
     values: NDArray[np.float64]  # (V,) sorted ascending
@@ -391,7 +422,8 @@ class TraceValueCounts(Codec):
             raise ConfigurationError(
                 "cannot merge trace counts with different step counts"
             )
-        union = np.union1d(self.values, other.values)
+        both = np.sort(np.concatenate((self.values, other.values)))
+        union = both[np.concatenate(([True], both[1:] != both[:-1]))]
         counts = np.zeros((self.steps, union.size), dtype=np.int64)
         counts[:, np.searchsorted(union, self.values)] += self.counts
         counts[:, np.searchsorted(union, other.values)] += other.counts
@@ -399,15 +431,9 @@ class TraceValueCounts(Codec):
 
     def percentile_traces(self) -> Dict[str, Tuple[float, ...]]:
         """Exact per-step :data:`STREAM_PERCENTILES` traces (``{"p5": ...}``)."""
-        traces = np.empty((self.steps, len(STREAM_PERCENTILES)))
-        for step in range(self.steps):
-            traces[step] = weighted_percentile(
-                self.values, self.counts[step], STREAM_PERCENTILES
-            )
-        return {
-            key: tuple(traces[:, column].tolist())
-            for column, key in enumerate(_PERCENTILE_KEYS)
-        }
+        return _percentile_columns(
+            _weighted_percentiles(self.values, self.counts, STREAM_PERCENTILES)
+        )
 
 
 @dataclass(eq=False)
@@ -457,19 +483,11 @@ class TraceHistogram(Codec):
 
     def percentile_traces(self) -> Dict[str, Tuple[float, ...]]:
         """Per-step :data:`STREAM_PERCENTILES` traces, each within ``spec.width``."""
-        traces = np.empty((self.steps, len(STREAM_PERCENTILES)))
-        for step in range(self.steps):
-            traces[step] = _histogram_quantiles(
-                self.counts[step],
-                self.spec,
-                float(self.minima[step]),
-                float(self.maxima[step]),
-                STREAM_PERCENTILES,
+        return _percentile_columns(
+            _histogram_quantiles(
+                self.counts, self.spec, self.minima, self.maxima, STREAM_PERCENTILES
             )
-        return {
-            key: tuple(traces[:, column].tolist())
-            for column, key in enumerate(_PERCENTILE_KEYS)
-        }
+        )
 
 
 @dataclass(eq=False)

@@ -6,6 +6,8 @@ Each oracle is the slow, obviously-correct path a fast path replaced:
 * :mod:`oracles.dvfs` — the static DVFS grid walk and scalar per-step bin
   selection;
 * :mod:`oracles.population` — per-die population stepping;
+* :mod:`oracles.streaming` — per-row quantiles of the streaming
+  accumulators;
 * :mod:`oracles.droop` — the per-stage RK4 droop integrator;
 * :mod:`oracles.study` — per-cell study execution;
 * :mod:`oracles.hashing` — one render of the whole run-identity document.

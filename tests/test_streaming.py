@@ -20,20 +20,27 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import streaming as oracle
 
+import repro
 from repro.analysis.study import Study
 from repro.common.errors import ConfigurationError
-from repro.core.spec import build_engine, resolve_spec
+from repro.core.spec import build_engine, get_spec, resolve_spec
 from repro.variation.binning import skylake_binning_policy
 from repro.variation.distributions import skylake_process_variation
 from repro.variation.population import PopulationResult, PopulationStudy
 from repro.variation.sampler import NOMINAL_PARAMETERS, DiePopulationSampler
 from repro.variation.streaming import (
+    STREAM_PERCENTILES,
     HistogramSpec,
     ScalarAccumulator,
     ShardPlan,
@@ -49,7 +56,7 @@ from repro.variation.streaming import (
     run_cell_shard,
     weighted_percentile,
 )
-from repro.workloads.dynamics import burst_scenario
+from repro.workloads.dynamics import build_scenario, burst_scenario
 
 SEED = 20220402
 DICE = 48
@@ -216,6 +223,146 @@ def test_weighted_percentile_validates_inputs():
         weighted_percentile(values, np.asarray([1, -1]), (50.0,))
     with pytest.raises(ConfigurationError):
         weighted_percentile(values, np.asarray([1, 1]), (101.0,))
+
+
+# -- row-wise quantiles equal the per-row oracle, bit for bit ------------------------
+
+
+def _trace_matrix(traces):
+    """A ``{"p5": ..., "p50": ..., "p95": ...}`` dict as its (steps, 3) matrix."""
+    return np.column_stack(
+        [np.asarray(traces[f"p{int(p)}"], dtype=float) for p in STREAM_PERCENTILES]
+    )
+
+
+def _assert_rows_match_the_oracle(histogram, values):
+    """Every row-wise quantile path of *histogram* (and of its counts over
+    *values*) has the per-row oracle's bits."""
+    assert (
+        _trace_matrix(histogram.percentile_traces()).tobytes()
+        == oracle.histogram_percentile_matrix(histogram).tobytes()
+    )
+    exact = TraceValueCounts(values=values, counts=histogram.counts)
+    assert (
+        _trace_matrix(exact.percentile_traces()).tobytes()
+        == oracle.value_percentile_matrix(exact).tobytes()
+    )
+    row = histogram.counts[0]
+    accumulator = ScalarAccumulator(
+        spec=histogram.spec,
+        counts=row,
+        minimum=float(histogram.minima[0]),
+        maximum=float(histogram.maxima[0]),
+    )
+    expected = oracle.histogram_quantiles(
+        row,
+        histogram.spec,
+        accumulator.minimum,
+        accumulator.maximum,
+        STREAM_PERCENTILES,
+    )
+    assert np.asarray(accumulator.quantiles()).tobytes() == expected.tobytes()
+    assert (
+        weighted_percentile(values, row, STREAM_PERCENTILES).tobytes()
+        == oracle.weighted_percentile(values, row, STREAM_PERCENTILES).tobytes()
+    )
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=12),
+    bins=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_row_wise_quantiles_equal_the_per_row_oracle(rows, bins, data):
+    cells = st.one_of(st.just(0), st.just(0), st.integers(min_value=1, max_value=9))
+    counts = np.asarray(
+        data.draw(
+            st.lists(
+                st.lists(cells, min_size=bins, max_size=bins),
+                min_size=rows,
+                max_size=rows,
+            )
+        ),
+        dtype=np.int64,
+    )
+    counts[counts.sum(axis=1) == 0, data.draw(st.integers(0, bins - 1))] = 1
+    spec = HistogramSpec(lo=-2.0, hi=3.0, bins=bins)
+    low = data.draw(st.floats(min_value=-3.0, max_value=0.5))
+    high = data.draw(st.floats(min_value=0.5, max_value=4.0))
+    histogram = TraceHistogram(
+        spec=spec,
+        counts=counts,
+        minima=np.full(rows, low),
+        maxima=np.linspace(high, high + 1.0, rows),
+    )
+    values = np.cumsum(
+        np.asarray(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=0.01, max_value=1e9),
+                    min_size=bins,
+                    max_size=bins,
+                )
+            )
+        )
+    )
+    _assert_rows_match_the_oracle(histogram, values)
+
+
+def test_row_wise_quantiles_of_a_real_shard_equal_the_per_row_oracle():
+    dice = 4096
+    shard = run_cell_shard(
+        get_spec("darkgates", tdp_w=65.0),
+        build_scenario("burst", time_step_s=1.0),
+        skylake_process_variation(),
+        dice,
+        0,
+        0,
+        dice,
+        skylake_binning_policy(),
+    )
+    for histogram in (shard.power, shard.temperature):
+        spec = histogram.spec
+        _assert_rows_match_the_oracle(
+            histogram, spec.lo + spec.width * np.arange(spec.bins)
+        )
+    frequency = shard.frequency
+    assert (
+        _trace_matrix(frequency.percentile_traces()).tobytes()
+        == oracle.value_percentile_matrix(frequency).tobytes()
+    )
+    for accumulator in (shard.sustained, shard.average_power, shard.peak_temperature):
+        expected = oracle.histogram_quantiles(
+            accumulator.counts,
+            accumulator.spec,
+            accumulator.minimum,
+            accumulator.maximum,
+            STREAM_PERCENTILES,
+        )
+        assert np.asarray(accumulator.quantiles()).tobytes() == expected.tobytes()
+
+
+def test_a_population_pass_does_not_import_numpy_ma(tmp_path):
+    """``np.unique`` without ``return_*`` flags and ``np.percentile`` import
+    ``numpy.ma`` (about 14 ms); a cold or warm population pass calls neither."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.store.cli import main\n"
+        "argv = ['run', '--spec', 'darkgates', '--scenario', 'burst',"
+        " '--population', '64', '--shard-size', '32',"
+        " '--opt', 'time_step_s=10', '--seed', '7', '--store', sys.argv[1]]\n"
+        "for label in ('cold', 'warm'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print(label, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "store")],
+        capture_output=True, text=True, env=env, check=True,
+    )  # fmt: skip
+    assert run.stdout.splitlines() == ["cold False", "warm False"]
 
 
 # -- histogram-backed quantiles stay within one bin width ------------------------------
