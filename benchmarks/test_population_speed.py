@@ -33,7 +33,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.analysis.study import Study
+from repro.analysis.study import Study, SweepRequest
 from repro.core.spec import build_engine, resolve_spec
 from repro.variation.binning import SCRAP_BIN, die_metrics, skylake_binning_policy
 from repro.variation.distributions import skylake_process_variation
@@ -98,18 +98,21 @@ def _study(method: str, shard_size: Optional[int] = None) -> Study:
     kwargs: Dict[str, Any] = {}
     if shard_size is not None:
         kwargs["shard_size"] = shard_size
+    name = f"population-bench-{method}"
     if method == "reference":
-        build = ReferencePopulationStudy
+        build = functools.partial(
+            ReferencePopulationStudy, request=SweepRequest(seed=SEED, name=name)
+        )
     else:
-        build = functools.partial(Study.over_population, method=method)
+        build = functools.partial(
+            Study.over_population, method=method, seed=SEED, name=name
+        )
     return build(
         ("darkgates",),
         (_scenario(),),
         skylake_process_variation(),
         count=DICE,
         tdp_levels_w=(TDP_W,),
-        seed=SEED,
-        name=f"population-bench-{method}",
         **kwargs,
     )
 

@@ -106,8 +106,6 @@ from repro.core.spec import (
     SystemSpec,
     build_engine,
     get_spec,
-    register_spec,
-    spec_names,
 )
 from repro.pdn.transients import (
     LoadTrace,
@@ -146,14 +144,12 @@ from repro.workloads.spec import (
     spec_cpu2006_suite,
 )
 
-__version__ = "9.1.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "SystemSpec",
     "build_engine",
     "get_spec",
-    "register_spec",
-    "spec_names",
     "Study",
     "StudyResult",
     "SweepRequest",

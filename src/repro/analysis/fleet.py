@@ -24,10 +24,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import (
-    Any,
     Dict,
     List,
-    MutableMapping,
     Optional,
     Sequence,
     Tuple,
@@ -35,7 +33,7 @@ from typing import (
 )
 
 from repro.analysis.reporting import format_table
-from repro.analysis.study import Executor, Study, StudyTask, SweepRequest
+from repro.analysis.study import Study, SweepRequest
 from repro.common.codec import Codec
 from repro.common.errors import ConfigurationError
 from repro.common.validation import seed_or_default
@@ -151,8 +149,8 @@ class FleetStudy:
     request:
         The unified execution descriptor (executor / max_workers / cache /
         seed / name); :meth:`Study.over_fleet
-        <repro.analysis.study.Study.over_fleet>` builds one through the
-        shared validation helper.  An unseeded request runs with seed 0.
+        <repro.analysis.study.Study.over_fleet>` builds one from its
+        keywords.  An unseeded request runs with seed 0.
     """
 
     def __init__(
@@ -163,22 +161,10 @@ class FleetStudy:
         ensemble: int = 8,
         tdp_levels_w: Optional[Sequence[float]] = None,
         slo_frequency_hz: float = DEFAULT_SLO_FREQUENCY_HZ,
-        executor: Optional[Executor] = None,
-        max_workers: Optional[int] = None,
-        cache: Optional[MutableMapping[StudyTask, Any]] = None,
-        seed: Optional[int] = None,
-        name: str = "fleet-study",
         request: Optional[SweepRequest] = None,
     ) -> None:
         if request is None:
-            request = SweepRequest(
-                executor=executor,
-                max_workers=max_workers,
-                cache=cache,
-                seed=seed,
-                name=name,
-            )
-            request.validate("FleetStudy")
+            request = SweepRequest(name="fleet-study")
         if ensemble < 1:
             raise ConfigurationError("ensemble must be >= 1")
         resolved = tuple(resolve_spec(spec) for spec in specs)

@@ -616,11 +616,6 @@ class OptimizationStudy:
         return self._spec
 
     @property
-    def base_specs(self) -> Tuple[SystemSpec, ...]:
-        """The base system specs, each solved independently."""
-        return self._base_specs
-
-    @property
     def request(self) -> SweepRequest:
         """The unified execution descriptor probes run under."""
         return self._request

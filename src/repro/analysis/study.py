@@ -257,8 +257,9 @@ Executor = Union[StudyExecutor, StoreOnlyExecutor]
 
 
 #: Execution keywords every sweep entry point accepts — the one surface
-#: shared by ``Study(...)``, every ``Study.over_*`` constructor,
-#: ``Study.optimize`` and ``PopulationStudy``.
+#: shared by ``Study(...)``, every ``Study.over_*`` constructor and
+#: ``Study.optimize``.  ``PopulationStudy``, ``FleetStudy`` and
+#: ``OptimizationStudy`` take the :class:`SweepRequest` these build.
 SWEEP_KWARGS = ("executor", "max_workers", "cache", "seed", "name")
 
 
@@ -321,12 +322,6 @@ class SweepRequest:
             ensure_seed(self.seed, f"{where}: seed")
         if self.executor is None:
             return
-        if isinstance(self.executor, str):
-            raise ConfigurationError(
-                f"{where}: executor={self.executor!r}: executor names were "
-                "removed in repro 4.0; every study batches its dynamic cells "
-                "in lockstep, and max_workers=N runs it on N processes"
-            )
         if not hasattr(self.executor, "run_tasks"):
             raise ConfigurationError(
                 f"{where}: executor must expose run_tasks(); got "

@@ -1,37 +1,18 @@
 """Shared utilities for the DarkGates reproduction library.
 
 This package holds the small building blocks used across every other
-subpackage: unit conversion helpers, physical constants, input validation,
-frequency grids, and the library's exception hierarchy.
+subpackage: frequency scale factors, input validation, frequency grids,
+the library's exception hierarchy and its payload codec.
 """
 
 from repro.common.errors import (
-    CalibrationError,
     ConfigurationError,
     ConstraintViolation,
     ReproError,
     SimulationError,
 )
 from repro.common.grid import FrequencyGrid
-from repro.common.units import (
-    GHZ,
-    KHZ,
-    MHZ,
-    MICRO,
-    MILLI,
-    NANO,
-    PICO,
-    celsius_to_kelvin,
-    from_ghz,
-    from_mhz,
-    from_mohm,
-    from_mv,
-    kelvin_to_celsius,
-    to_ghz,
-    to_mhz,
-    to_mohm,
-    to_mv,
-)
+from repro.common.units import GHZ, MHZ
 from repro.common.validation import (
     ensure_in_range,
     ensure_non_negative,
@@ -43,24 +24,8 @@ __all__ = [
     "ConfigurationError",
     "ConstraintViolation",
     "SimulationError",
-    "CalibrationError",
     "GHZ",
     "MHZ",
-    "KHZ",
-    "MILLI",
-    "MICRO",
-    "NANO",
-    "PICO",
-    "from_ghz",
-    "from_mhz",
-    "from_mv",
-    "from_mohm",
-    "to_ghz",
-    "to_mhz",
-    "to_mv",
-    "to_mohm",
-    "celsius_to_kelvin",
-    "kelvin_to_celsius",
     "FrequencyGrid",
     "ensure_positive",
     "ensure_non_negative",

@@ -46,10 +46,6 @@ class SimulationError(ReproError):
     """
 
 
-class CalibrationError(ReproError):
-    """Raised when calibration targets cannot be met by the model."""
-
-
 class StoreError(ReproError):
     """Raised when the persistent run store cannot honour a request.
 

@@ -1,83 +1,10 @@
-"""Unit helpers.
+"""Frequency scale factors.
 
 The library stores every physical quantity internally in SI base units:
 volts, amperes, ohms, henries, farads, hertz, watts, seconds and kelvin.
-The paper, its figures, and processor datasheets quote values in scaled
-units (millivolts, milliohms, megahertz, ...), so this module provides a
-small set of explicit conversion helpers.  Explicit helpers are preferred
-over ad-hoc ``* 1e-3`` literals scattered through the code because the
-conversion direction is then obvious at the call site.
+Processor datasheets quote frequencies in MHz and GHz, so SKU tables and
+frequency grids write them as ``100 * MHZ`` or ``3.6 * GHZ``.
 """
 
-from __future__ import annotations
-
-# Scale factors ---------------------------------------------------------------
-
-MILLI = 1e-3
-MICRO = 1e-6
-NANO = 1e-9
-PICO = 1e-12
-
-KHZ = 1e3
 MHZ = 1e6
 GHZ = 1e9
-
-_KELVIN_OFFSET = 273.15
-
-
-# Frequency -------------------------------------------------------------------
-
-def from_ghz(value_ghz: float) -> float:
-    """Convert a frequency expressed in GHz to Hz."""
-    return value_ghz * GHZ
-
-
-def to_ghz(value_hz: float) -> float:
-    """Convert a frequency expressed in Hz to GHz."""
-    return value_hz / GHZ
-
-
-def from_mhz(value_mhz: float) -> float:
-    """Convert a frequency expressed in MHz to Hz."""
-    return value_mhz * MHZ
-
-
-def to_mhz(value_hz: float) -> float:
-    """Convert a frequency expressed in Hz to MHz."""
-    return value_hz / MHZ
-
-
-# Voltage ---------------------------------------------------------------------
-
-def from_mv(value_mv: float) -> float:
-    """Convert a voltage expressed in millivolts to volts."""
-    return value_mv * MILLI
-
-
-def to_mv(value_v: float) -> float:
-    """Convert a voltage expressed in volts to millivolts."""
-    return value_v / MILLI
-
-
-# Resistance ------------------------------------------------------------------
-
-def from_mohm(value_mohm: float) -> float:
-    """Convert a resistance expressed in milliohms to ohms."""
-    return value_mohm * MILLI
-
-
-def to_mohm(value_ohm: float) -> float:
-    """Convert a resistance expressed in ohms to milliohms."""
-    return value_ohm / MILLI
-
-
-# Temperature -----------------------------------------------------------------
-
-def celsius_to_kelvin(value_c: float) -> float:
-    """Convert a temperature in degrees Celsius to kelvin."""
-    return value_c + _KELVIN_OFFSET
-
-
-def kelvin_to_celsius(value_k: float) -> float:
-    """Convert a temperature in kelvin to degrees Celsius."""
-    return value_k - _KELVIN_OFFSET

@@ -24,9 +24,7 @@ from repro.core.spec import (
     SystemSpec,
     build_engine,
     get_spec,
-    register_spec,
     resolve_spec,
-    spec_names,
 )
 
 __all__ = [
@@ -34,9 +32,7 @@ __all__ = [
     "SKU_BUILDERS",
     "build_engine",
     "get_spec",
-    "register_spec",
     "resolve_spec",
-    "spec_names",
     "ImplementationOverheads",
     "darkgates_overheads",
 ]

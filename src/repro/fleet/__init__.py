@@ -7,9 +7,7 @@ quantified per fleet workload **mix** instead of per synthetic burst:
 
 * :mod:`repro.fleet.arrivals` — frozen, seeded arrival-process specs
   (Poisson, diurnal-modulated, self-similar ON/OFF, deterministic duty
-  cycle) with a composition algebra mirroring
-  :class:`~repro.pdn.transients.LoadTrace` (``then`` / ``overlay`` /
-  ``scaled`` / ``repeated``);
+  cycle) that sum with ``overlay``;
 * :mod:`repro.fleet.profiles` — named fleet profiles (datacenter duty
   cycle, consumer interactive, graphics+IA co-scheduling) compiled into
   :class:`~repro.workloads.dynamics.DynamicScenario` timelines through the
@@ -33,11 +31,8 @@ from repro.fleet.arrivals import (
     OnOffArrivals,
     OverlayArrivals,
     PoissonArrivals,
-    ScaledArrivals,
-    SequenceArrivals,
 )
 from repro.fleet.profiles import (
-    FLEET_PROFILE_PREFIX,
     FleetProfile,
     ScenarioGenerator,
     consumer_interactive_profile,
@@ -59,9 +54,6 @@ __all__ = [
     "OnOffArrivals",
     "OverlayArrivals",
     "PoissonArrivals",
-    "ScaledArrivals",
-    "SequenceArrivals",
-    "FLEET_PROFILE_PREFIX",
     "FleetProfile",
     "ScenarioGenerator",
     "consumer_interactive_profile",

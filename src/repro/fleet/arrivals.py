@@ -1,4 +1,4 @@
-"""Seeded request-arrival processes and their composition algebra.
+"""Seeded request-arrival processes and their overlay.
 
 An :class:`ArrivalProcess` declares *how load arrives* over a time horizon:
 a Poisson stream, a diurnally-modulated stream, a self-similar ON/OFF
@@ -13,15 +13,9 @@ from ``numpy.random.default_rng(SeedSequence(entropy=seed, spawn_key=key))``
 where *key* is the node's **path** in the composition tree (prefixed by the
 ensemble member index in :mod:`repro.fleet.profiles`).  A leaf's randomness
 therefore depends only on ``(seed, path)`` — never on sibling processes,
-ensemble size, or draw order — which is what makes the algebra lawful:
-
-* ``a.then(b)`` and ``a.repeated(n)`` flatten into one
-  :class:`SequenceArrivals`, so ``a.then(a) == a.repeated(2)`` exactly and
-  ``then`` is associative both structurally and stochastically;
-* ``a.overlay(b)`` flattens into one :class:`OverlayArrivals` whose sample
-  is the padded **sum** of its children's samples;
-* ``a.scaled(k)`` multiplies the sampled load by *k* without touching the
-  draw (and folds: ``a.scaled(j).scaled(k) == a.scaled(j * k)``).
+ensemble size, or draw order.  Processes compose with ``a.overlay(b)``,
+which flattens into one :class:`OverlayArrivals` whose sample is the padded
+**sum** of its children's samples.
 
 Every spec is a frozen dataclass with canonicalizable fields, so arrival
 processes hash into run-store fingerprints like any other descriptor
@@ -31,7 +25,7 @@ processes hash into run-store fingerprints like any other descriptor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -62,18 +56,18 @@ def slot_count(duration_s: float, slot_s: float) -> int:
 
 
 class ArrivalProcess:
-    """Base of every arrival-process spec: sampling plus the algebra.
+    """Base of every arrival-process spec: sampling plus ``overlay``.
 
     Concrete processes are frozen dataclasses implementing
     :attr:`duration_s` and :meth:`_sample`; this base contributes
-    :meth:`sample_load` (the seeded public entry point) and the
-    composition operators.
+    :meth:`sample_load` (the seeded public entry point) and
+    :meth:`overlay`.
     """
 
     # -- the sampling contract ---------------------------------------------------------
     #
     # Every concrete process exposes ``duration_s`` (leaves as a dataclass
-    # field, combinators as a derived property) and implements ``_sample``.
+    # field, the overlay as a derived property) and implements ``_sample``.
     # The base deliberately does NOT declare a ``duration_s`` property: a
     # property object on the base would read as a field default to the
     # dataclass machinery of the leaves.
@@ -99,44 +93,11 @@ class ArrivalProcess:
         loads.flags.writeable = False
         return loads
 
-    # -- the composition algebra -------------------------------------------------------
-
-    def then(self, other: "ArrivalProcess") -> "SequenceArrivals":
-        """This process followed in time by *other* (flattened)."""
-        return SequenceArrivals(children=_chain(self) + _chain(other))
-
-    def repeated(self, count: int) -> "ArrivalProcess":
-        """This process repeated *count* times back to back.
-
-        ``a.repeated(n)`` equals the n-fold ``then`` chain of *a* exactly —
-        the same flattened :class:`SequenceArrivals`, hence the same draws.
-        """
-        if count < 1:
-            raise ConfigurationError("count must be >= 1")
-        if count == 1:
-            return self
-        return SequenceArrivals(children=_chain(self) * count)
+    # -- composition -------------------------------------------------------------------
 
     def overlay(self, other: "ArrivalProcess") -> "OverlayArrivals":
         """Sum of this process and *other* (shorter child zero-padded)."""
         return OverlayArrivals(children=_stack(self) + _stack(other))
-
-    def scaled(self, factor: float) -> "ArrivalProcess":
-        """This process with every sampled load multiplied by *factor*.
-
-        Scaling is applied after the draw, so it never perturbs the
-        underlying randomness; nested scales fold into one node.
-        """
-        ensure_positive(factor, "factor")
-        if isinstance(self, ScaledArrivals):
-            return replace(self, factor=self.factor * factor)
-        return ScaledArrivals(process=self, factor=factor)
-
-
-def _chain(process: ArrivalProcess) -> Tuple[ArrivalProcess, ...]:
-    if isinstance(process, SequenceArrivals):
-        return process.children
-    return (process,)
 
 
 def _stack(process: ArrivalProcess) -> Tuple[ArrivalProcess, ...]:
@@ -364,40 +325,7 @@ class DutyCycleArrivals(ArrivalProcess):
         return loads
 
 
-# -- combinators -----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SequenceArrivals(ArrivalProcess):
-    """Children played back to back in time (the ``then`` combinator).
-
-    Child *i* draws from tree path ``key + (i,)``, so a child's randomness
-    is independent of its siblings and of how the sequence was assembled
-    (``a.then(b).then(c)``, ``a.then(b.then(c))`` and a literal
-    three-child sequence are one and the same flattened spec).
-    """
-
-    children: Tuple[ArrivalProcess, ...]
-
-    def __post_init__(self) -> None:
-        _check_children(self.children, "SequenceArrivals")
-        if any(isinstance(c, SequenceArrivals) for c in self.children):
-            raise ConfigurationError(
-                "SequenceArrivals children must be flattened; build "
-                "sequences with .then()/.repeated()"
-            )
-
-    @property
-    def duration_s(self) -> float:
-        return sum(child.duration_s for child in self.children)
-
-    def _sample(self, slot_s: float, seed: int, key: SeedKey) -> np.ndarray:
-        return np.concatenate(
-            [
-                child._sample(slot_s, seed, key + (index,))
-                for index, child in enumerate(self.children)
-            ]
-        )
+# -- composition -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -429,30 +357,3 @@ class OverlayArrivals(ArrivalProcess):
             sample = child._sample(slot_s, seed, key + (index,))
             total[: len(sample)] += sample[:n]
         return total
-
-
-@dataclass(frozen=True)
-class ScaledArrivals(ArrivalProcess):
-    """A child process with its sampled load multiplied by a factor.
-
-    The scale applies *after* the draw on the child's own tree path, so
-    ``a.scaled(k).sample_load(...) == a.sample_load(...) * k`` exactly.
-    """
-
-    process: ArrivalProcess
-    factor: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.process, ArrivalProcess):
-            raise ConfigurationError(
-                "ScaledArrivals wraps an arrival process, got "
-                f"{type(self.process).__name__}"
-            )
-        ensure_positive(self.factor, "factor")
-
-    @property
-    def duration_s(self) -> float:
-        return self.process.duration_s
-
-    def _sample(self, slot_s: float, seed: int, key: SeedKey) -> np.ndarray:
-        return self.process._sample(slot_s, seed, key) * self.factor

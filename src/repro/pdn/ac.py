@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,11 +32,6 @@ class ImpedancePoint:
     def magnitude_ohm(self) -> float:
         """Magnitude of the impedance in ohms."""
         return abs(self.impedance_ohm)
-
-    @property
-    def phase_deg(self) -> float:
-        """Phase of the impedance in degrees."""
-        return math.degrees(math.atan2(self.impedance_ohm.imag, self.impedance_ohm.real))
 
 
 @dataclass
@@ -67,24 +62,6 @@ class ImpedanceProfile:
         closest = min(self.points, key=lambda p: abs(p.frequency_hz - frequency_hz))
         return closest.magnitude_ohm
 
-    def local_maxima(self, minimum_prominence: float = 1.05) -> List[ImpedancePoint]:
-        """Return the anti-resonance peaks of the profile.
-
-        A point is a peak when it is larger than both neighbours and larger
-        than the adjacent local minima by at least *minimum_prominence*
-        (a ratio).  These peaks are the "resonance" annotations in Fig. 4.
-        """
-        magnitudes = self.magnitudes_ohm()
-        peaks: List[ImpedancePoint] = []
-        for i in range(1, len(self.points) - 1):
-            if magnitudes[i] >= magnitudes[i - 1] and magnitudes[i] > magnitudes[i + 1]:
-                left_min = magnitudes[: i + 1].min()
-                right_min = magnitudes[i:].min()
-                reference = max(left_min, right_min)
-                if reference > 0 and magnitudes[i] / reference >= minimum_prominence:
-                    peaks.append(self.points[i])
-        return peaks
-
     def ratio_to(self, other: "ImpedanceProfile") -> np.ndarray:
         """Pointwise magnitude ratio of this profile to *other*.
 
@@ -100,10 +77,6 @@ class ImpedanceProfile:
         """Geometric-mean magnitude ratio of this profile to *other*."""
         ratios = self.ratio_to(other)
         return float(np.exp(np.mean(np.log(ratios))))
-
-    def as_rows(self) -> List[Tuple[float, float]]:
-        """(frequency_hz, magnitude_ohm) rows for table/CSV output."""
-        return [(p.frequency_hz, p.magnitude_ohm) for p in self.points]
 
 
 class ACAnalysis:

@@ -211,10 +211,6 @@ class LoadLine:
         if at_light_load > self.vmax_v:
             raise ConstraintViolation("Vmax", at_light_load, self.vmax_v)
 
-    def max_setpoint_v(self, minimum_current_a: float = 0.0) -> float:
-        """Highest VR setpoint that keeps the lightest load below Vmax."""
-        return self.vmax_v + self.resistance_ohm * minimum_current_a
-
 
 def default_virus_table(core_count: int = 4) -> VirusLevelTable:
     """Virus-level table representative of a 4-core Skylake client part.

@@ -9,14 +9,14 @@ Models the firmware behaviours the paper extends for DarkGates (Section 4.2):
 * :mod:`repro.pmu.dvfs` — P-state resolution: the highest 100 MHz bin that
   satisfies the TDP, Vmax and Iccmax limits for a given workload demand.
 * :mod:`repro.pmu.turbo` — multi-core turbo tables derived from the V/F
-  curves.
+  curves, and the batched PL1/PL2 turbo budget of the dynamics engine.
 * :mod:`repro.pmu.pbm` — power-budget management between CPU cores and the
   graphics engine.
 * :mod:`repro.pmu.cstates` — package C-states (Table 1) and their power.
 * :mod:`repro.pmu.pcode` — the firmware facade tying it all together.
 """
 
-from repro.pmu.cstates import PACKAGE_CSTATE_TABLE, PackageCState, PackageCStateModel
+from repro.pmu.cstates import PackageCState, PackageCStateModel
 from repro.pmu.dvfs import (
     CandidateTable,
     CpuDemand,
@@ -27,13 +27,12 @@ from repro.pmu.dvfs import (
 from repro.pmu.fuses import FuseSet, PowerDeliveryMode
 from repro.pmu.pbm import GraphicsOperatingPoint, PowerBudgetManager
 from repro.pmu.pcode import Pcode
-from repro.pmu.turbo import TurboBudgetManager, TurboTable
+from repro.pmu.turbo import TurboTable
 from repro.pmu.vf_curve import VfCurve
 
 __all__ = [
     "PackageCState",
     "PackageCStateModel",
-    "PACKAGE_CSTATE_TABLE",
     "DvfsPolicy",
     "OperatingPoint",
     "LimitingFactor",
@@ -44,7 +43,6 @@ __all__ = [
     "PowerBudgetManager",
     "Pcode",
     "CandidateTable",
-    "TurboBudgetManager",
     "TurboTable",
     "VfCurve",
 ]

@@ -74,8 +74,8 @@ class PackageCState(Enum):
 #: Break-even ladder of package C-state entry: (minimum idle-gap duration in
 #: seconds, state entered), shallow to deep.  Entering a deep state costs
 #: more transition energy than it saves below its break-even time, so very
-#: short gaps only reach the shallow states.  Shared by the residency tracker
-#: and the closed-loop dynamics engine.
+#: short gaps only reach the shallow states.  The closed-loop dynamics engine
+#: maps each idle phase through it.
 CSTATE_BREAK_EVEN_LADDER: Tuple[Tuple[float, "PackageCState"], ...] = (
     (0.0, PackageCState.C2),
     (0.0005, PackageCState.C3),
@@ -319,10 +319,6 @@ class PackageCStateModel:
         )
 
     # -- state selection ------------------------------------------------------------------
-
-    def deepest_reachable(self, deepest_supported: PackageCState) -> PackageCState:
-        """Deepest state the platform actually enters during long idle."""
-        return deepest_supported
 
     def idle_states(self) -> List[PackageCState]:
         """All idle (non-C0) states, shallow to deep."""

@@ -50,11 +50,6 @@ class GraphicsOperatingPoint:
     uncore_power_w: float
     package_power_w: float
 
-    @property
-    def graphics_frequency_mhz(self) -> float:
-        """Graphics frequency in MHz."""
-        return self.graphics_frequency_hz / 1e6
-
 
 class PowerBudgetManager:
     """Splits the TDP budget between CPU cores and the graphics engine.

@@ -6,10 +6,10 @@ table is derived from the guardbanded V/F curve — more active cores means a
 higher power-virus level, a larger guardband, and therefore a lower
 Vmax-limited frequency.  The DVFS policy applies TDP/Iccmax on top of it.
 
-:class:`TurboBudgetManager` adds the *temporal* half of turbo (Section 2.1):
-the PL1/PL2 limit pair with EWMA accounting that lets the package burst to
-PL2 while the moving average of power has headroom below PL1, then squeezes
-the budget back to the sustained (TDP) level.
+:class:`BatchedTurboBudgetManager` adds the *temporal* half of turbo
+(Section 2.1): the PL1/PL2 limit pair with EWMA accounting that lets the
+package burst to PL2 while the moving average of power has headroom below
+PL1, then squeezes the budget back to the sustained (TDP) level.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.pmu.vf_curve import VfCurve
-from repro.power.budget import BatchedEwmaMeter, EwmaPowerMeter, TurboLimits
+from repro.power.budget import BatchedEwmaMeter, TurboLimits
 
 
 @dataclass(frozen=True)
@@ -86,70 +86,16 @@ class TurboTable:
         return cls(max_frequency_by_active_cores=table)
 
 
-class TurboBudgetManager:
-    """Stateful PL1/PL2 turbo budget with EWMA accounting.
-
-    One manager tracks one closed-loop run: every simulation step asks for
-    the instantaneous package power budget, resolves an operating point
-    under it, and accounts the power actually drawn.  While the moving
-    average sits well below PL1 the budget is the burst limit PL2; as
-    sustained draw pulls the average up to PL1 the budget converges to PL1
-    (the TDP), which is exactly the burst-then-throttle shape of the paper's
-    TDP-limited systems.
-
-    Parameters
-    ----------
-    limits:
-        The PL1/PL2/tau configuration.
-    initial_average_w:
-        Starting EWMA of package power; zero models a fully banked budget.
-    """
-
-    def __init__(self, limits: TurboLimits, initial_average_w: float = 0.0) -> None:
-        self._limits = limits
-        self._meter = EwmaPowerMeter(
-            tau_s=limits.tau_s, initial_average_w=initial_average_w
-        )
-
-    @property
-    def limits(self) -> TurboLimits:
-        """The PL1/PL2 configuration in force."""
-        return self._limits
-
-    @property
-    def average_power_w(self) -> float:
-        """Present EWMA of accounted package power."""
-        return self._meter.average_w
-
-    def power_budget_w(self, time_step_s: float) -> float:
-        """Package power the next *time_step_s* may draw.
-
-        The binding constraint is the tighter of the instantaneous PL2
-        limit and the largest draw that keeps the EWMA at or below PL1.
-        """
-        pl1_bound = self._meter.max_power_keeping_average_w(
-            self._limits.pl1_w, time_step_s
-        )
-        return min(self._limits.pl2_w, pl1_bound)
-
-    def account(self, power_w: float, time_step_s: float) -> float:
-        """Record *time_step_s* of constant *power_w*; returns the new average."""
-        return self._meter.update(power_w, time_step_s)
-
-    def headroom_w(self) -> float:
-        """How far the moving average sits below PL1 (negative when over)."""
-        return self._limits.pl1_w - self._meter.average_w
-
-
 class BatchedTurboBudgetManager:
-    """Vectorized :class:`TurboBudgetManager` over a batch of lockstep runs.
+    """Stateful PL1/PL2 turbo budget over a batch of lockstep runs.
 
     One manager tracks one *grid* of closed-loop runs, each with its own
     PL1/PL2 pair, EWMA window and time step.  The arithmetic matches the
-    scalar manager expression for expression, so batched budget/accounting
-    trajectories are bit-identical to per-run stepping.  The per-run
-    averages belong to the caller (the lockstep loop keeps them in its
-    trace rows, starting from :attr:`initial_average_w`).
+    scalar ``TurboBudgetManager`` (the oracle in ``tests/oracles/turbo.py``)
+    expression for expression, so batched budget/accounting trajectories
+    are bit-identical to per-run stepping.  The per-run averages belong to
+    the caller (the lockstep loop keeps them in its trace rows, starting
+    from :attr:`initial_average_w`).
 
     Parameters
     ----------

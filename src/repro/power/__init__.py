@@ -7,27 +7,19 @@ built on:
   dynamic capacitance, voltage and frequency.
 * :mod:`repro.power.leakage` — leakage power with voltage and temperature
   dependence, plus the effect of power-gating.
-* :mod:`repro.power.cdyn` — per-activity dynamic-capacitance descriptors and
-  power-virus levels.
 * :mod:`repro.power.thermal` — a lumped thermal model linking package power
   to junction temperature, and the TDP/Tjmax design limits.
-* :mod:`repro.power.budget` — bookkeeping of a shared power budget between
-  SoC domains (CPU cores vs. graphics), used by the PBM firmware model.
+* :mod:`repro.power.budget` — the PL1/PL2 turbo power limits and the
+  batched EWMA accounting of package power behind them.
 """
 
-from repro.power.budget import DomainPower, EwmaPowerMeter, PowerBudget, TurboLimits
-from repro.power.cdyn import ActivityCdyn, CdynTable
+from repro.power.budget import TurboLimits
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import NOMINAL_SILICON_TEMPERATURE_C, LeakagePowerModel
 from repro.power.thermal import ThermalLimits, ThermalModel, TransientThermalModel
 
 __all__ = [
-    "DomainPower",
-    "EwmaPowerMeter",
-    "PowerBudget",
     "TurboLimits",
-    "ActivityCdyn",
-    "CdynTable",
     "DynamicPowerModel",
     "LeakagePowerModel",
     "NOMINAL_SILICON_TEMPERATURE_C",

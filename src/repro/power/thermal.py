@@ -159,12 +159,6 @@ class TransientThermalModel:
         decay = math.exp(-time_step_s / self.time_constant_s)
         return target + (temperature_c - target) * decay
 
-    def settling_time_s(self, tolerance_c: float = 0.1, swing_c: float = 65.0) -> float:
-        """Time for a *swing_c* temperature step to settle within *tolerance_c*."""
-        ensure_positive(tolerance_c, "tolerance_c")
-        ensure_positive(swing_c, "swing_c")
-        return self.time_constant_s * math.log(swing_c / tolerance_c)
-
     def max_power_keeping_tjmax_w(
         self, temperature_c: float, time_step_s: float
     ) -> float:

@@ -93,12 +93,6 @@ class AgingModel:
             profile.average_voltage_v, profile.average_temperature_c
         )
 
-    def extra_consumption(
-        self, baseline: StressProfile, candidate: StressProfile
-    ) -> float:
-        """Additional lifetime consumption of *candidate* over *baseline*."""
-        return self.lifetime_consumption(candidate) - self.lifetime_consumption(baseline)
-
     def voltage_derating_for_equal_lifetime(
         self, baseline: StressProfile, candidate: StressProfile
     ) -> float:

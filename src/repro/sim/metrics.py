@@ -194,11 +194,6 @@ class TransientRunResult(RunResult):
         """Worst-case droop in volts (the guardband-sizing number)."""
         return self.worst_droop_v
 
-    @property
-    def droop_fraction(self) -> float:
-        """Worst droop as a fraction of the nominal rail voltage."""
-        return self.worst_droop_v / self.nominal_voltage_v
-
     def worsening_over(self, baseline: "TransientRunResult") -> float:
         """Fractional worst-droop increase relative to a baseline run."""
         if baseline.worst_droop_v <= 0:
@@ -589,10 +584,6 @@ class DynamicRunResult(RunResult):
         if not active.size:
             return LimitingFactor.NONE.value
         return LIMITING_FACTOR_ORDER[int(active[-1])].value
-
-    def limiting_breakdown(self) -> Dict[str, float]:
-        """Fraction of active steps stopped by each limiting factor."""
-        return _shares(self.limiting_codes[self._active()], _LIMITING_NAMES)
 
     def cstate_residency(self) -> Dict[str, float]:
         """Fraction of the run spent in each package C-state (C0 == active)."""

@@ -9,21 +9,11 @@ firmware model — it only answers "what would this operating point cost".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from repro.common.validation import ensure_in_range, ensure_positive
 from repro.pdn.powergate import PowerGate
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
-
-
-class CoreCState(Enum):
-    """Core-level idle states (``CCi`` in the paper's Table 1)."""
-
-    CC0 = "cc0"  # executing instructions
-    CC1 = "cc1"  # halted, clocks gated locally
-    CC3 = "cc3"  # clocks off, caches retained
-    CC6 = "cc6"  # power-gated (or voltage held at retention when bypassed)
 
 
 @dataclass(frozen=True)

@@ -138,10 +138,6 @@ class Die:
         """Number of CPU cores on the die."""
         return len(self.cores)
 
-    def total_core_area_mm2(self) -> float:
-        """Summed area of all CPU cores."""
-        return sum(core.area_mm2 for core in self.cores)
-
     def total_power_gate_area_mm2(self) -> float:
         """Summed area of every core's power-gate."""
         return sum(core.power_gate.area_mm2 for core in self.cores)

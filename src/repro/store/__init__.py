@@ -16,20 +16,15 @@ from repro.store.artifacts import (
     StoreCorruptionWarning,
     decode_value,
     encode_value,
-    resolve_store_root,
 )
 from repro.store.cache import StoreCache
 from repro.store.hashing import (
-    canonical_json,
-    canonical_payload,
     digest,
     run_id_for_task,
-    task_fingerprint,
 )
 from repro.store.index import RunIndex
 from repro.store.manifest import (
     DEFAULT_TIER,
-    MANIFEST_SCHEMA_VERSION,
     RunManifest,
 )
 
@@ -40,13 +35,8 @@ __all__ = [
     "RunManifest",
     "StoreCorruptionWarning",
     "DEFAULT_TIER",
-    "MANIFEST_SCHEMA_VERSION",
-    "canonical_json",
-    "canonical_payload",
     "digest",
     "run_id_for_task",
-    "task_fingerprint",
     "encode_value",
     "decode_value",
-    "resolve_store_root",
 ]

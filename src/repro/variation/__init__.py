@@ -48,11 +48,9 @@ from repro.variation.binning import (
 from repro.variation.distributions import (
     ParameterVariation,
     VariationModel,
-    cholesky_factor,
     skylake_process_variation,
 )
 from repro.variation.sampler import (
-    NOMINAL_DIE,
     DiePopulation,
     DiePopulationSampler,
     DieVariation,
@@ -77,7 +75,6 @@ _STREAMING_EXPORTS: Tuple[str, ...] = (
     "StreamingBinningResult",
     "condense_population_traces",
     "merge_cell_shards",
-    "weighted_percentile",
 )
 
 
@@ -98,10 +95,8 @@ def __getattr__(name: str):
 __all__ = [
     "ParameterVariation",
     "VariationModel",
-    "cholesky_factor",
     "skylake_process_variation",
     "DieVariation",
-    "NOMINAL_DIE",
     "DiePopulation",
     "DiePopulationSampler",
     "BinningPolicy",
@@ -123,5 +118,4 @@ __all__ = [
     "StreamingBinningResult",
     "condense_population_traces",
     "merge_cell_shards",
-    "weighted_percentile",
 ]

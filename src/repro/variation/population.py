@@ -35,7 +35,6 @@ from typing import (
     Any,
     Dict,
     List,
-    MutableMapping,
     Optional,
     Sequence,
     Tuple,
@@ -46,9 +45,7 @@ import numpy as np
 
 from repro.analysis.study import (
     CallableTask,
-    Executor,
     Study,
-    StudyTask,
     SweepRequest,
 )
 from repro.common.codec import Codec
@@ -355,11 +352,6 @@ class PopulationStudy:
         Population size (dice).
     tdp_levels_w:
         Optional TDP sweep; every spec expands to one variant per level.
-    seed:
-        RNG seed; recorded in the result so the run can be replayed.
-        ``None`` (the default) pins seed 0, not OS entropy, so every grid
-        cell and the binning pass see the *same* dice and the run replays
-        like a seeded one.
     binning:
         SKU binning policy; defaults to
         :func:`~repro.variation.binning.skylake_binning_policy`.
@@ -373,23 +365,15 @@ class PopulationStudy:
         ``shard_size > count``, empty populations) raise
         :class:`~repro.common.errors.ConfigurationError` with actionable
         messages.  Forbidden for ``method="fast"``.
-    executor:
-        An executor object to run the tasks through, in place of the
-        default :class:`~repro.analysis.study.StudyExecutor`.
-    max_workers:
-        Process count of the default executor (``None``: in-process).
-    cache:
-        Optional task-result cache (typically a
-        :class:`~repro.store.cache.StoreCache`) shared with the inner grid
-        study, so population runs land in the persistent store and warm
-        re-runs execute zero tasks.
-    name:
-        Study name used in reports.
     request:
         The unified execution descriptor (executor / max_workers / cache /
-        seed / name) in place of the individual keywords;
-        :meth:`Study.over_population
-        <repro.analysis.study.Study.over_population>` builds one.
+        seed / name); :meth:`Study.over_population
+        <repro.analysis.study.Study.over_population>` builds one from its
+        keywords.  The seed is recorded in the result so the run can be
+        replayed; an unseeded request pins seed 0, not OS entropy, so every
+        grid cell and the binning pass see the *same* dice.  A cache
+        (typically a :class:`~repro.store.cache.StoreCache`) lands every
+        cell in the persistent store, and warm re-runs execute zero tasks.
     """
 
     METHODS = ("fast", "streaming")
@@ -402,25 +386,13 @@ class PopulationStudy:
         count: int,
         *,
         tdp_levels_w: Optional[Sequence[float]] = None,
-        seed: Optional[int] = None,
         binning: Optional[BinningPolicy] = None,
         method: str = "fast",
         shard_size: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        max_workers: Optional[int] = None,
-        cache: Optional[MutableMapping[StudyTask, Any]] = None,
-        name: str = "population-study",
         request: Optional[SweepRequest] = None,
     ) -> None:
         if request is None:
-            request = SweepRequest(
-                executor=executor,
-                max_workers=max_workers,
-                cache=cache,
-                seed=seed,
-                name=name,
-            )
-            request.validate("PopulationStudy")
+            request = SweepRequest(name="population-study")
         if count < 1:
             raise ConfigurationError("count must be >= 1")
         if method not in self.METHODS:
@@ -518,11 +490,6 @@ class PopulationStudy:
     def tasks_executed(self) -> int:
         """Cache-miss tasks of the last :meth:`run` (0 before any run)."""
         return self._tasks_executed
-
-    @property
-    def cell_specs(self) -> Tuple[SystemSpec, ...]:
-        """The (TDP-expanded) spec axis of the grid."""
-        return self._cell_specs
 
     def sample(self) -> DiePopulation:
         """The study's population (deterministic in the seed)."""

@@ -15,10 +15,6 @@ through :class:`repro.analysis.study.Study`:
 * :mod:`repro.workloads.graphics` — 3DMark-style graphics workloads.
 * :mod:`repro.workloads.energy` — ENERGY STAR and Intel Ready Mode (RMT)
   idle-residency scenarios.
-* :mod:`repro.workloads.power_virus` — power-virus workloads used for
-  guardband and EDC sizing.
-* :mod:`repro.workloads.phases` — simple activity-phase traces for the
-  residency simulator.
 * :mod:`repro.workloads.dynamics` — timed phase timelines
   (:class:`DynamicScenario`) for the closed-loop dynamics engine.
 """
@@ -40,7 +36,6 @@ from repro.workloads.dynamics import (
 )
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
 from repro.workloads.graphics import three_dmark_suite
-from repro.workloads.power_virus import power_virus_workload
 from repro.workloads.spec import (
     spec_cpu2006_base_suite,
     spec_cpu2006_rate_suite,
@@ -62,7 +57,6 @@ __all__ = [
     "energy_star_scenario",
     "rmt_scenario",
     "three_dmark_suite",
-    "power_virus_workload",
     "spec_cpu2006_base_suite",
     "spec_cpu2006_rate_suite",
     "spec_cpu2006_suite",

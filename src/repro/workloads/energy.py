@@ -82,8 +82,3 @@ def energy_star_scenario() -> EnergyScenario:
         ),
         average_power_limit_w=0.65,
     )
-
-
-def energy_scenarios() -> tuple[EnergyScenario, EnergyScenario]:
-    """Both energy-efficiency scenarios evaluated in Fig. 10."""
-    return (energy_star_scenario(), rmt_scenario())

@@ -3,6 +3,8 @@
 Each oracle is the slow, obviously-correct path a fast path replaced:
 
 * :mod:`oracles.dynamics` — the per-run closed-loop stepper;
+* :mod:`oracles.turbo` — the scalar EWMA meter and PL1/PL2 turbo budget
+  the per-run stepper accounts power with;
 * :mod:`oracles.dvfs` — the static DVFS grid walk and scalar per-step bin
   selection;
 * :mod:`oracles.population` — per-die population stepping;

@@ -2,7 +2,7 @@
 
 :class:`DynamicsSimulator` steps one scenario on one system through a
 Python loop, one step at a time, with the scalar models
-(:class:`~repro.pmu.turbo.TurboBudgetManager`,
+(:class:`oracles.turbo.TurboBudgetManager`,
 :class:`~repro.power.thermal.TransientThermalModel`,
 :func:`oracles.dvfs.select`).
 ``BatchedDynamicsSimulator.run_batch`` and ``run_population`` must
@@ -18,7 +18,6 @@ from typing import List, Tuple
 
 from repro.pmu.dvfs import LIMITING_FACTOR_CODES, LimitingFactor
 from repro.pmu.pcode import Pcode
-from repro.pmu.turbo import TurboBudgetManager
 from repro.power.budget import TurboLimits
 from repro.power.thermal import TransientThermalModel
 from repro.sim.dynamics import _loop_start, phase_step_counts, resolve_idle_state
@@ -26,6 +25,7 @@ from repro.sim.metrics import DynamicRunResult, encode_cstates, encode_frequenci
 from repro.workloads.dynamics import DynamicPhase, DynamicScenario
 
 from oracles.dvfs import select
+from oracles.turbo import TurboBudgetManager
 
 
 class _TraceRecorder:

@@ -7,70 +7,21 @@ import math
 import pytest
 
 from repro.common.errors import (
-    CalibrationError,
     ConfigurationError,
     ConstraintViolation,
     ReproError,
     SimulationError,
 )
 from repro.common.grid import FrequencyGrid
-from repro.common.units import (
-    GHZ,
-    MHZ,
-    celsius_to_kelvin,
-    from_ghz,
-    from_mhz,
-    from_mv,
-    from_mohm,
-    kelvin_to_celsius,
-    to_ghz,
-    to_mhz,
-    to_mv,
-    to_mohm,
-)
+from repro.common.units import GHZ, MHZ
 from repro.common.validation import ensure_in_range, ensure_non_negative, ensure_positive
-
-
-# -- units ---------------------------------------------------------------------------
-
-
-def test_ghz_round_trip():
-    assert to_ghz(from_ghz(4.2)) == pytest.approx(4.2)
-
-
-def test_mhz_round_trip():
-    assert to_mhz(from_mhz(100.0)) == pytest.approx(100.0)
-
-
-def test_from_ghz_magnitude():
-    assert from_ghz(1.0) == pytest.approx(1e9)
-
-
-def test_from_mhz_magnitude():
-    assert from_mhz(100.0) == pytest.approx(1e8)
-
-
-def test_mv_round_trip():
-    assert to_mv(from_mv(85.0)) == pytest.approx(85.0)
-
-
-def test_mohm_round_trip():
-    assert to_mohm(from_mohm(1.8)) == pytest.approx(1.8)
-
-
-def test_temperature_round_trip():
-    assert kelvin_to_celsius(celsius_to_kelvin(100.0)) == pytest.approx(100.0)
-
-
-def test_celsius_to_kelvin_offset():
-    assert celsius_to_kelvin(0.0) == pytest.approx(273.15)
 
 
 # -- errors ---------------------------------------------------------------------------
 
 
 def test_all_errors_derive_from_repro_error():
-    for exc_type in (ConfigurationError, ConstraintViolation, SimulationError, CalibrationError):
+    for exc_type in (ConfigurationError, ConstraintViolation, SimulationError):
         assert issubclass(exc_type, ReproError)
 
 

@@ -12,8 +12,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.spec import build_engine, get_spec
 from repro.pmu.cstates import PackageCState, cstate_for_idle_duration
 from repro.pmu.dvfs import CpuDemand, LimitingFactor
-from repro.pmu.turbo import TurboBudgetManager
-from repro.power.budget import EwmaPowerMeter, TurboLimits
+from repro.power.budget import TurboLimits
 from repro.power.thermal import ThermalLimits, ThermalModel, TransientThermalModel
 from repro.sim.metrics import DynamicRunResult, RunResult
 from repro.analysis.study import Study
@@ -27,6 +26,7 @@ from repro.workloads.dynamics import (
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
 
 from oracles.dynamics import DynamicsSimulator
+from oracles.turbo import EwmaPowerMeter, TurboBudgetManager
 
 #: Fast-converging run configuration shared by the closed-loop tests: a small
 #: thermal capacitance keeps the thermal time constant a few seconds, so a

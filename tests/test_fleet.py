@@ -24,9 +24,7 @@ from repro.fleet import (
     OverlayArrivals,
     PoissonArrivals,
     QosReport,
-    ScaledArrivals,
     ScenarioGenerator,
-    SequenceArrivals,
     aggregate_reports,
     fleet_profile,
     fleet_profile_names,
@@ -95,45 +93,15 @@ def test_arrival_validation_errors():
     with pytest.raises(ConfigurationError, match="amplitude"):
         DiurnalArrivals(duration_s=1.0, rate_hz=1.0, amplitude=2.0)
     a = PoissonArrivals(duration_s=1.0, rate_hz=1.0)
-    with pytest.raises(ConfigurationError, match="count"):
-        a.repeated(0)
-    with pytest.raises(ConfigurationError, match="factor"):
-        a.scaled(0.0)
     with pytest.raises(ConfigurationError, match="at least one child"):
-        SequenceArrivals(children=())
-    with pytest.raises(ConfigurationError, match="flattened"):
-        SequenceArrivals(children=(a.then(a), a))
+        OverlayArrivals(children=())
     with pytest.raises(ConfigurationError, match="flattened"):
         OverlayArrivals(children=(a.overlay(a), a))
     with pytest.raises(ConfigurationError, match="arrival process"):
-        ScaledArrivals(process="nope", factor=2.0)
+        OverlayArrivals(children=(a, "nope"))
 
 
-# -- composition laws (exact structural equalities) ------------------------------------
-
-
-@given(a=_leaves, b=_leaves, c=_leaves)
-@settings(max_examples=40, deadline=None)
-def test_then_is_associative_and_flat(a, b, c):
-    assert a.then(b).then(c) == a.then(b.then(c))
-    assert a.then(b).then(c) == SequenceArrivals(children=(a, b, c))
-
-
-@given(a=_leaves, count=st.integers(min_value=1, max_value=4))
-@settings(max_examples=40, deadline=None)
-def test_repeated_equals_then_chain(a, count):
-    chained = a
-    for _ in range(count - 1):
-        chained = chained.then(a)
-    assert a.repeated(count) == chained
-    assert a.repeated(1) == a
-
-
-@given(a=_leaves, j=st.floats(min_value=0.1, max_value=4.0),
-       k=st.floats(min_value=0.1, max_value=4.0))
-@settings(max_examples=40, deadline=None)
-def test_scaled_folds(a, j, k):
-    assert a.scaled(j).scaled(k) == ScaledArrivals(process=a, factor=j * k)
+# -- overlay (exact structural equality) -----------------------------------------------
 
 
 @given(a=_leaves, b=_leaves, c=_leaves)
@@ -159,15 +127,6 @@ def test_sample_is_deterministic_nonnegative_and_readonly(a, seed):
 
 @given(a=_leaves, b=_leaves, seed=_seeds)
 @settings(max_examples=40, deadline=None)
-def test_sequence_sample_concatenates_child_paths(a, b, seed):
-    combined = a.then(b).sample_load(1.0, seed)
-    left = a.sample_load(1.0, seed, key=(0,))
-    right = b.sample_load(1.0, seed, key=(1,))
-    assert np.array_equal(combined, np.concatenate([left, right]))
-
-
-@given(a=_leaves, b=_leaves, seed=_seeds)
-@settings(max_examples=40, deadline=None)
 def test_overlay_sample_is_padded_sum_of_child_paths(a, b, seed):
     combined = a.overlay(b).sample_load(1.0, seed)
     left = a.sample_load(1.0, seed, key=(0,))
@@ -176,15 +135,6 @@ def test_overlay_sample_is_padded_sum_of_child_paths(a, b, seed):
     total[: len(left)] += left
     total[: len(right)] += right
     assert np.array_equal(combined, total)
-
-
-@given(a=_leaves, factor=st.floats(min_value=0.1, max_value=5.0), seed=_seeds)
-@settings(max_examples=40, deadline=None)
-def test_scaled_sample_scales_without_reseeding(a, factor, seed):
-    assert np.array_equal(
-        a.scaled(factor).sample_load(1.0, seed),
-        a.sample_load(1.0, seed) * factor,
-    )
 
 
 def test_duty_cycle_is_deterministic_and_exact():

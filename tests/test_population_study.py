@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.study import Study, StudyResult
+from repro.analysis.study import Study, StudyResult, SweepRequest
 from repro.common.errors import ConfigurationError
 from repro.core.spec import get_spec
 from repro.sim.engine import SimulationEngine
@@ -55,7 +55,7 @@ def reference_result() -> PopulationResult:
         VARIATIONS,
         count=10,
         tdp_levels_w=(35.0, 65.0),
-        seed=42,
+        request=SweepRequest(seed=42),
     ).run()
 
 
@@ -172,7 +172,11 @@ def test_unseeded_study_pins_one_seed_for_every_path():
     process, same content-addressed run IDs.
     """
     study = PopulationStudy(
-        ("darkgates",), SCENARIOS[:1], VARIATIONS, count=6, seed=None
+        ("darkgates",),
+        SCENARIOS[:1],
+        VARIATIONS,
+        count=6,
+        request=SweepRequest(seed=None),
     )
     assert study.seed == 0
     result = study.run()
@@ -180,7 +184,11 @@ def test_unseeded_study_pins_one_seed_for_every_path():
     # The recorded seed replays the run exactly — including on the
     # reference path, which must see the same dice as the fast cells.
     replay = ReferencePopulationStudy(
-        ("darkgates",), SCENARIOS[:1], VARIATIONS, count=6, seed=result.seed
+        ("darkgates",),
+        SCENARIOS[:1],
+        VARIATIONS,
+        count=6,
+        request=SweepRequest(seed=result.seed),
     ).run()
     assert replay.cells == result.cells
     assert replay.binning == result.binning

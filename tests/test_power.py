@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ConfigurationError, ConstraintViolation
-from repro.power.budget import DomainPower, PowerBudget
-from repro.power.cdyn import ActivityCdyn, CdynTable
+from repro.common.errors import ConfigurationError
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 from repro.power.thermal import ThermalLimits, ThermalModel
@@ -88,38 +86,6 @@ def test_leakage_scaled():
     assert model.scaled(2.0).power_w(1.0, 60.0) == pytest.approx(2 * model.power_w(1.0, 60.0))
 
 
-# -- cdyn table ----------------------------------------------------------------------------------
-
-
-def test_cdyn_client_default_ordering():
-    table = CdynTable.client_default()
-    assert table.fraction("idle") < table.fraction("typical") < table.fraction("power_virus")
-    assert table.fraction("power_virus") == 1.0
-
-
-def test_cdyn_memory_bound_below_compute_bound():
-    table = CdynTable.client_default()
-    assert table.fraction("memory_bound") < table.fraction("compute_bound")
-
-
-def test_cdyn_unknown_level_raises():
-    table = CdynTable.client_default()
-    with pytest.raises(ConfigurationError):
-        table.fraction("does_not_exist")
-
-
-def test_cdyn_duplicate_rejected():
-    table = CdynTable.client_default()
-    with pytest.raises(ConfigurationError):
-        table.add(ActivityCdyn("idle", 0.5))
-
-
-def test_cdyn_names_in_insertion_order():
-    table = CdynTable.client_default()
-    assert table.names()[0] == "idle"
-    assert table.names()[-1] == "power_virus"
-
-
 # -- thermal -----------------------------------------------------------------------------------
 
 
@@ -161,53 +127,3 @@ def test_thermal_rejects_negative_power():
     model = ThermalModel(ThermalLimits(tdp_w=65.0))
     with pytest.raises(ConfigurationError):
         model.junction_temperature_c(-1.0)
-
-
-# -- power budget ---------------------------------------------------------------------------------
-
-
-def test_budget_allocation_and_remainder():
-    budget = PowerBudget(total_w=45.0)
-    budget.allocate("uncore", 6.0)
-    budget.allocate("cores", 9.0)
-    remainder = budget.allocate_remainder("graphics")
-    assert remainder == pytest.approx(30.0)
-    assert budget.remaining_w() == pytest.approx(0.0)
-    assert budget.utilisation() == pytest.approx(1.0)
-
-
-def test_budget_over_allocation_raises():
-    budget = PowerBudget(total_w=35.0)
-    budget.allocate("cores", 30.0)
-    with pytest.raises(ConstraintViolation):
-        budget.allocate("graphics", 10.0)
-
-
-def test_budget_duplicate_domain_raises_constraint_violation():
-    budget = PowerBudget(total_w=35.0)
-    budget.allocate("cores", 10.0)
-    with pytest.raises(ConstraintViolation):
-        budget.allocate("cores", 5.0)
-    # The first allocation must survive the rejected re-allocation attempt.
-    assert budget.allocation_for("cores") == pytest.approx(10.0)
-
-
-def test_budget_remainder_duplicate_domain_raises_constraint_violation():
-    budget = PowerBudget(total_w=35.0)
-    budget.allocate("cores", 10.0)
-    with pytest.raises(ConstraintViolation):
-        budget.allocate_remainder("cores")
-    assert budget.allocation_for("cores") == pytest.approx(10.0)
-
-
-def test_budget_queries():
-    budget = PowerBudget(total_w=65.0)
-    budget.allocate("cores", 20.0)
-    assert budget.allocation_for("cores") == pytest.approx(20.0)
-    assert budget.allocation_for("graphics") == 0.0
-    assert budget.domains() == ["cores"]
-
-
-def test_domain_power_total():
-    power = DomainPower(domain="cores", dynamic_w=18.0, leakage_w=2.5)
-    assert power.total_w == pytest.approx(20.5)

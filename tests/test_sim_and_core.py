@@ -16,10 +16,8 @@ from repro.core.overhead import darkgates_overheads
 from repro.pmu.cstates import PackageCState
 from repro.pmu.dvfs import CpuDemand
 from repro.sim.engine import SimulationEngine
-from repro.sim.residency import ResidencyTracker
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
 from repro.workloads.graphics import three_dmark_suite
-from repro.workloads.phases import bursty_idle_trace, sustained_compute_trace
 from repro.workloads.spec import spec_benchmark, spec_cpu2006_base_suite
 
 
@@ -115,37 +113,6 @@ def test_engine_energy_scenario_average_power(darkgates_91w, baseline_91w):
 def test_engine_energy_scenario_limit_flag(darkgates_91w):
     result = SimulationEngine(darkgates_91w).run_energy_scenario(energy_star_scenario())
     assert result.meets_limit == (result.average_power_w <= result.average_power_limit_w)
-
-
-# -- residency tracker --------------------------------------------------------------------------------
-
-
-def test_residency_deepest_state_for_long_idle(darkgates_91w, baseline_91w):
-    darkgates_tracker = ResidencyTracker(darkgates_91w)
-    baseline_tracker = ResidencyTracker(baseline_91w)
-    assert darkgates_tracker.state_for_idle_duration(1.0) is PackageCState.C8
-    assert baseline_tracker.state_for_idle_duration(1.0) is PackageCState.C7
-
-
-def test_residency_shallow_state_for_short_idle(darkgates_91w):
-    tracker = ResidencyTracker(darkgates_91w)
-    assert tracker.state_for_idle_duration(1e-4).depth <= 3
-
-
-def test_residency_replay_bursty_trace(darkgates_91w):
-    tracker = ResidencyTracker(darkgates_91w)
-    report = tracker.replay(bursty_idle_trace())
-    assert report.residency("C0") == pytest.approx(0.01, rel=0.1)
-    assert report.residency("C8") > 0.9
-    assert report.average_power_w < 5.0
-    assert report.energy_j == pytest.approx(report.average_power_w * report.duration_s)
-
-
-def test_residency_replay_compute_trace(darkgates_91w):
-    tracker = ResidencyTracker(darkgates_91w)
-    report = tracker.replay(sustained_compute_trace(duration_s=10.0))
-    assert report.residency("C0") == pytest.approx(1.0)
-    assert report.average_power_w > 20.0
 
 
 # -- DarkGates versus baseline (Figs. 7-10) ------------------------------------------------------------

@@ -3,9 +3,13 @@ RunResult serialisation."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import json
 import pkgutil
+from pathlib import Path
+from typing import Dict, Iterator, Set
 
 import pytest
 
@@ -243,3 +247,126 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     assert len(set(module.__all__)) == len(module.__all__)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+#: Directories whose non-test files can reach an exported name.
+_REACHING_DIRS = ("src", "examples", "perfbench", "benchmarks")
+
+#: Exported names that no non-test file references outside their own module
+#: and the package ``__init__`` files, each with why it stays exported: a
+#: result or value type that a reached function returns or takes, a paper
+#: entry point, or a builder registered under a name the CLI resolves.
+_UNREACHED_EXPORTS = {
+    "StudyResult": "result type: Study.run returns it",
+    "StudyCell": "result type: the cells of a StudyResult",
+    "StudyExecutor": "value type: SweepRequest.resolve returns it",
+    "ParameterVariation": "value type: VariationModel takes one per silicon knob",
+    "SkuBin": "value type: BinningPolicy takes its bins",
+    "HistogramSpec": "value type: ScalarAccumulator and TraceHistogram take their bin grid",
+    "ScalarAccumulator": "result type: StreamingCellShard holds its scalar accumulators",
+    "ScalarSummary": "result type: StreamingCellResult holds its scalar summaries",
+    "OverlayArrivals": "result type: ArrivalProcess.overlay returns it",
+    "GuardbandBreakdown": "result type: GuardbandModel.breakdown returns it",
+    "DroopResult": "result type: DroopSimulator.simulate_* return it",
+    "TraceBuilder": "value type: builds the LoadTrace that TransientScenario takes",
+    "step_trace": "value type: returns the LoadTrace that TransientScenario takes",
+    "PackageKind": "value type: Package takes it as its kind",
+    "Rule": "result type: get_rule returns it",
+    "ImplementationOverheads": "result type: darkgates_overheads returns it",
+    "darkgates_overheads": "paper entry point: the implementation overheads of Section 5",
+    "BumpCurrentModel": "paper entry point: the bump electromigration claim of Section 4.2",
+    "LoadLine": "paper entry point: the load-line model of Fig. 2",
+    "paper_transient_scenarios": "paper entry point: the droop events of Figs. 5 and 6",
+    "run_fig3_guardband_motivation": "paper entry point: Fig. 3",
+    "run_fig4_impedance_profiles": "paper entry point: Fig. 4",
+    "run_fig7_spec_per_benchmark": "paper entry point: Fig. 7",
+    "run_fig8_spec_tdp_sweep": "paper entry point: Fig. 8",
+    "run_fig9_graphics_degradation": "paper entry point: Fig. 9",
+    "run_fig10_energy_efficiency": "paper entry point: Fig. 10",
+    "run_sec42_reliability_guardband": "paper entry point: Section 4.2",
+    "run_table1_package_cstates": "paper entry point: Table 1",
+    "run_table2_system_parameters": "paper entry point: Table 2",
+    "Fig3Result": "result type: run_fig3_guardband_motivation returns it",
+    "Fig4Result": "result type: run_fig4_impedance_profiles returns it",
+    "Fig7Result": "result type: run_fig7_spec_per_benchmark returns it",
+    "Fig8Result": "result type: run_fig8_spec_tdp_sweep returns it",
+    "Fig9Result": "result type: run_fig9_graphics_degradation returns it",
+    "Fig10Result": "result type: run_fig10_energy_efficiency returns it",
+    "ReliabilityResult": "result type: run_sec42_reliability_guardband returns it",
+    "datacenter_profile": "registered fleet profile: --profile datacenter builds it",
+    "consumer_interactive_profile": "registered fleet profile: --profile consumer builds it",
+    "graphics_coschedule_profile": "registered fleet profile: --profile graphics builds it",
+    "sustained_scenario": "registered scenario: --scenario sustained builds it",
+    "sprint_and_rest_scenario": "registered scenario: --scenario sprint_and_rest builds it",
+}
+
+
+def _reaching_files() -> Iterator[Path]:
+    """Every non-test, non-``__init__`` Python file that can reach a name."""
+    root = Path(__file__).resolve().parents[1]
+    for directory in _REACHING_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            test = path.name.startswith("test_") or path.name == "conftest.py"
+            if not test and path.name != "__init__.py":
+                yield path.resolve()
+
+
+def _referenced_names(path: Path) -> Set[str]:
+    """Names, attributes, import names and non-docstring strings in *path*."""
+    tree = ast.parse(path.read_text())
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            names.add(node.value)
+    return names
+
+
+def _defining_file(module_name: str, name: str) -> Path:
+    """The file that defines *name*, following ``from ... import`` re-exports."""
+    module = importlib.import_module(module_name)
+    source = Path(module.__file__).resolve()
+    for node in ast.parse(source.read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _defining_file(node.module, alias.name)
+    value = getattr(module, name)
+    if inspect.isclass(value) or inspect.isfunction(value):
+        return Path(inspect.getsourcefile(value)).resolve()  # lazy re-exports
+    return source
+
+
+def test_every_exported_name_is_reached_or_explained():
+    # An exported name needs a reference outside its own module and the
+    # package __init__ files, or a reason on _UNREACHED_EXPORTS.
+    references: Dict[Path, Set[str]] = {
+        path: _referenced_names(path) for path in _reaching_files()
+    }
+    unreached = set()
+    for package in _packages():
+        for name in importlib.import_module(package).__all__:
+            home = _defining_file(package, name)
+            if not any(
+                name in names for path, names in references.items() if path != home
+            ):
+                unreached.add(name)
+    assert sorted(unreached - set(_UNREACHED_EXPORTS)) == []
+    # A listed name that is now reached, or no longer exported, leaves the list.
+    assert sorted(set(_UNREACHED_EXPORTS) - unreached) == []
+    assert all(reason.strip() for reason in _UNREACHED_EXPORTS.values())

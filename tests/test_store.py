@@ -27,16 +27,14 @@ from repro.store import (
     RunStore,
     StoreCache,
     StoreCorruptionWarning,
-    canonical_json,
-    canonical_payload,
     decode_value,
     digest,
     encode_value,
-    resolve_store_root,
     run_id_for_task,
-    task_fingerprint,
 )
 from repro.store import cache as cache_module
+from repro.store.artifacts import resolve_store_root
+from repro.store.hashing import canonical_json, canonical_payload, task_fingerprint
 from repro.store.manifest import MANIFEST_SCHEMA_VERSION, utc_timestamp
 from repro.variation.binning import skylake_binning_policy
 from repro.variation.distributions import skylake_process_variation

@@ -8,7 +8,6 @@ import os
 
 import pytest
 
-from repro.analysis.fleet import FleetStudy
 from repro.analysis.optimize import Constraint, Objective, OptimizationSpec
 from repro.analysis.study import (
     CallableTask,
@@ -25,7 +24,6 @@ from repro.sim.dynamics import BatchedDynamicsSimulator
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import CpuRunResult, EnergyRunResult
 from repro.variation.distributions import skylake_process_variation
-from repro.variation.population import PopulationStudy
 from repro.workloads.dynamics import burst_scenario, sustained_scenario
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
 from repro.workloads.spec import spec_benchmark
@@ -247,10 +245,6 @@ def _study_entry_points():
         "optimize": lambda **kw: Study.optimize(
             ("darkgates",), query, demand=CpuDemand(active_cores=4), **kw
         ),
-        "FleetStudy": lambda **kw: FleetStudy(("darkgates",), ("datacenter",), **kw),
-        "PopulationStudy": lambda **kw: PopulationStudy(
-            ("darkgates",), (scenario,), variations, 8, **kw
-        ),
     }
 
 
@@ -262,11 +256,7 @@ def _study_entry_points():
         pytest.param({"max_workers": True}, "max_workers", id="max_workers=True"),
         pytest.param({"max_workers": "2"}, "max_workers", id="max_workers='2'"),
         *(
-            pytest.param(
-                {"executor": name},
-                "executor names were removed",
-                id=f"executor={name!r}",
-            )
+            pytest.param({"executor": name}, "run_tasks", id=f"executor={name!r}")
             for name in ("serial", "batched", "process", "threads")
         ),
         pytest.param(

@@ -13,8 +13,6 @@ from repro.workloads.descriptors import (
 )
 from repro.workloads.energy import energy_star_scenario, rmt_scenario
 from repro.workloads.graphics import three_dmark_suite
-from repro.workloads.phases import PhaseTrace, TracePhase, bursty_idle_trace, sustained_compute_trace
-from repro.workloads.power_virus import power_virus_workload, tdp_sizing_workload
 from repro.workloads.spec import (
     average_scalability,
     spec_benchmark,
@@ -134,24 +132,6 @@ def test_spec_all_activities_and_intensities_bounded():
         assert 0.0 <= workload.memory_intensity <= 1.0
 
 
-# -- power virus ---------------------------------------------------------------------------------
-
-
-def test_power_virus_has_maximum_activity():
-    virus = power_virus_workload(4)
-    assert virus.activity == 1.0
-    assert virus.active_cores == 4
-
-
-def test_tdp_workload_below_virus():
-    assert tdp_sizing_workload().activity < power_virus_workload().activity
-
-
-def test_power_virus_rejects_bad_core_count():
-    with pytest.raises(ConfigurationError):
-        power_virus_workload(0)
-
-
 # -- graphics workloads -----------------------------------------------------------------------------
 
 
@@ -218,27 +198,3 @@ def test_residency_phase_rejects_unknown_mode():
 
 def test_scenario_phase_names():
     assert "deep_idle" in rmt_scenario().phase_names()
-
-
-# -- phase traces ----------------------------------------------------------------------------------------
-
-
-def test_bursty_idle_trace_mostly_idle():
-    trace = bursty_idle_trace()
-    assert trace.idle_fraction() > 0.9
-    assert trace.duration_s == pytest.approx(10.0)
-
-
-def test_sustained_compute_trace_never_idle():
-    trace = sustained_compute_trace(duration_s=10.0)
-    assert trace.idle_fraction() == 0.0
-
-
-def test_phase_trace_requires_phases():
-    with pytest.raises(ConfigurationError):
-        PhaseTrace(name="empty", phases=())
-
-
-def test_trace_phase_validation():
-    with pytest.raises(ConfigurationError):
-        TracePhase(duration_s=0.0, demand=None)
